@@ -56,12 +56,21 @@ def parse_spec_token(token, radii):
         return transforms.DesignSpec(variant="standard",
                                      radius_subset=(int(matches[0]),),
                                      include_interactions=interactions)
-    if token.startswith("pca"):
-        return transforms.DesignSpec(variant="pca", n_components=int(token[3:]),
-                                     include_interactions=interactions)
-    if token.startswith("rcs"):
-        return transforms.DesignSpec(variant="rcs", n_knots=int(token[3:]),
-                                     include_interactions=interactions)
+    if token.startswith(("pca", "rcs")):
+        variant = token[:3]
+        try:
+            count = int(token[3:])
+        except ValueError:
+            raise UsageError(f"bad count in spec token '{token}'") from None
+        if variant == "pca" and count > len(radii):
+            raise UsageError(f"'{token}' asks for more components than the "
+                             f"{len(radii)} radii")
+        size = {"n_components" if variant == "pca" else "n_knots": count}
+        try:
+            return transforms.DesignSpec(variant=variant,
+                                         include_interactions=interactions, **size)
+        except linalg.ContractViolationError as exc:
+            raise UsageError(f"spec token '{token}': {exc}") from None
     raise UsageError(f"unknown spec token '{token}'")
 
 
@@ -99,6 +108,8 @@ def cmd_simulate(args):
     seed = int(seed)
     if replicates < 1:
         raise UsageError("--replicates must be >= 1")
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     interactions = not args.no_interactions
     make = simulate.setting1 if setting == 1 else simulate.setting2
     if args.cell:
@@ -223,8 +234,11 @@ def cmd_fit(args):
     memfit = mem.fit_gee(validation, spec, working=args.working)
     cox = inference.fit_calibrated_cox(main, memfit,
                                        check_derivatives=args.check_derivatives)
-    w0 = ([float(v) for v in args.at.split(",")] if args.at
-          else [0.0] * main.w.shape[1])
+    try:
+        w0 = ([float(v) for v in args.at.split(",")] if args.at
+              else [0.0] * main.w.shape[1])
+    except ValueError:
+        raise UsageError(f"--at expects comma-separated numbers, got '{args.at}'") from None
     hr, hr_lo, hr_hi = inference.hazard_ratio(cox, args.hr_increment, w0)
 
     lines = [f"calibrated Cox fit ({spec.label()} measurement error model, "

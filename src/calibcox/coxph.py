@@ -3,14 +3,18 @@
 Covariate rows are u_i = [xhat_i, w_i', (xhat_i * w_i[interacting])'] with
 the calibrated exposure in the first slot.  Ties are handled by the Breslow
 convention, which is exact for the continuous simulated times and the
-simplest correct choice otherwise.  Risk-set sums are computed with a single
-time sort and reverse cumulative sweeps, so every evaluation is
-O(n log n + n d^2).
+simplest correct choice otherwise.  Risk-set sums run over the rows sorted
+by time: a fit sorts once (:class:`RiskSets`) and then each evaluation is a
+few reverse cumulative sweeps, O(n d^2).  The S2 sums of the information
+are taken in blocks of rows from the last row down, with the running total
+carried between blocks, so no n x d x d array is built and every element
+is still added in the order of one sweep over all rows.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,7 @@ from . import constants, linalg
 
 
 class CoxConvergenceError(ArithmeticError):
-    """Newton-Raphson hit the iteration cap."""
+    """Newton-Raphson hit the iteration cap or a step no halving could make ascend."""
 
 
 class CoxDivergenceError(ArithmeticError):
@@ -53,30 +57,104 @@ class ConvergenceReport:
     loglik: float
 
 
-def _sorted_views(u, time, event):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event)
-    order = np.argsort(time, kind="stable")
-    return u[order], time[order], event[order], order
+# Values per block of a suffix sum over per-row matrices: the block stays in
+# cache, and no n x d x d (or n x d x d_alpha) array is built.
+_BLOCK_VALUES = 1 << 16
 
 
-def _risk_quantities(u_s, t_s, beta):
-    """Per-row linear predictor and reverse-cumulative risk sums.
+class RiskSets:
+    """The time order of one cohort and the risk set of each of its events.
 
-    Returns (eta, w, S0, S1, first) where w = exp(eta - max eta), S0/S1 are
-    suffix sums of w and w*u, and first[i] is the earliest sorted index tied
-    with t_s[i] (ties share a risk set).
+    Every risk-set sum runs over rows sorted by time, and the order depends
+    on the times alone, so a fit sorts once and reuses this state for every
+    beta and every set of covariate rows: each Newton step, the information,
+    G, U_alpha and each finite-difference score.
+
+    order   stable argsort of the times
+    time    the sorted times
+    events  sorted positions of the events
+    start   for each event, the first sorted row tied with it: its risk
+            set is every row from there on (ties share a risk set)
     """
-    eta = u_s @ beta
-    m = eta.max()
-    w = np.exp(eta - m)
-    S0 = np.cumsum(w[::-1])[::-1]
-    S1 = np.cumsum((w[:, None] * u_s)[::-1], axis=0)[::-1]
-    first = np.searchsorted(t_s, t_s, side="left")
-    return eta, w, S0, S1, first
+
+    def __init__(self, time, event):
+        time = np.asarray(time, dtype=float)
+        self.order = np.argsort(time, kind="stable")
+        self.time = time[self.order]
+        self.events = np.flatnonzero(np.asarray(event)[self.order] == 1)
+        self.start = np.searchsorted(self.time, self.time[self.events], side="left")
+
+    def sort(self, a):
+        """Rows of ``a`` in time order, as a new C-contiguous float array."""
+        # np.take copies the same rows as a[order], several times faster.
+        return np.take(np.asarray(a, dtype=float), self.order, axis=0)
+
+    def sums(self, u_s, beta):
+        """(eta, w, S0, S1) for time-sorted rows ``u_s`` at ``beta``.
+
+        w = exp(eta - max eta); S0 and S1 are the suffix sums of w and w*u,
+        so S0[start[e]] is event e's (scaled) risk-set total.
+        """
+        eta = u_s @ np.asarray(beta, dtype=float)
+        w = np.exp(eta - eta.max())
+        S0 = np.cumsum(w[::-1])[::-1]
+        S1 = np.cumsum((w[:, None] * u_s)[::-1], axis=0)[::-1]
+        return eta, w, S0, S1
+
+    def loglik(self, eta, S0):
+        """Breslow log partial likelihood from :meth:`sums` (constant dropped)."""
+        return float(np.sum(eta[self.events]
+                            - (np.log(S0[self.start]) + eta.max())))
+
+    def score(self, u_s, S0, S1):
+        """sum over events of u_i - S1/S0, from :meth:`sums`."""
+        ubar = S1[self.start] / S0[self.start, None]
+        return np.sum(u_s[self.events] - ubar, axis=0)
+
+    def information(self, u_s, w, S0, S1):
+        """sum over events of S2/S0 - (S1/S0)(S1/S0)', from :meth:`sums`."""
+        d = u_s.shape[1]
+        wu = w[:, None] * u_s
+        S2 = self.suffix_at_starts(
+            lambda lo, hi: wu[lo:hi, :, None] * u_s[lo:hi, None, :], (d, d))
+        ubar = S1[self.start] / S0[self.start, None]
+        info = (S2 / S0[self.start, None, None]).sum(axis=0)
+        info -= np.einsum("ij,ik->jk", ubar, ubar)
+        return 0.5 * (info + info.T)
+
+    def suffix_at_starts(self, terms, shape):
+        """Suffix sums of per-row terms at each event's risk-set start.
+
+        ``terms(lo, hi)`` returns a new array of shape ``(hi - lo,) + shape``
+        holding the terms of sorted rows lo..hi-1.  Row blocks run from the
+        last row down; the running total is added into each block's first
+        reversed row before ``np.cumsum``, so every element is added in the
+        order of one cumsum over all n rows, while only one block is held.
+        Returns an array of shape ``(len(events),) + shape``.
+        """
+        out = np.empty((len(self.start),) + shape)
+        if not len(self.start):
+            return out
+        rows = max(1, _BLOCK_VALUES // math.prod(shape))
+        carry = None
+        hi = len(self.time)
+        # Rows before the first risk-set start feed no output.
+        while hi > self.start[0]:
+            lo = max(0, hi - rows)
+            block = terms(lo, hi)[::-1]
+            if carry is not None:
+                block[0] += carry
+            csum = np.cumsum(block, axis=0)
+            a, b = np.searchsorted(self.start, (lo, hi))
+            out[a:b] = csum[hi - 1 - self.start[a:b]]
+            carry = csum[-1]
+            hi = lo
+        return out
+
+
+def _rows(u):
+    u = np.asarray(u, dtype=float)
+    return u[:, None] if u.ndim == 1 else u
 
 
 def log_partial_likelihood(u, time, event, beta):
@@ -85,73 +163,60 @@ def log_partial_likelihood(u, time, event, beta):
     The risk-set sum is evaluated in log-sum-exp form: linear predictors are
     centered at their maximum before exponentiation.
     """
-    u_s, t_s, e_s, _ = _sorted_views(u, time, event)
-    beta = np.asarray(beta, dtype=float)
-    if not np.any(e_s == 1):
+    rs = RiskSets(time, event)
+    if not rs.events.size:
         raise ValueError("need at least one event")
-    eta, w, S0, _, first = _risk_quantities(u_s, t_s, beta)
-    ev = e_s == 1
-    m = eta.max()
-    return float(np.sum(eta[ev] - (np.log(S0[first[ev]]) + m)))
+    eta, _, S0, _ = rs.sums(rs.sort(_rows(u)), beta)
+    return rs.loglik(eta, S0)
 
 
-def score(u, time, event, beta):
-    """Score vector sum_i D_i (u_i - S1/S0 at T_i)."""
-    u_s, t_s, e_s, _ = _sorted_views(u, time, event)
-    beta = np.asarray(beta, dtype=float)
-    eta, w, S0, S1, first = _risk_quantities(u_s, t_s, beta)
-    ev = e_s == 1
-    ubar = S1[first[ev]] / S0[first[ev], None]
-    return np.sum(u_s[ev] - ubar, axis=0)
+def score(u, time, event, beta, *, risk_sets=None):
+    """Score vector sum_i D_i (u_i - S1/S0 at T_i).
+
+    ``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
+    the sort.
+    """
+    rs = risk_sets or RiskSets(time, event)
+    u_s = rs.sort(_rows(u))
+    _, _, S0, S1 = rs.sums(u_s, beta)
+    return rs.score(u_s, S0, S1)
 
 
-def information(u, time, event, beta):
-    """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)')."""
-    u_s, t_s, e_s, _ = _sorted_views(u, time, event)
-    beta = np.asarray(beta, dtype=float)
-    eta, w, S0, S1, first = _risk_quantities(u_s, t_s, beta)
-    wu = w[:, None] * u_s
-    S2 = np.cumsum((wu[:, :, None] * u_s[:, None, :])[::-1], axis=0)[::-1]
-    ev = e_s == 1
-    idx = first[ev]
-    ubar = S1[idx] / S0[idx, None]
-    info = (S2[idx] / S0[idx, None, None]).sum(axis=0)
-    info -= np.einsum("ij,ik->jk", ubar, ubar)
-    return 0.5 * (info + info.T)
+def information(u, time, event, beta, *, risk_sets=None):
+    """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)').
+
+    ``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
+    the sort.
+    """
+    rs = risk_sets or RiskSets(time, event)
+    u_s = rs.sort(_rows(u))
+    _, w, S0, S1 = rs.sums(u_s, beta)
+    return rs.information(u_s, w, S0, S1)
 
 
-def _loglik_score_info(u_s, t_s, e_s, beta):
-    eta, w, S0, S1, first = _risk_quantities(u_s, t_s, beta)
-    ev = e_s == 1
-    idx = first[ev]
-    m = eta.max()
-    ll = float(np.sum(eta[ev] - (np.log(S0[idx]) + m)))
-    ubar = S1[idx] / S0[idx, None]
-    sc = np.sum(u_s[ev] - ubar, axis=0)
-    wu = w[:, None] * u_s
-    S2 = np.cumsum((wu[:, :, None] * u_s[:, None, :])[::-1], axis=0)[::-1]
-    info = (S2[idx] / S0[idx, None, None]).sum(axis=0)
-    info -= np.einsum("ij,ik->jk", ubar, ubar)
-    return ll, sc, 0.5 * (info + info.T)
-
-
-def fit(u, time, event, init=None):
+def fit(u, time, event, init=None, *, risk_sets=None):
     """Newton-Raphson with step-halving from beta = 0 (or ``init``).
 
     Converged when the max-norm of the score and the log-likelihood
     improvement drop below COX_GRAD_TOL / COX_LOGLIK_TOL, both scaled by the
     magnitude of the corresponding quantity at the starting point.  Any
     coefficient running past COX_DIVERGENCE_BOUND is treated as
-    monotone-likelihood separation.
+    monotone-likelihood separation; a Newton step that no halving makes
+    ascend raises :class:`CoxConvergenceError`.  The rows are sorted once
+    (``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
+    that sort too) and every step reuses the order.
 
     Returns (beta, ConvergenceReport).
     """
-    u_s, t_s, e_s, _ = _sorted_views(u, time, event)
-    if not np.any(e_s == 1):
+    rs = risk_sets or RiskSets(time, event)
+    if not rs.events.size:
         raise ValueError("need at least one event")
+    u_s = rs.sort(_rows(u))
     d = u_s.shape[1]
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
-    ll, sc, info = _loglik_score_info(u_s, t_s, e_s, beta)
+    eta, w, S0, S1 = rs.sums(u_s, beta)
+    ll = rs.loglik(eta, S0)
+    sc, info = rs.score(u_s, S0, S1), rs.information(u_s, w, S0, S1)
     # Scale-aware tolerances: the score is a sum over events, so its floating
     # point noise floor grows with the data; anchor both tests to the size of
     # the problem at the starting point.
@@ -163,12 +228,18 @@ def fit(u, time, event, init=None):
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            ll_new, sc_new, info_new = _loglik_score_info(u_s, t_s, e_s, cand)
+            eta, w, S0, S1 = rs.sums(u_s, cand)
+            ll_new = rs.loglik(eta, S0)
             if ll_new >= ll - 1e-13:
                 break
             scale *= 0.5
+        else:
+            raise CoxConvergenceError(
+                f"Newton-Raphson iteration {it}: 40 step-halvings did not "
+                f"raise the log-likelihood (grad norm {np.max(np.abs(sc)):.3e})")
         delta_ll = ll_new - ll
-        beta, ll, sc, info = cand, ll_new, sc_new, info_new
+        beta, ll = cand, ll_new
+        sc, info = rs.score(u_s, S0, S1), rs.information(u_s, w, S0, S1)
         if np.max(np.abs(beta)) > constants.COX_DIVERGENCE_BOUND:
             raise CoxDivergenceError(
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "

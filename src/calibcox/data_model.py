@@ -12,6 +12,11 @@ Buffer radii are encoded in the ``z_<radius>`` header names and must be
 strictly increasing.  Files are UTF-8, comma-separated, ``.`` decimal point,
 header row mandatory, no quoting.  Missing cells are errors: the analyses
 this package supports are complete-case.
+
+The readers parse a file's rows in bulk (``np.loadtxt``) and read them one
+at a time, as ``csv.reader`` and ``float()`` do, only when the bulk parse
+rejects the file or its values break the schema; either way a file reads to
+the same arrays or raises the same :class:`ParseError`.
 """
 
 import csv
@@ -154,19 +159,71 @@ def _cell(row, col_idx, header, rownum, path):
         ) from exc
 
 
+def _read_header(fh, leading, path):
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    return header, _parse_header(header, leading, path)
+
+
+def _bulk_rows(fh, n_cols):
+    """Ids and numeric cells of the rows left in ``fh``, parsed in one pass.
+
+    Returns ``(ids, cells)`` with the numeric cells of columns 1..n_cols-1
+    as one float array, exactly as ``csv.reader`` and ``float()`` would read
+    them (NumPy's parser rounds as ``float()`` does).  Returns None when
+    they might not agree or a cell does not parse: a quote character, a
+    blank line, a row of the wrong length, a cell NumPy does not take (a
+    non-number, ``1_000``), an undecodable byte, or no rows at all.
+    """
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not body or '"' in body:
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # loadtxt skips blank lines and ignores cells past usecols; either one
+    # breaks this count.  Short rows make loadtxt raise.
+    if body.count(",") != len(lines) * (n_cols - 1):
+        return None
+    try:
+        cells = np.loadtxt(lines, delimiter=",", comments=None,
+                           usecols=range(1, n_cols), ndmin=2)
+    except ValueError:
+        return None
+    return [line.partition(",")[0] for line in lines], cells
+
+
 def read_main_csv(path):
     """Parse a main-study CSV into a :class:`MainDataset`.
 
     Subjects with time <= 0 are rejected: a zero follow-up time would place
     nobody meaningfully at risk and the convention for it is undefined.
+    The rows are parsed in bulk; a file the bulk parse does not take, or
+    whose values break the schema, is read again row by row, which names
+    the offending row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        header, (radii, z_cols, w_cols, w_names) = _read_header(
+            fh, ("id", "time", "event"), path)
+        bulk = _bulk_rows(fh, len(header))
+        if bulk is not None:
+            ids, cells = bulk
+            t, d = cells[:, 0], cells[:, 1]
+            if np.all(np.isfinite(t) & (t > 0)) and np.all((d == 0) | (d == 1)):
+                return MainDataset(
+                    ids=np.asarray(ids, dtype=object),
+                    time=np.ascontiguousarray(t), event=d.astype(int),
+                    z=np.ascontiguousarray(cells[:, z_cols[0] - 1:w_cols[0] - 1]),
+                    w=np.ascontiguousarray(cells[:, w_cols[0] - 1:]),
+                    radii=radii, confounder_names=w_names)
+        fh.seek(0)
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        radii, z_cols, w_cols, w_names = _parse_header(header, ("id", "time", "event"), path)
+        next(reader)
         ids, times, events, zs, ws = [], [], [], [], []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -194,15 +251,29 @@ def read_validation_csv(path):
     """Parse a validation-study CSV into a :class:`ValidationDataset`.
 
     Confounders may vary across occasions within a subject; only duplicate
-    (id, occasion) pairs are rejected.
+    (id, occasion) pairs are rejected.  Parsed like :func:`read_main_csv`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        header, (radii, z_cols, w_cols, w_names) = _read_header(
+            fh, ("id", "occasion", "x"), path)
+        bulk = _bulk_rows(fh, len(header))
+        if bulk is not None:
+            ids, cells = bulk
+            o = cells[:, 0]
+            # Occasions must be integers that fit the int64 array, and the
+            # (id, occasion) pairs distinct.
+            if np.all(np.isfinite(o) & (o == np.floor(o)) & (np.abs(o) < 2.0 ** 63)):
+                occ = o.astype(int)
+                if len(set(zip(ids, occ.tolist()))) == len(ids):
+                    return ValidationDataset(
+                        ids=np.asarray(ids, dtype=object), occasion=occ,
+                        x=np.ascontiguousarray(cells[:, 1]),
+                        z=np.ascontiguousarray(cells[:, z_cols[0] - 1:w_cols[0] - 1]),
+                        w=np.ascontiguousarray(cells[:, w_cols[0] - 1:]),
+                        radii=radii, confounder_names=w_names)
+        fh.seek(0)
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        radii, z_cols, w_cols, w_names = _parse_header(header, ("id", "occasion", "x"), path)
+        next(reader)
         ids, occ, xs, zs, ws = [], [], [], [], []
         seen = set()
         for rownum, row in enumerate(reader, start=2):
@@ -259,22 +330,3 @@ def write_validation_csv(path, dataset):
                 + [f"{v:.12g}" for v in dataset.w[i]]
             )
 
-
-def risk_set_indices(time, event):
-    """Risk sets {j : T_j >= T_i} for every event record, via one sort.
-
-    Ties between an event and a censoring time keep the censored subject in
-    the risk set.  Returns a list of (event_index, index_array) pairs in the
-    original row order of the events.
-    """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event)
-    if len(time) == 0:
-        raise ValueError("dataset is empty")
-    order = np.argsort(time, kind="stable")
-    sorted_times = time[order]
-    out = []
-    for i in np.flatnonzero(event == 1):
-        pos = np.searchsorted(sorted_times, time[i], side="left")
-        out.append((int(i), np.sort(order[pos:])))
-    return out

@@ -17,6 +17,12 @@ d beta-hat / d alpha = (N I)^-1 U_a.
 
 U_a is computed analytically; a finite-difference verification mode recomputes
 it by central differences in alpha and reports the relative discrepancy.
+
+A fit sorts the main study by time once (:class:`coxph.RiskSets`); the
+Newton loop, the information, G, U_a and every finite-difference score reuse
+that order.  The risk-set sums of U_a and of the information's S2 are taken
+in blocks of rows from the last row down, carrying the running total, so
+their n x d x d_alpha and n x d x d arrays are never built.
 """
 
 from dataclasses import dataclass
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, coxph, linalg, mem, transforms
-from .coxph import _risk_quantities, _sorted_views
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class CoxFit:
     term_names: tuple
 
 
-def g_beta_hat(u, time, event, beta):
+def g_beta_hat(u, time, event, beta, *, risk_sets=None):
     """Robust score-residual outer-product mean.
 
     Each subject's residual is its own score contribution minus its weighted
@@ -59,30 +64,30 @@ def g_beta_hat(u, time, event, beta):
         W_i = D_i (u_i - ubar(T_i))
               - sum_{events e: T_e <= T_i} [exp(eta_i) / S0_raw(T_e)] (u_i - ubar(T_e))
 
-    and G = (1/N) sum_i W_i W_i'.
+    and G = (1/N) sum_i W_i W_i'.  ``risk_sets``, a
+    :class:`coxph.RiskSets` of ``time`` and ``event``, saves the sort.
     """
-    u_s, t_s, e_s, _ = _sorted_views(u, time, event)
-    beta = np.asarray(beta, dtype=float)
+    rs = risk_sets or coxph.RiskSets(time, event)
+    u_s = rs.sort(coxph._rows(u))
     n, d = u_s.shape
-    eta, w, S0, S1, first = _risk_quantities(u_s, t_s, beta)
-    ev = np.flatnonzero(e_s == 1)
+    _, w, S0, S1 = rs.sums(u_s, beta)
+    ev = rs.events
     if ev.size == 0:
         return np.zeros((d, d))
-    idx = first[ev]
-    s0_e = S0[idx]
-    ubar_e = S1[idx] / s0_e[:, None]
+    s0_e = S0[rs.start]
+    ubar_e = S1[rs.start] / s0_e[:, None]
     # Prefix sums over events in time order.
     inv_s0 = np.concatenate([[0.0], np.cumsum(1.0 / s0_e)])
     ubar_over_s0 = np.vstack([np.zeros(d), np.cumsum(ubar_e / s0_e[:, None], axis=0)])
     # Number of event times <= each subject's follow-up (ties stay in the risk set).
-    cnt = np.searchsorted(t_s[ev], t_s, side="right")
+    cnt = np.searchsorted(rs.time[ev], rs.time, side="right")
     corr = w[:, None] * (u_s * inv_s0[cnt, None] - ubar_over_s0[cnt])
     resid = -corr
     resid[ev] += u_s[ev] - ubar_e
     return (resid.T @ resid) / n
 
 
-def u_alpha_hat(u, time, event, beta, phi, c, b):
+def u_alpha_hat(u, time, event, beta, phi, c, b, *, risk_sets=None):
     """Analytic derivative of the Cox score with respect to alpha.
 
     The calibrated exposure enters each covariate row as mu_i = phi_i' alpha,
@@ -93,46 +98,44 @@ def u_alpha_hat(u, time, event, beta, phi, c, b):
         U_a = sum_events [ c_i phi_i'
                            - (1/S0) sum_R w_j (c_j + b_j u_j) phi_j'
                            + (S1 / S0^2) (x) sum_R w_j b_j phi_j' ].
+
+    The risk-set sums over R are suffix sums in time order, taken block by
+    block (:meth:`coxph.RiskSets.suffix_at_starts`), so the n x d x d_alpha
+    array of per-row terms is never built.  ``risk_sets``, a
+    :class:`coxph.RiskSets` of ``time`` and ``event``, saves the sort.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    phi = np.asarray(phi, dtype=float)
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event)
-    order = np.argsort(time, kind="stable")
-    u_s, t_s, e_s = u[order], time[order], event[order]
-    phi_s, c_s, b_s = phi[order], c[order], b[order]
-    n, d = u_s.shape
-    da = phi_s.shape[1]
-    eta, w, S0, S1, first = _risk_quantities(u_s, t_s, beta)
-    ev = np.flatnonzero(e_s == 1)
+    rs = risk_sets or coxph.RiskSets(time, event)
+    u_s = rs.sort(coxph._rows(u))
+    phi_s, c_s, b_s = rs.sort(phi), rs.sort(c), rs.sort(b)
+    d, da = u_s.shape[1], phi_s.shape[1]
+    _, w, S0, S1 = rs.sums(u_s, beta)
+    ev = rs.events
     if ev.size == 0:
         return np.zeros((d, da))
-    # Suffix sums of w (c + b u) phi' and of w b phi.
-    M = (w[:, None, None]
-         * (c_s + b_s[:, None] * u_s)[:, :, None] * phi_s[:, None, :])
-    SM = np.cumsum(M[::-1], axis=0)[::-1]
-    q = (w * b_s)[:, None] * phi_s
-    Sq = np.cumsum(q[::-1], axis=0)[::-1]
-    idx = first[ev]
-    s0_e = S0[idx]
+    # Suffix sums of w (c + b u) phi' and of w b phi at each risk-set start.
+    SM = rs.suffix_at_starts(
+        lambda lo, hi: (w[lo:hi, None, None]
+                        * (c_s[lo:hi] + b_s[lo:hi, None] * u_s[lo:hi])[:, :, None]
+                        * phi_s[lo:hi, None, :]), (d, da))
+    Sq = rs.suffix_at_starts(
+        lambda lo, hi: (w[lo:hi] * b_s[lo:hi])[:, None] * phi_s[lo:hi], (da,))
+    s0_e = S0[rs.start]
     out = np.einsum("ij,ik->jk", c_s[ev], phi_s[ev])
-    out -= (SM[idx] / s0_e[:, None, None]).sum(axis=0)
-    ratio = S1[idx] / (s0_e ** 2)[:, None]
-    out += np.einsum("ij,ik->jk", ratio, Sq[idx])
+    out -= (SM / s0_e[:, None, None]).sum(axis=0)
+    ratio = S1[rs.start] / (s0_e ** 2)[:, None]
+    out += np.einsum("ij,ik->jk", ratio, Sq)
     return out
 
 
-def u_alpha_fd(u_builder, time, event, beta, alpha, step=1e-6):
+def u_alpha_fd(u_builder, time, event, beta, alpha, step=1e-6, *, risk_sets=None):
     """Central finite-difference derivative of the score in alpha.
 
     ``u_builder(alpha)`` must return the covariate rows implied by a
-    coefficient vector; used to verify :func:`u_alpha_hat`.
+    coefficient vector; used to verify :func:`u_alpha_hat`.  All 2 d_alpha
+    scores share one sort (``risk_sets``, a :class:`coxph.RiskSets` of
+    ``time`` and ``event``, saves that one too).
     """
+    rs = risk_sets or coxph.RiskSets(time, event)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     cols = []
@@ -141,22 +144,21 @@ def u_alpha_fd(u_builder, time, event, beta, alpha, step=1e-6):
         h = step * max(1.0, abs(alpha[k]))
         hi[k] += h
         lo[k] -= h
-        s_hi = coxph.score(u_builder(hi), time, event, beta)
-        s_lo = coxph.score(u_builder(lo), time, event, beta)
+        s_hi = coxph.score(u_builder(hi), time, event, beta, risk_sets=rs)
+        s_lo = coxph.score(u_builder(lo), time, event, beta, risk_sets=rs)
         cols.append((s_hi - s_lo) / (2.0 * h))
     return np.column_stack(cols)
 
 
-def sandwich_covariance(components, n_main, n_valid):
+def sandwich_covariance(components, n_main):
     """Assemble the two-stage covariance from its pieces.
 
     ``components.v_alpha`` already carries the validation-sample scaling
-    (it is the covariance of alpha-hat itself), so ``n_valid`` only enters
-    through it; the argument is kept for interface symmetry and checked
-    for positivity.  The result is symmetrized.
+    (it is the covariance of alpha-hat itself), so only the main-study size
+    enters here.  The result is symmetrized.
     """
-    if n_valid <= 0 or n_main <= 0:
-        raise ValueError("sample sizes must be positive")
+    if n_main <= 0:
+        raise ValueError("main-study size must be positive")
     i_inv = linalg.inv_spd(components.i_beta)
     middle = components.g_beta + (
         components.u_alpha @ components.v_alpha @ components.u_alpha.T) / n_main
@@ -196,23 +198,27 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
     ``interacting`` selects which confounders get exposure interactions in
     the outcome model (all by default).  With ``check_derivatives`` the
     analytic alpha-derivative is verified against central finite differences.
+    The main study is sorted by time once, for every step of the fit.
     """
     xhat = mem.predict_mu_matrix(memfit, main.z, main.w)
     u = coxph.build_cox_rows(xhat, main.w, interacting=interacting)
-    beta, report = coxph.fit(u, main.time, main.event)
+    rs = coxph.RiskSets(main.time, main.event)
+    beta, report = coxph.fit(u, main.time, main.event, risk_sets=rs)
     n = len(main)
-    info = coxph.information(u, main.time, main.event, beta)
+    info = coxph.information(u, main.time, main.event, beta, risk_sets=rs)
     i_beta = info / n
-    g_beta = g_beta_hat(u, main.time, main.event, beta)
+    g_beta = g_beta_hat(u, main.time, main.event, beta, risk_sets=rs)
     phi = transforms.build_design_matrix(memfit.spec, memfit.transform,
                                          main.z, main.w)
     c, b = calibration_jacobians(beta, main.w, interacting=interacting)
-    u_alpha = u_alpha_hat(u, main.time, main.event, beta, phi, c, b)
+    u_alpha = u_alpha_hat(u, main.time, main.event, beta, phi, c, b,
+                          risk_sets=rs)
     if check_derivatives:
         def builder(a):
             xh = phi @ a
             return coxph.build_cox_rows(xh, main.w, interacting=interacting)
-        fd = u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha)
+        fd = u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha,
+                        risk_sets=rs)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
         if err > fd_tol:
@@ -221,7 +227,7 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
                 f"(relative error {err:.3e})")
     comps = SandwichComponents(i_beta=i_beta, g_beta=g_beta,
                                u_alpha=u_alpha, v_alpha=memfit.v_alpha)
-    cov = sandwich_covariance(comps, n, memfit.n_subjects)
+    cov = sandwich_covariance(comps, n)
     se, lo, hi = wald_ci(beta, cov)
     p_w = main.w.shape[1]
     which = list(range(p_w)) if interacting is None else list(interacting)

@@ -19,7 +19,14 @@ class ContractViolationError(ValueError):
 
 
 class DecompositionError(ArithmeticError):
-    """Matrix factorization failed (non-SPD input, singular system)."""
+    """Matrix factorization failed (non-SPD input, singular system).
+
+    ``pivot`` is the index of the Cholesky pivot that failed, when one did.
+    """
+
+    def __init__(self, message, pivot=None):
+        super().__init__(message)
+        self.pivot = pivot
 
 
 def _check_symmetric(a, name="matrix"):
@@ -54,8 +61,8 @@ def cholesky(a, min_pivot=0.0):
         s = a[j, j] - L[j, :j] @ L[j, :j]
         if s <= min_pivot or not np.isfinite(s):
             raise DecompositionError(
-                f"matrix is not positive definite: pivot {j} is {s:.3e}"
-            )
+                f"matrix is not positive definite: pivot {j} is {s:.3e}",
+                pivot=j)
         L[j, j] = np.sqrt(s)
         if j + 1 < n:
             L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]

@@ -66,7 +66,7 @@ def _design_and_groups(validation, spec, transform=None):
     return phi, groups, transform
 
 
-def _check_rank(phi, spec=None):
+def _check_rank(phi):
     gram = phi.T @ phi
     # Relative pivot floor: exact collinearity leaves a tiny positive pivot
     # in floating point, which must still count as rank deficiency.
@@ -74,10 +74,8 @@ def _check_rank(phi, spec=None):
     try:
         linalg.cholesky(gram, min_pivot=floor)
     except DecompositionError as exc:
-        # Recover the offending column index from the failing pivot message.
-        pivot = int(str(exc).rsplit("pivot", 1)[1].split("is")[0])
         raise SingularDesignError(
-            f"design matrix is rank deficient: column {pivot} is collinear "
+            f"design matrix is rank deficient: column {exc.pivot} is collinear "
             f"with the preceding columns"
         ) from exc
     return gram
@@ -104,7 +102,7 @@ def fit_ols(validation, spec, transform=None):
     covariance is the cluster-robust sandwich grouped by subject id.
     """
     phi, groups, transform = _design_and_groups(validation, spec, transform)
-    gram = _check_rank(phi, spec)
+    gram = _check_rank(phi)
     alpha = linalg.solve_spd(gram, phi.T @ validation.x)
     resid = validation.x - phi @ alpha
     n, p = phi.shape
@@ -175,7 +173,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         return fit_ols(validation, spec, transform=transform)
 
     phi, groups, transform = _design_and_groups(validation, spec, transform)
-    _check_rank(phi, spec)
+    _check_rank(phi)
     x = validation.x
     n, p = phi.shape
     # IRLS from the OLS solution.

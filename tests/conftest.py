@@ -50,6 +50,27 @@ def make_survival(rng, n=60, d=2, beta=None, censor_frac=0.3):
     return u, time, event, beta
 
 
+def risk_set_indices(time, event):
+    """Risk sets {j : T_j >= T_i} for every event record, via one sort.
+
+    The O(n^2) oracle (one index array per event) for the risk-set engine
+    in ``coxph``.  Ties between an event and a censoring time keep the
+    censored subject in the risk set.  Returns a list of
+    (event_index, index_array) pairs in the original row order of the events.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event)
+    if len(time) == 0:
+        raise ValueError("dataset is empty")
+    order = np.argsort(time, kind="stable")
+    sorted_times = time[order]
+    out = []
+    for i in np.flatnonzero(event == 1):
+        pos = np.searchsorted(sorted_times, time[i], side="left")
+        out.append((int(i), np.sort(order[pos:])))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -154,6 +154,31 @@ class TestFitCommand:
         assert "w0=[1.0]" in capsys.readouterr().out
 
 
+FIT = ["fit", "{main}", "--validation", "{val}"]
+
+
+class TestExitCodes:
+    """Bad arguments exit 2 with a usage error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        FIT + ["--spec", "pcax"],
+        FIT + ["--spec", "rcs9"],
+        FIT + ["--spec", "pca99"],
+        FIT + ["--spec", "standard", "--at", "abc"],
+        ["select", "{val}", "--specs", "pcax"],
+        ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
+         "--seed", "1", "--threads", "0", "--out", "{out}"],
+    ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_usage_error(self, argv, study_files, tmp_path, capsys):
+        main_csv, val_csv = study_files
+        argv = [a.format(main=main_csv, val=val_csv, out=tmp_path / "out")
+                for a in argv]
+        assert main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestReportCommand:
     def test_renders_and_idempotent(self, tmp_path, capsys):
         out = tmp_path / "res"

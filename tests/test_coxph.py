@@ -138,6 +138,16 @@ class TestFit:
         with pytest.raises(coxph.CoxDivergenceError):
             coxph.fit(u, time, event)
 
+    def test_failed_step_halving_raises(self, rng, monkeypatch):
+        # Every step points downhill, so no halving can raise the
+        # likelihood: the fit must stop and name the iteration instead of
+        # taking the step.
+        u, time, event, _ = make_survival(rng, n=50, beta=[1.0, -1.0])
+        monkeypatch.setattr(coxph.linalg, "solve_spd",
+                            lambda a, b: -np.linalg.solve(a, b))
+        with pytest.raises(coxph.CoxConvergenceError, match="iteration 1:"):
+            coxph.fit(u, time, event)
+
     def test_report_fields(self, rng):
         u, time, event, _ = make_survival(rng, n=50)
         beta, report = coxph.fit(u, time, event)

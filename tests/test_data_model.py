@@ -5,6 +5,7 @@ import pytest
 
 from calibcox import data_model
 from calibcox.data_model import ParseError
+from conftest import risk_set_indices
 
 
 MAIN_HEADER = "id,time,event,z_90,z_150,w_1\n"
@@ -108,6 +109,103 @@ class TestReadValidationCsv:
         assert np.array_equal(back.occasion, ds.occasion)
 
 
+def _spy_bulk(monkeypatch):
+    """Record whether each read took the bulk parse (True) or the row scan."""
+    taken = []
+    bulk = data_model._bulk_rows
+
+    def spy(fh, n_cols):
+        out = bulk(fh, n_cols)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(data_model, "_bulk_rows", spy)
+    return taken
+
+
+def _quote_first_id(path):
+    """A copy of ``path`` whose first id is quoted: same values, but the
+    bulk parse must leave it to the row scan."""
+    lines = path.read_text().split("\n")
+    first = lines[1].split(",")
+    lines[1] = ",".join([f'"{first[0]}"'] + first[1:])
+    out = path.with_name("quoted-" + path.name)
+    out.write_text("\n".join(lines))
+    return out
+
+
+def _assert_same_arrays(a, b, fields):
+    for name in fields:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.flags.c_contiguous and y.flags.c_contiguous, name
+        assert np.array_equal(x, y), name
+    assert list(a.ids) == list(b.ids) and a.confounder_names == b.confounder_names
+
+
+class TestBulkParse:
+    """The bulk parse reads what the row scan reads, bit for bit."""
+
+    def test_main_matches_row_scan(self, tmp_path, rng, monkeypatch):
+        n = 300
+        ds = data_model.MainDataset(
+            ids=np.asarray([f"s{i}" for i in range(n)], dtype=object),
+            time=rng.exponential(1.0, n) + 1e-3, event=rng.integers(0, 2, n),
+            z=rng.normal(0.5, 0.1, (n, 3)), w=rng.normal(1.0, 2.0, (n, 2)),
+            radii=np.array([90.0, 150.0, 270.0]), confounder_names=("w_1", "w_2"))
+        p = tmp_path / "m.csv"
+        data_model.write_main_csv(p, ds)
+        taken = _spy_bulk(monkeypatch)
+        bulk = data_model.read_main_csv(p)
+        scanned = data_model.read_main_csv(_quote_first_id(p))
+        assert taken == [True, False]
+        _assert_same_arrays(bulk, scanned, ("time", "event", "z", "w", "radii"))
+
+    def test_validation_matches_row_scan(self, tmp_path, rng, monkeypatch):
+        n = 120
+        ds = data_model.ValidationDataset(
+            ids=np.asarray([f"s{i // 4}" for i in range(n)], dtype=object),
+            occasion=np.tile([1, 2, 3, 4], n // 4), x=rng.normal(0.5, 0.3, n),
+            z=rng.normal(0.5, 0.1, (n, 2)), w=rng.normal(1.0, 2.0, (n, 1)),
+            radii=np.array([90.0, 150.0]))
+        p = tmp_path / "v.csv"
+        data_model.write_validation_csv(p, ds)
+        taken = _spy_bulk(monkeypatch)
+        bulk = data_model.read_validation_csv(p)
+        scanned = data_model.read_validation_csv(_quote_first_id(p))
+        assert taken == [True, False]
+        _assert_same_arrays(bulk, scanned, ("occasion", "x", "z", "w", "radii"))
+
+    ROW = "a,1.0,1,0.5,0.6,2.0\n"
+
+    @pytest.mark.parametrize("body, error", [
+        (ROW + "\n" + ROW, "row 3: expected 6 cells, got 0"),
+        ("a,1.0,1,#,0.6,2.0\n", "row 2, column 'z_90': non-numeric or missing cell"),
+        (ROW + "b,2.0,0,0.4,0.5\n", "row 3: expected 6 cells, got 5"),
+        (ROW + "b,2.0,0,0.4,0.5,1.0,7\n", "row 3: expected 6 cells, got 7"),
+        (ROW + "b,0,0,0.4,0.5,1.0\n", "row 3, column 'time': must be finite and > 0"),
+        ("a,1.0,2,0.5,0.6,2.0\n", "row 2, column 'event': must be 0 or 1"),
+    ])
+    def test_main_rejections(self, tmp_path, body, error):
+        p = write(tmp_path, "m.csv", MAIN_HEADER + body)
+        with pytest.raises(ParseError) as err:
+            data_model.read_main_csv(p)
+        assert str(err.value) == f"{p}: {error}"
+
+    @pytest.mark.parametrize("cell, value", [('"1.5"', 1.5), ("1_000", 1000.0)])
+    def test_cells_float_reads(self, tmp_path, cell, value):
+        p = write(tmp_path, "m.csv", MAIN_HEADER + f"a,1.0,1,{cell},0.6,2.0\n")
+        ds = data_model.read_main_csv(p)
+        assert ds.z.tolist() == [[value, 0.6]] and ds.z.flags.c_contiguous
+
+    def test_duplicate_pair_names_row(self, tmp_path):
+        p = write(tmp_path, "v.csv", VAL_HEADER + "a,1,0.5,0.1,0.2,1.0\n"
+                  + "b,1,0.5,0.1,0.2,1.0\n" + "a,1.0,0.6,0.1,0.2,1.0\n")
+        with pytest.raises(ParseError) as err:
+            data_model.read_validation_csv(p)
+        assert str(err.value) == f"{p}: row 4: duplicate (id, occasion) pair ('a', 1)"
+
+
 class TestDatasetInvariants:
     def test_radii_must_increase(self, rng):
         with pytest.raises(ParseError, match="increasing"):
@@ -119,25 +217,25 @@ class TestDatasetInvariants:
 
 class TestRiskSets:
     def test_ordered_times_all_events(self):
-        out = data_model.risk_set_indices([1.0, 2.0, 3.0], [1, 1, 1])
+        out = risk_set_indices([1.0, 2.0, 3.0], [1, 1, 1])
         sizes = [len(idx) for _, idx in out]
         assert sizes == [3, 2, 1]
 
     def test_unique_max_event_alone(self):
-        out = data_model.risk_set_indices([1.0, 2.0, 3.0], [0, 0, 1])
+        out = risk_set_indices([1.0, 2.0, 3.0], [0, 0, 1])
         assert len(out) == 1
         i, idx = out[0]
         assert i == 2 and list(idx) == [2]
 
     def test_tied_censoring_stays_in_risk_set(self):
-        out = data_model.risk_set_indices([2.0, 2.0], [1, 0])
+        out = risk_set_indices([2.0, 2.0], [1, 0])
         (_, idx), = out
         assert set(idx) == {0, 1}
 
     def test_matches_brute_force(self, rng):
         time = rng.uniform(0.0, 1.0, 50) + 0.01
         event = rng.integers(0, 2, 50)
-        out = dict(data_model.risk_set_indices(time, event))
+        out = dict(risk_set_indices(time, event))
         for i in np.flatnonzero(event == 1):
             expected = set(np.flatnonzero(time >= time[i]))
             assert set(out[int(i)]) == expected
@@ -145,7 +243,7 @@ class TestRiskSets:
     def test_nested_risk_sets(self, rng):
         time = rng.uniform(0.0, 1.0, 40) + 0.01
         event = np.ones(40, dtype=int)
-        out = dict(data_model.risk_set_indices(time, event))
+        out = dict(risk_set_indices(time, event))
         idx = sorted(out, key=lambda i: time[i])
         for a, b in zip(idx, idx[1:]):
             if time[a] < time[b]:

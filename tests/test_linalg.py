@@ -39,8 +39,9 @@ class TestCholesky:
 
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(DecompositionError, match="pivot 1"):
+        with pytest.raises(DecompositionError, match="pivot 1") as err:
             linalg.cholesky(a)
+        assert err.value.pivot == 1
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])

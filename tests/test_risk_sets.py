@@ -1,0 +1,165 @@
+"""The sorted-once risk-set engine against its oracles.
+
+Two references: the O(n^2) risk-set definition (``conftest.risk_set_indices``),
+which the engine must match to rounding on data with ties, and a verbatim
+copy of the per-call-sorting functions it replaced (``seed_cox``), which it
+must match bit for bit, including when the block suffix sums carry a running
+total across blocks.
+"""
+
+import numpy as np
+import pytest
+
+from calibcox import coxph, inference, mem, simulate, transforms
+from conftest import make_survival, risk_set_indices
+import seed_cox
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block(request, monkeypatch):
+    """Run once with the package's block size and once with blocks of a few
+    rows, so that every suffix sum crosses block boundaries."""
+    if request.param == "tiny":
+        monkeypatch.setattr(coxph, "_BLOCK_VALUES", 24)
+    return request.param
+
+
+def _tied_survival(rng, n=40, d=3):
+    u, time, event, beta = make_survival(rng, n=n, d=d)
+    # Coarse times: events tie with events and with censorings.
+    return u, np.ceil(time * 4.0) / 4.0 + 0.25, event, beta
+
+
+def _calibration_terms(rng, n, d, da):
+    phi = rng.normal(size=(n, da))
+    c = rng.normal(size=(n, d))
+    return phi, c
+
+
+class TestOracleSums:
+    """Engine results equal the per-risk-set sums of the definition."""
+
+    def test_loglik_score_information(self, rng, block):
+        u, time, event, beta = _tied_survival(rng)
+        assert len(np.unique(time)) < len(time)
+        ll = sc = info = 0.0
+        for i, rows in risk_set_indices(time, event):
+            r = np.exp(u[rows] @ beta)
+            s0, s1 = r.sum(), r @ u[rows]
+            s2 = (u[rows] * r[:, None]).T @ u[rows]
+            ubar = s1 / s0
+            ll += u[i] @ beta - np.log(s0)
+            sc = sc + u[i] - ubar
+            info = info + s2 / s0 - np.outer(ubar, ubar)
+        assert np.isclose(coxph.log_partial_likelihood(u, time, event, beta), ll,
+                          rtol=1e-12)
+        assert np.allclose(coxph.score(u, time, event, beta), sc, rtol=1e-12, atol=1e-12)
+        assert np.allclose(coxph.information(u, time, event, beta), info,
+                           rtol=1e-12, atol=1e-12)
+
+    def test_g_beta(self, rng, block):
+        u, time, event, beta = _tied_survival(rng)
+        n = len(time)
+        resid = np.zeros_like(u)
+        for i, rows in risk_set_indices(time, event):
+            r = np.exp(u[rows] @ beta)
+            ubar = (r @ u[rows]) / r.sum()
+            resid[i] += u[i] - ubar
+            resid[rows] -= (r / r.sum())[:, None] * (u[rows] - ubar)
+        expected = resid.T @ resid / n
+        assert np.allclose(inference.g_beta_hat(u, time, event, beta), expected,
+                           rtol=1e-12, atol=1e-14)
+
+    def test_u_alpha(self, rng, block):
+        u, time, event, beta = _tied_survival(rng)
+        d, da = u.shape[1], 5
+        phi, c = _calibration_terms(rng, len(time), d, da)
+        b = c @ beta
+        expected = np.zeros((d, da))
+        for i, rows in risk_set_indices(time, event):
+            r = np.exp(u[rows] @ beta)
+            s0, s1 = r.sum(), r @ u[rows]
+            m = ((r[:, None] * (c[rows] + b[rows, None] * u[rows])).T @ phi[rows])
+            q = (r * b[rows]) @ phi[rows]
+            expected += np.outer(c[i], phi[i]) - m / s0 + np.outer(s1 / s0 ** 2, q)
+        got = inference.u_alpha_hat(u, time, event, beta, phi, c, b)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestSeedEquality:
+    """Bit-for-bit equality with the per-call-sorting functions."""
+
+    def test_evaluators(self, rng, block):
+        u, time, event, beta = _tied_survival(rng, n=300)
+        phi, c = _calibration_terms(rng, len(time), u.shape[1], 4)
+        b = c @ beta
+        assert np.array_equal(coxph.score(u, time, event, beta),
+                              seed_cox.score(u, time, event, beta))
+        assert np.array_equal(coxph.information(u, time, event, beta),
+                              seed_cox.information(u, time, event, beta))
+        assert np.array_equal(inference.g_beta_hat(u, time, event, beta),
+                              seed_cox.g_beta_hat(u, time, event, beta))
+        assert np.array_equal(inference.u_alpha_hat(u, time, event, beta, phi, c, b),
+                              seed_cox.u_alpha_hat(u, time, event, beta, phi, c, b))
+        got, want = coxph.fit(u, time, event), seed_cox.fit(u, time, event)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_fit_calibrated_cox(self, block):
+        # n1 = 3000 with d_alpha = 20: the U_alpha blocks hold fewer rows
+        # than n even at the package's block size.
+        cfg = simulate.setting1(n1=3000, n2=150, event_rate=0.10, seed=7)
+        rng = np.random.default_rng(7)
+        c_max = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
+        validation = simulate.gen_validation(cfg, rng)
+        main, _ = simulate.gen_main(cfg, rng, c_max)
+        spec = transforms.DesignSpec(variant="standard", include_interactions=True)
+        memfit = mem.fit_gee(validation, spec)
+        assert memfit.alpha.size == 20
+        assert coxph._BLOCK_VALUES // (3 * 20) < len(main)
+        fit = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
+
+        # The same pipeline on the seed functions.
+        xhat = mem.predict_mu_matrix(memfit, main.z, main.w)
+        u = coxph.build_cox_rows(xhat, main.w)
+        beta, report = seed_cox.fit(u, main.time, main.event)
+        n = len(main)
+        i_beta = seed_cox.information(u, main.time, main.event, beta) / n
+        g_beta = seed_cox.g_beta_hat(u, main.time, main.event, beta)
+        phi = transforms.build_design_matrix(spec, memfit.transform, main.z, main.w)
+        c, b = inference.calibration_jacobians(beta, main.w)
+        u_alpha = seed_cox.u_alpha_hat(u, main.time, main.event, beta, phi, c, b)
+        comps = inference.SandwichComponents(i_beta=i_beta, g_beta=g_beta,
+                                             u_alpha=u_alpha, v_alpha=memfit.v_alpha)
+        cov = inference.sandwich_covariance(comps, n)
+
+        assert fit.report == report
+        assert np.array_equal(fit.beta, beta)
+        assert np.array_equal(fit.covariance, cov)
+        assert np.array_equal(fit.components.i_beta, i_beta)
+        assert np.array_equal(fit.components.g_beta, g_beta)
+        assert np.array_equal(fit.components.u_alpha, u_alpha)
+
+        def builder(a):
+            return coxph.build_cox_rows(phi @ a, main.w)
+        assert np.array_equal(
+            inference.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha),
+            seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha))
+
+
+def test_one_sort_per_calibrated_fit(monkeypatch):
+    cfg = simulate.setting1(n1=800, n2=60, event_rate=0.2, seed=3)
+    rng = np.random.default_rng(3)
+    c_max = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
+    validation = simulate.gen_validation(cfg, rng)
+    main, _ = simulate.gen_main(cfg, rng, c_max)
+    memfit = mem.fit_gee(validation, transforms.DesignSpec(include_interactions=True))
+    built = []
+    original = coxph.RiskSets.__init__
+
+    def counting(self, time, event):
+        built.append(len(time))
+        original(self, time, event)
+
+    monkeypatch.setattr(coxph.RiskSets, "__init__", counting)
+    inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
+    assert built == [len(main)]
