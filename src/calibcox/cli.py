@@ -178,6 +178,10 @@ def cmd_select(args):
     seed = int(args.seed if args.seed is not None else file_cfg.get("seed", 0))
     folds = int(args.folds if args.folds is not None else file_cfg.get("folds", 5))
     validation = data_model.read_validation_csv(args.validation_csv)
+    n_subjects = np.bincount(validation.subject_codes).size
+    if not 2 <= folds <= n_subjects:
+        raise UsageError(f"--folds must be between 2 and the {n_subjects} "
+                         f"validation subjects, got {folds}")
     if args.specs:
         specs = [parse_spec_token(t, validation.radii) for t in args.specs]
     else:
@@ -304,10 +308,9 @@ def build_parser():
     sim = sub.add_parser("simulate", help="run a Monte Carlo replicate grid")
     sim.add_argument("--config")
     sim.add_argument("--setting", type=int, choices=(1, 2))
-    sim.add_argument("--cells", choices=("all",), default="all",
-                     help="run the full 24-cell grid (default)")
     sim.add_argument("--cell", action="append",
-                     help="run one cell: p,n1,n2,sigma2v (repeatable)")
+                     help="run one cell: p,n1,n2,sigma2v (repeatable); "
+                          "without it, the full 24-cell grid")
     sim.add_argument("--replicates", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--threads", type=int, default=1)

@@ -1,4 +1,4 @@
-"""Cohort records, datasets, and the CSV schemas for study files.
+"""Cohort datasets and the CSV schemas for study files.
 
 Main-study files carry one row per subject::
 
@@ -27,28 +27,6 @@ import numpy as np
 
 class ParseError(ValueError):
     """CSV content violates the schema; message carries row/column coordinates."""
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One main-study subject."""
-
-    id: str
-    z: np.ndarray
-    w: np.ndarray
-    time: float
-    event: int
-
-
-@dataclass(frozen=True)
-class ValidationRecord:
-    """One validation-study observation (subject x occasion)."""
-
-    id: str
-    occasion: int
-    x: float
-    z: np.ndarray
-    w: np.ndarray
 
 
 DEFAULT_RADII = (90.0, 150.0, 270.0, 510.0, 750.0, 990.0, 1230.0, 1500.0, 2100.0)
@@ -83,17 +61,14 @@ class MainDataset:
     def __len__(self):
         return len(self.time)
 
-    def records(self):
-        for i in range(len(self)):
-            yield SurvivalRecord(
-                id=str(self.ids[i]), z=self.z[i], w=self.w[i],
-                time=float(self.time[i]), event=int(self.event[i]),
-            )
-
 
 @dataclass(frozen=True)
 class ValidationDataset:
-    """Immutable, array-backed validation cohort with repeated measurements."""
+    """Immutable, array-backed validation cohort with repeated measurements.
+
+    ``subject_codes`` numbers each row's subject 0, 1, ... in order of the
+    subject's first row; it is computed once, at construction.
+    """
 
     ids: np.ndarray
     occasion: np.ndarray
@@ -108,23 +83,19 @@ class ValidationDataset:
             raise ParseError("buffer radii must be strictly increasing")
         if self.z.shape[1] != len(self.radii):
             raise ParseError("z width does not match radii count")
+        codes = {}
+        object.__setattr__(self, "subject_codes", np.fromiter(
+            (codes.setdefault(sid, len(codes)) for sid in self.ids),
+            dtype=np.intp, count=len(self.ids)))
 
     def __len__(self):
         return len(self.x)
 
     def subject_groups(self):
         """Row-index arrays grouped by subject id, in first-appearance order."""
-        groups = {}
-        for i, sid in enumerate(self.ids):
-            groups.setdefault(sid, []).append(i)
-        return {sid: np.asarray(rows) for sid, rows in groups.items()}
-
-    def records(self):
-        for i in range(len(self)):
-            yield ValidationRecord(
-                id=str(self.ids[i]), occasion=int(self.occasion[i]),
-                x=float(self.x[i]), z=self.z[i], w=self.w[i],
-            )
+        order = np.argsort(self.subject_codes, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(self.subject_codes))[:-1])
+        return {self.ids[rows[0]]: rows for rows in groups if rows.size}
 
 
 def _parse_header(header, leading, path):

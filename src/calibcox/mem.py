@@ -56,14 +56,76 @@ class MemFit:
         return self.params.alpha
 
 
+# Values per stack of per-subject terms (see _subject_sums): subjects are
+# summed a block at a time, so no G x p x p array is built for a large study.
+_BLOCK_VALUES = 1 << 16
+
+
+class _Clusters:
+    """A study's subjects in first-appearance order, bucketed by cluster size.
+
+    ``order`` lists the rows subject by subject, each subject's rows in row
+    order, and ``sizes`` holds the subjects' cluster sizes.  The subjects are
+    cut into blocks of at most ``block`` consecutive subjects; within a block
+    the subjects of each cluster size m form one bucket: their positions in
+    the block and the (g, m) matrix of their rows.
+    """
+
+    def __init__(self, order, sizes, block):
+        self.order = order
+        self.sizes = sizes
+        starts = np.cumsum(sizes) - sizes
+        self.blocks = []
+        for lo in range(0, len(sizes), block):
+            in_block = sizes[lo:lo + block]
+            buckets = []
+            for m in np.unique(in_block).tolist():
+                pos = np.flatnonzero(in_block == m)
+                buckets.append((m, pos, order[starts[lo + pos, None] + np.arange(m)]))
+            self.blocks.append((len(in_block), buckets))
+
+    def split(self, values):
+        """Each subject's entries of ``values``, as views, in subject order."""
+        ordered = values[self.order]
+        ends = np.cumsum(self.sizes).tolist()
+        return [ordered[e - m:e] for m, e in zip(self.sizes.tolist(), ends)]
+
+
+def _subject_sums(clusters, terms, shapes):
+    """Sums over subjects of per-subject terms, added in subject order.
+
+    ``terms(m, rows)`` returns, for the subjects of one bucket, one (g,) +
+    shape array per entry of ``shapes``.  Each block's terms are stacked in
+    subject order behind the running total and added along the stack one
+    slice at a time: the same additions, in the same order, as a loop adding
+    each subject's term into a zero total.  ``np.add.reduce`` adds slices of
+    two or more values that way, but pairs up single values, which
+    ``np.cumsum`` adds in order, at a higher cost.
+    """
+    totals = [np.zeros(shape) for shape in shapes]
+    for size, buckets in clusters.blocks:
+        stacks = [np.empty((size + 1,) + shape) for shape in shapes]
+        for stack, total in zip(stacks, totals):
+            stack[0] = total
+        for m, pos, rows in buckets:
+            for stack, term in zip(stacks, terms(m, rows)):
+                stack[1 + pos] = term
+        totals = [np.add.reduce(stack, axis=0) if stack[0].size > 1
+                  else np.cumsum(stack, axis=0)[-1] for stack in stacks]
+    return totals
+
+
 def _design_and_groups(validation, spec, transform=None):
     if transform is None:
         transform = transforms.fit_transform(
             spec, validation.z, validation.radii,
             warn=lambda msg: warnings.warn(msg, stacklevel=3))
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
-    groups = list(validation.subject_groups().values())
-    return phi, groups, transform
+    codes = validation.subject_codes
+    p = phi.shape[1]
+    clusters = _Clusters(np.argsort(codes, kind="stable"), np.bincount(codes),
+                         max(1, _BLOCK_VALUES // (p * p)))
+    return phi, clusters, transform
 
 
 def _check_rank(phi):
@@ -81,16 +143,26 @@ def _check_rank(phi):
     return gram
 
 
-def _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=None):
-    """A^-1 B A^-T with B the per-subject score outer-product sum."""
+# The per-subject products below are stacked np.matmul calls over a bucket.
+# Each slice has the shapes and strides of the product of one subject's
+# arrays, so NumPy makes the same BLAS call for it, with the same result.
+
+def _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=None):
+    """A^-1 B A^-T with B the per-subject score outer-product sum.
+
+    ``vinv`` maps a cluster size to its inverse working correlation; without
+    it the working correlation is the identity.
+    """
     p = phi.shape[1]
-    B = np.zeros((p, p))
-    for g, rows in enumerate(groups):
-        if vinv_blocks is None:
-            u = phi[rows].T @ resid[rows]
-        else:
-            u = phi[rows].T @ (vinv_blocks[g] @ resid[rows])
-        B += np.outer(u, u)
+
+    def outer_scores(m, rows):
+        r = resid[rows][:, :, None]
+        if vinv is not None:
+            r = np.matmul(vinv[m], r)
+        u = np.matmul(phi[rows].transpose(0, 2, 1), r)
+        return (u * u.transpose(0, 2, 1),)
+
+    B, = _subject_sums(clusters, outer_scores, ((p, p),))
     V = bread_inv @ B @ bread_inv.T
     return 0.5 * (V + V.T)
 
@@ -101,17 +173,17 @@ def fit_ols(validation, spec, transform=None):
     Equivalent to least squares via the normal equations; the coefficient
     covariance is the cluster-robust sandwich grouped by subject id.
     """
-    phi, groups, transform = _design_and_groups(validation, spec, transform)
+    phi, clusters, transform = _design_and_groups(validation, spec, transform)
     gram = _check_rank(phi)
     alpha = linalg.solve_spd(gram, phi.T @ validation.x)
     resid = validation.x - phi @ alpha
     n, p = phi.shape
     sigma2 = float(resid @ resid) / max(n - p, 1)
     bread_inv = linalg.inv_spd(gram)
-    v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv)
+    v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv)
     return MemFit(params=MemParams(alpha=alpha), psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n)
+                  n_subjects=len(clusters.sizes), n_obs=n)
 
 
 def estimate_psi(residuals_by_subject, sigma2=None):
@@ -127,15 +199,20 @@ def estimate_psi(residuals_by_subject, sigma2=None):
         raise ContractViolationError("no residuals supplied")
     if sigma2 is None:
         sigma2 = float(all_resid @ all_resid) / all_resid.size
-    num = 0.0
-    pairs = 0
-    for r in groups:
-        m = len(r)
+    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    clusters = _Clusters(np.arange(all_resid.size), sizes, _BLOCK_VALUES)
+
+    def pair_products(m, rows):
+        # Half the sum of a subject's pairwise residual products, or 0 for
+        # a single occasion; r @ r is the slice product, as ddot forms it.
         if m < 2:
-            continue
-        s = r.sum()
-        num += 0.5 * (s * s - r @ r)
-        pairs += m * (m - 1) // 2
+            return (np.zeros(len(rows)),)
+        r = all_resid[rows]
+        s = r.sum(axis=1)
+        return (0.5 * (s * s - np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]),)
+
+    num, = _subject_sums(clusters, pair_products, ((),))
+    pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if pairs == 0:
         warnings.warn("all subjects have a single occasion; psi set to 0")
         return 0.0
@@ -148,15 +225,26 @@ def estimate_psi(residuals_by_subject, sigma2=None):
     return float(psi)
 
 
-def _exchangeable_inverses(groups, psi):
-    """Inverse working correlation per subject (unit variance scale)."""
-    blocks = []
-    for rows in groups:
-        m = len(rows)
+def _exchangeable_inverses(sizes, psi):
+    """Inverse working correlation (unit variance scale) per cluster size."""
+    blocks = {}
+    for m in np.unique(sizes).tolist():
         # R = (1-psi) I + psi J; R^-1 = (I - psi/(1+(m-1)psi) J) / (1-psi).
         shrink = psi / (1.0 + (m - 1) * psi)
-        blocks.append((np.eye(m) - shrink * np.ones((m, m))) / (1.0 - psi))
+        blocks[m] = (np.eye(m) - shrink * np.ones((m, m))) / (1.0 - psi)
     return blocks
+
+
+def _gee_normal_equations(phi, x, clusters, vinv):
+    """(A, rhs) = sums over subjects of (phi' V^-1 phi, phi' V^-1 x)."""
+    p = phi.shape[1]
+
+    def weighted(m, rows):
+        P = phi[rows]
+        pv = np.matmul(P.transpose(0, 2, 1), vinv[m])
+        return np.matmul(pv, P), np.matmul(pv, x[rows][:, :, None])[:, :, 0]
+
+    return _subject_sums(clusters, weighted, ((p, p), (p,)))
 
 
 def fit_gee(validation, spec, working="exchangeable", transform=None):
@@ -172,7 +260,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     if working == "independence":
         return fit_ols(validation, spec, transform=transform)
 
-    phi, groups, transform = _design_and_groups(validation, spec, transform)
+    phi, clusters, transform = _design_and_groups(validation, spec, transform)
     _check_rank(phi)
     x = validation.x
     n, p = phi.shape
@@ -185,14 +273,9 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         sigma2 = float(resid @ resid) / max(n - p, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            psi = estimate_psi([resid[rows] for rows in groups], sigma2=sigma2)
-        vinv = _exchangeable_inverses(groups, psi)
-        A = np.zeros((p, p))
-        rhs = np.zeros(p)
-        for g, rows in enumerate(groups):
-            pv = phi[rows].T @ vinv[g]
-            A += pv @ phi[rows]
-            rhs += pv @ x[rows]
+            psi = estimate_psi(clusters.split(resid), sigma2=sigma2)
+        vinv = _exchangeable_inverses(clusters.sizes, psi)
+        A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
         new_alpha = linalg.solve_spd(A, rhs)
         last_delta = float(np.max(np.abs(new_alpha - alpha)))
         alpha = new_alpha
@@ -205,15 +288,12 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
 
     resid = x - phi @ alpha
     sigma2 = float(resid @ resid) / max(n - p, 1)
-    vinv = _exchangeable_inverses(groups, psi)
-    A = np.zeros((p, p))
-    for g, rows in enumerate(groups):
-        A += phi[rows].T @ vinv[g] @ phi[rows]
+    # The bread depends on psi alone, so the last iteration's A is the bread.
     bread_inv = linalg.inv_spd(A)
-    v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=vinv)
+    v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=vinv)
     return MemFit(params=MemParams(alpha=alpha), psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n)
+                  n_subjects=len(clusters.sizes), n_obs=n)
 
 
 def predict_mu(fit, z, w):

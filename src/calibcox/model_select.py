@@ -35,16 +35,19 @@ def kfold_split(validation, k=5, rng=None, by_subject=True):
     are split directly (diagnostic option; leaks repeated measurements).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
     if by_subject:
-        groups = validation.subject_groups()
-        subjects = list(groups)
-        if len(subjects) < k:
-            raise ValueError(f"need at least {k} subjects, got {len(subjects)}")
-        order = rng.permutation(len(subjects))
-        folds = [[] for _ in range(k)]
-        for pos, si in enumerate(order):
-            folds[pos % k].extend(groups[subjects[si]])
-        return [np.sort(np.asarray(f)) for f in folds]
+        codes = validation.subject_codes
+        n_subjects = np.bincount(codes).size
+        if n_subjects < k:
+            raise ValueError(f"need at least {k} subjects, got {n_subjects}")
+        # The subject at position pos of a random permutation goes to fold
+        # pos % k.
+        fold_of = np.empty(n_subjects, dtype=np.intp)
+        fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k
+        row_folds = fold_of[codes]
+        return [np.flatnonzero(row_folds == f) for f in range(k)]
     n = len(validation)
     if n < k:
         raise ValueError(f"need at least {k} rows, got {n}")
@@ -68,13 +71,13 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable",
     rng = rng if rng is not None else np.random.default_rng(0)
     folds = kfold_split(validation, k=k, rng=rng, by_subject=by_subject)
     all_rows = np.arange(len(validation))
+    splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
+              for f in folds]
     out = []
     for spec in specs:
         abs_errors, sq_errors, fold_maes = [], [], []
         try:
-            for f in folds:
-                train = _subset(validation, np.setdiff1d(all_rows, f))
-                test = _subset(validation, f)
+            for train, test in splits:
                 fit = mem.fit_gee(train, spec, working=working)
                 pred = mem.predict_mu_matrix(fit, test.z, test.w)
                 err = test.x - pred

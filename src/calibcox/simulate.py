@@ -21,7 +21,7 @@ are identical across thread counts and execution order.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,7 +273,12 @@ def _replicate_rng(seed, cell_index, rep):
 
 
 def run_replicate(cfg, c_max, rep, cell_index=0):
-    """One fresh validation + main pair, both models fitted end to end."""
+    """One fresh validation + main pair, both models fitted end to end.
+
+    A model whose fit fails with a numerical or input error is recorded as
+    not converged, with the error message; the other model and the rest of
+    the cell still run.
+    """
     rng = _replicate_rng(cfg.seed, cell_index, rep)
     validation = gen_validation(cfg, rng)
     main, _ = gen_main(cfg, rng, c_max)
@@ -285,7 +290,8 @@ def run_replicate(cfg, c_max, rep, cell_index=0):
             cox = inference.fit_calibrated_cox(main, fit)
         except (coxph.CoxConvergenceError, coxph.CoxDivergenceError,
                 mem.ConvergenceError, mem.SingularDesignError,
-                linalg.DecompositionError) as exc:
+                linalg.DecompositionError, ValueError) as exc:
+            # ValueError includes linalg.ContractViolationError.
             results.append(ReplicateResult(replicate=rep, model=name,
                                            converged=False, error=str(exc)))
             continue

@@ -166,6 +166,9 @@ class TestExitCodes:
         FIT + ["--spec", "pca99"],
         FIT + ["--spec", "standard", "--at", "abc"],
         ["select", "{val}", "--specs", "pcax"],
+        ["select", "{val}", "--folds", "0"],
+        ["select", "{val}", "--folds", "1"],
+        ["select", "{val}", "--folds", "81"],  # the study has 80 subjects
         ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
          "--seed", "1", "--threads", "0", "--out", "{out}"],
     ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))

@@ -28,7 +28,7 @@ class TestReadMainCsv:
         assert len(ds) == 3
         assert list(ds.radii) == [90.0, 150.0]
         assert ds.confounder_names == ("w_1",)
-        assert [r.id for r in ds.records()] == ["a", "b", "c"]
+        assert ds.ids.tolist() == ["a", "b", "c"]
 
     def test_non_binary_event_names_row(self, tmp_path):
         rows = [f"s{i},1.{i},{1 if i != 6 else 2},0.1,0.2,1.0" for i in range(8)]

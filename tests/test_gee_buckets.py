@@ -1,0 +1,117 @@
+"""The size-bucketed GEE fits against the per-subject loops they replaced.
+
+``seed_gee`` is a verbatim copy of the loop versions; every fit here must
+match it bit for bit (``tobytes`` equality of alpha, v_alpha, psi, sigma2
+and QIC), on equal and ragged cluster sizes, with subjects whose rows
+interleave, and with the per-subject sums cut into blocks of one or a few
+subjects, so that the running total is carried across blocks.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from calibcox import data_model, mem, model_select, simulate
+from calibcox.transforms import DesignSpec
+import seed_gee
+
+SPECS = [DesignSpec(variant="standard"),
+         DesignSpec(variant="standard", include_interactions=True),
+         DesignSpec(variant="pca", n_components=2, include_interactions=True)]
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block(request, monkeypatch):
+    """Run once with the package's block size and once with blocks of one to
+    four subjects, so that every sum over subjects crosses blocks."""
+    if request.param == "tiny":
+        monkeypatch.setattr(mem, "_BLOCK_VALUES", 100)
+    return request.param
+
+
+def _ragged_validation(rng, sizes, rho=0.4, sigma2=0.04, p_z=3):
+    """Subjects of the given cluster sizes, their rows shuffled together."""
+    n = int(np.sum(sizes))
+    order = rng.permutation(n)
+    ids = np.repeat([f"s{i}" for i in range(len(sizes))], sizes)[order]
+    occasion = np.concatenate([np.arange(1, m + 1) for m in sizes])[order]
+    shared = np.repeat(rng.normal(size=len(sizes)), sizes)[order]
+    z = rng.normal(0.5, 0.1, size=(n, p_z))
+    w = rng.normal(1.0, 1.0, size=(n, 1))
+    x = (0.3 + z @ rng.normal(0.0, 0.5, size=p_z) + 0.2 * w[:, 0]
+         + np.sqrt(sigma2) * (np.sqrt(rho) * shared
+                              + np.sqrt(1.0 - rho) * rng.normal(size=n)))
+    return data_model.ValidationDataset(
+        ids=np.asarray(ids, dtype=object), occasion=occasion, x=x, z=z, w=w,
+        radii=100.0 * np.arange(1, p_z + 1), confounder_names=("w_1",))
+
+
+def _assert_same_fit(val, spec, working="exchangeable"):
+    new = mem.fit_gee(val, spec, working=working)
+    old = seed_gee.fit_gee(val, spec, working=working)
+    for name in ("alpha", "v_alpha"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    for name in ("psi", "sigma2"):
+        assert np.float64(getattr(new, name)).tobytes() == \
+            np.float64(getattr(old, name)).tobytes(), name
+    assert np.float64(mem.qic(new, val)).tobytes() == \
+        np.float64(mem.qic(old, val)).tobytes()
+    assert (new.n_subjects, new.n_obs) == (old.n_subjects, old.n_obs)
+    return new
+
+
+@pytest.mark.parametrize("spec", SPECS[1:], ids=lambda s: s.label())
+def test_equal_clusters(spec, block):
+    cfg = simulate.setting1(n2=60, seed=3)
+    val = simulate.gen_validation(cfg, np.random.default_rng(3))
+    assert set(np.bincount(val.subject_codes)) == {8}
+    _assert_same_fit(val, spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_ragged_interleaved_clusters(spec, block, rng):
+    sizes = rng.choice([1, 2, 3, 8], size=70)
+    val = _ragged_validation(rng, sizes)
+    assert set(sizes) == {1, 2, 3, 8}
+    assert any(np.any(np.diff(rows) > 1) for rows in val.subject_groups().values())
+    fit = _assert_same_fit(val, spec)
+    assert 0.0 < fit.psi < 1.0
+
+
+def test_all_singletons(block, rng):
+    val = _ragged_validation(rng, np.ones(50, dtype=int))
+    fit = _assert_same_fit(val, SPECS[1])
+    assert fit.psi == 0.0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_independence(spec, block, rng):
+    val = _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
+    _assert_same_fit(val, spec, working="independence")
+
+
+def test_cv_folds(block, rng):
+    val = _ragged_validation(rng, rng.choice([2, 3, 8], size=60))
+    folds = model_select.kfold_split(val, k=5, rng=np.random.default_rng(5))
+    all_rows = np.arange(len(val))
+    for f in folds:
+        for rows in (np.setdiff1d(all_rows, f), f):
+            _assert_same_fit(model_select._subset(val, rows), SPECS[2])
+
+
+def _psi_and_warnings(estimate, groups, sigma2):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        psi = estimate(groups, sigma2)
+    return np.float64(psi).tobytes(), [str(w.message) for w in caught]
+
+
+def test_estimate_psi(rng):
+    ragged = [rng.normal(size=m) + 0.5 * rng.normal()
+              for m in rng.choice([0, 1, 2, 3, 8], size=40)]
+    for groups, sigma2 in [(ragged, None), (ragged, 0.7), (ragged, 0.2),
+                           ([np.array([1.0]), np.array([2.0])], None),
+                           ([np.array([1.0, -1.0]), np.array([2.0, -2.0])], None)]:
+        assert _psi_and_warnings(mem.estimate_psi, groups, sigma2) == \
+            _psi_and_warnings(seed_gee.estimate_psi, groups, sigma2)

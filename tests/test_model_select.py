@@ -47,6 +47,13 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             model_select.kfold_split(val, k=5, rng=rng)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("by_subject", [True, False])
+    def test_fewer_than_two_folds(self, rng, k, by_subject):
+        val, _ = make_validation(rng, n_subjects=6, occasions=2)
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            model_select.kfold_split(val, k=k, rng=rng, by_subject=by_subject)
+
     def test_row_level_option(self, rng):
         val, _ = make_validation(rng, n_subjects=10, occasions=2)
         folds = model_select.kfold_split(val, k=4, rng=rng, by_subject=False)

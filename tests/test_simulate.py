@@ -196,6 +196,28 @@ class TestRunCell:
             assert s.n_replicates == 3
         assert len(results) == 6
 
+    @pytest.mark.parametrize("error", [ValueError("bad input"),
+                                       linalg.ContractViolationError("bad shape")])
+    def test_replicate_failure_contained(self, monkeypatch, error):
+        cfg = simulate.setting1(n1=600, n2=60, event_rate=0.10, replicates=3, seed=24)
+        fit_gee = mem.fit_gee
+        calls = []
+
+        def fails_third_fit(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # replicate 1, model M1
+                raise error
+            return fit_gee(*args, **kwargs)
+
+        monkeypatch.setattr(mem, "fit_gee", fails_third_fit)
+        summaries, results = simulate.run_cell(cfg)
+        assert len(results) == 6
+        failed = [r for r in results if not r.converged]
+        assert [(r.replicate, r.model, r.error) for r in failed] == [
+            (1, "M1", str(error))]
+        m1 = next(s for s in summaries if s.model == "M1")
+        assert (m1.n_converged, m1.n_replicates) == (2, 3)
+
     def test_replicates_validated(self):
         cfg = simulate.setting1(replicates=1)
         import dataclasses
