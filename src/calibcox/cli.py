@@ -89,23 +89,35 @@ def _write_provenance(outdir, command, effective):
     (outdir / "provenance.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
+def _int_setting(flag, file_cfg, key, default=None):
+    """The flag's value, else the config file's ``key``, else ``default``.
+
+    A config value that is not an integer is a usage error.
+    """
+    value = flag if flag is not None else file_cfg.get(key, default)
+    try:
+        return None if value is None else int(value)
+    except ValueError:
+        raise UsageError(f"{key} must be an integer, got '{value}'") from None
+
+
 def _parse_cell(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"--cell expects p,n1,n2,sigma2v, got '{text}'")
-    return float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+    try:
+        p, n1, n2, s2 = text.split(",")
+        return float(p), int(n1), int(n2), float(s2)
+    except ValueError:
+        raise UsageError(f"--cell expects p,n1,n2,sigma2v, got '{text}'") from None
 
 
 def cmd_simulate(args):
     file_cfg = _load_config(args.config, "simulate")
-    setting = int(args.setting if args.setting is not None
-                  else file_cfg.get("setting", 1))
-    replicates = int(args.replicates if args.replicates is not None
-                     else file_cfg.get("replicates", 1000))
-    seed = args.seed if args.seed is not None else file_cfg.get("seed")
+    setting = _int_setting(args.setting, file_cfg, "setting", 1)
+    replicates = _int_setting(args.replicates, file_cfg, "replicates", 1000)
+    seed = _int_setting(args.seed, file_cfg, "seed")
     if seed is None:
         raise UsageError("simulate requires --seed (or seed in the config file)")
-    seed = int(seed)
+    if setting not in (1, 2):
+        raise UsageError(f"setting must be 1 or 2, got {setting}")
     if replicates < 1:
         raise UsageError("--replicates must be >= 1")
     if args.threads < 1:
@@ -116,9 +128,12 @@ def cmd_simulate(args):
         cells = []
         for text in args.cell:
             p, n1, n2, s2 = _parse_cell(text)
-            cells.append(make(n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
-                              replicates=replicates, seed=seed,
-                              mem_interactions=interactions))
+            try:
+                cells.append(make(n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
+                                  replicates=replicates, seed=seed,
+                                  mem_interactions=interactions))
+            except ValueError as exc:
+                raise UsageError(f"--cell '{text}': {exc}") from None
     else:
         cells = simulate.full_grid(setting=setting, replicates=replicates,
                                    seed=seed, mem_interactions=interactions)
@@ -175,8 +190,8 @@ def cmd_simulate(args):
 
 def cmd_select(args):
     file_cfg = _load_config(args.config, "select")
-    seed = int(args.seed if args.seed is not None else file_cfg.get("seed", 0))
-    folds = int(args.folds if args.folds is not None else file_cfg.get("folds", 5))
+    seed = _int_setting(args.seed, file_cfg, "seed", 0)
+    folds = _int_setting(args.folds, file_cfg, "folds", 5)
     validation = data_model.read_validation_csv(args.validation_csv)
     n_subjects = np.bincount(validation.subject_codes).size
     if not 2 <= folds <= n_subjects:
@@ -234,6 +249,13 @@ def cmd_fit(args):
         raise data_model.ParseError(
             "main and validation files disagree on buffer radii: "
             f"{main.radii.tolist()} vs {validation.radii.tolist()}")
+    if main.confounder_names != validation.confounder_names:
+        raise data_model.ParseError(
+            "main and validation files disagree on confounder columns: "
+            f"{list(main.confounder_names)} vs {list(validation.confounder_names)}")
+    if not np.any(main.event == 1):
+        raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
+                                    "needs at least one")
     spec = parse_spec_token(spec_token, main.radii)
     memfit = mem.fit_gee(validation, spec, working=args.working)
     cox = inference.fit_calibrated_cox(main, memfit,
@@ -361,8 +383,7 @@ def main(argv=None):
     except (data_model.ParseError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (linalg.DecompositionError, mem.ConvergenceError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

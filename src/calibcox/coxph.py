@@ -3,12 +3,13 @@
 Covariate rows are u_i = [xhat_i, w_i', (xhat_i * w_i[interacting])'] with
 the calibrated exposure in the first slot.  Ties are handled by the Breslow
 convention, which is exact for the continuous simulated times and the
-simplest correct choice otherwise.  Risk-set sums run over the rows sorted
-by time: a fit sorts once (:class:`RiskSets`) and then each evaluation is a
-few reverse cumulative sweeps, O(n d^2).  The S2 sums of the information
-are taken in blocks of rows from the last row down, with the running total
-carried between blocks, so no n x d x d array is built and every element
-is still added in the order of one sweep over all rows.
+simplest correct choice otherwise.  A cohort enters this module, and
+:mod:`calibcox.inference`, only as a :class:`RiskSets`: callers build one per
+cohort, which sorts the rows by time once, and pass it to every evaluation,
+each then a few reverse cumulative sweeps, O(n d^2).  The S2 sums of the
+information are taken in blocks of rows from the last row down, with the
+running total carried between blocks, so no n x d x d array is built and
+every element is still added in the order of one sweep over all rows.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
@@ -75,6 +76,8 @@ class RiskSets:
     events  sorted positions of the events
     start   for each event, the first sorted row tied with it: its risk
             set is every row from there on (ties share a risk set)
+
+    A cohort without events has no risk set and raises ``ValueError``.
     """
 
     def __init__(self, time, event):
@@ -82,12 +85,18 @@ class RiskSets:
         self.order = np.argsort(time, kind="stable")
         self.time = time[self.order]
         self.events = np.flatnonzero(np.asarray(event)[self.order] == 1)
+        if not self.events.size:
+            raise ValueError("need at least one event")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
 
     def sort(self, a):
         """Rows of ``a`` in time order, as a new C-contiguous float array."""
+        a = np.asarray(a, dtype=float)
+        if len(a) != len(self.order):
+            raise linalg.ContractViolationError(
+                f"{len(a)} rows for a cohort of {len(self.order)} subjects")
         # np.take copies the same rows as a[order], several times faster.
-        return np.take(np.asarray(a, dtype=float), self.order, axis=0)
+        return np.take(a, self.order, axis=0)
 
     def sums(self, u_s, beta):
         """(eta, w, S0, S1) for time-sorted rows ``u_s`` at ``beta``.
@@ -133,8 +142,6 @@ class RiskSets:
         Returns an array of shape ``(len(events),) + shape``.
         """
         out = np.empty((len(self.start),) + shape)
-        if not len(self.start):
-            return out
         rows = max(1, _BLOCK_VALUES // math.prod(shape))
         carry = None
         hi = len(self.time)
@@ -157,44 +164,31 @@ def _rows(u):
     return u[:, None] if u.ndim == 1 else u
 
 
-def log_partial_likelihood(u, time, event, beta):
+def log_partial_likelihood(rs, u, beta):
     """Breslow log partial likelihood at beta (constant term dropped).
 
     The risk-set sum is evaluated in log-sum-exp form: linear predictors are
     centered at their maximum before exponentiation.
     """
-    rs = RiskSets(time, event)
-    if not rs.events.size:
-        raise ValueError("need at least one event")
     eta, _, S0, _ = rs.sums(rs.sort(_rows(u)), beta)
     return rs.loglik(eta, S0)
 
 
-def score(u, time, event, beta, *, risk_sets=None):
-    """Score vector sum_i D_i (u_i - S1/S0 at T_i).
-
-    ``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
-    the sort.
-    """
-    rs = risk_sets or RiskSets(time, event)
+def score(rs, u, beta):
+    """Score vector sum_i D_i (u_i - S1/S0 at T_i)."""
     u_s = rs.sort(_rows(u))
     _, _, S0, S1 = rs.sums(u_s, beta)
     return rs.score(u_s, S0, S1)
 
 
-def information(u, time, event, beta, *, risk_sets=None):
-    """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)').
-
-    ``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
-    the sort.
-    """
-    rs = risk_sets or RiskSets(time, event)
+def information(rs, u, beta):
+    """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)')."""
     u_s = rs.sort(_rows(u))
     _, w, S0, S1 = rs.sums(u_s, beta)
     return rs.information(u_s, w, S0, S1)
 
 
-def fit(u, time, event, init=None, *, risk_sets=None):
+def fit(rs, u, init=None):
     """Newton-Raphson with step-halving from beta = 0 (or ``init``).
 
     Converged when the max-norm of the score and the log-likelihood
@@ -202,15 +196,11 @@ def fit(u, time, event, init=None, *, risk_sets=None):
     magnitude of the corresponding quantity at the starting point.  Any
     coefficient running past COX_DIVERGENCE_BOUND is treated as
     monotone-likelihood separation; a Newton step that no halving makes
-    ascend raises :class:`CoxConvergenceError`.  The rows are sorted once
-    (``risk_sets``, a :class:`RiskSets` of ``time`` and ``event``, saves
-    that sort too) and every step reuses the order.
+    ascend raises :class:`CoxConvergenceError`.  The rows are put in time
+    order once, and every step reuses them.
 
     Returns (beta, ConvergenceReport).
     """
-    rs = risk_sets or RiskSets(time, event)
-    if not rs.events.size:
-        raise ValueError("need at least one event")
     u_s = rs.sort(_rows(u))
     d = u_s.shape[1]
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()

@@ -18,11 +18,12 @@ d beta-hat / d alpha = (N I)^-1 U_a.
 U_a is computed analytically; a finite-difference verification mode recomputes
 it by central differences in alpha and reports the relative discrepancy.
 
-A fit sorts the main study by time once (:class:`coxph.RiskSets`); the
-Newton loop, the information, G, U_a and every finite-difference score reuse
-that order.  The risk-set sums of U_a and of the information's S2 are taken
-in blocks of rows from the last row down, carrying the running total, so
-their n x d x d_alpha and n x d x d arrays are never built.
+The main study enters every function here as one :class:`coxph.RiskSets`,
+built once per fit: the Newton loop, the information, G, U_a and every
+finite-difference score reuse its time order.  The risk-set sums of U_a and
+of the information's S2 are taken in blocks of rows from the last row down,
+carrying the running total, so their n x d x d_alpha and n x d x d arrays
+are never built.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ class CoxFit:
     term_names: tuple
 
 
-def g_beta_hat(u, time, event, beta, *, risk_sets=None):
+def g_beta_hat(rs, u, beta):
     """Robust score-residual outer-product mean.
 
     Each subject's residual is its own score contribution minus its weighted
@@ -64,16 +65,12 @@ def g_beta_hat(u, time, event, beta, *, risk_sets=None):
         W_i = D_i (u_i - ubar(T_i))
               - sum_{events e: T_e <= T_i} [exp(eta_i) / S0_raw(T_e)] (u_i - ubar(T_e))
 
-    and G = (1/N) sum_i W_i W_i'.  ``risk_sets``, a
-    :class:`coxph.RiskSets` of ``time`` and ``event``, saves the sort.
+    and G = (1/N) sum_i W_i W_i'.
     """
-    rs = risk_sets or coxph.RiskSets(time, event)
     u_s = rs.sort(coxph._rows(u))
     n, d = u_s.shape
     _, w, S0, S1 = rs.sums(u_s, beta)
     ev = rs.events
-    if ev.size == 0:
-        return np.zeros((d, d))
     s0_e = S0[rs.start]
     ubar_e = S1[rs.start] / s0_e[:, None]
     # Prefix sums over events in time order.
@@ -87,7 +84,7 @@ def g_beta_hat(u, time, event, beta, *, risk_sets=None):
     return (resid.T @ resid) / n
 
 
-def u_alpha_hat(u, time, event, beta, phi, c, b, *, risk_sets=None):
+def u_alpha_hat(rs, u, beta, phi, c, b):
     """Analytic derivative of the Cox score with respect to alpha.
 
     The calibrated exposure enters each covariate row as mu_i = phi_i' alpha,
@@ -101,17 +98,13 @@ def u_alpha_hat(u, time, event, beta, phi, c, b, *, risk_sets=None):
 
     The risk-set sums over R are suffix sums in time order, taken block by
     block (:meth:`coxph.RiskSets.suffix_at_starts`), so the n x d x d_alpha
-    array of per-row terms is never built.  ``risk_sets``, a
-    :class:`coxph.RiskSets` of ``time`` and ``event``, saves the sort.
+    array of per-row terms is never built.
     """
-    rs = risk_sets or coxph.RiskSets(time, event)
     u_s = rs.sort(coxph._rows(u))
     phi_s, c_s, b_s = rs.sort(phi), rs.sort(c), rs.sort(b)
     d, da = u_s.shape[1], phi_s.shape[1]
     _, w, S0, S1 = rs.sums(u_s, beta)
     ev = rs.events
-    if ev.size == 0:
-        return np.zeros((d, da))
     # Suffix sums of w (c + b u) phi' and of w b phi at each risk-set start.
     SM = rs.suffix_at_starts(
         lambda lo, hi: (w[lo:hi, None, None]
@@ -127,15 +120,12 @@ def u_alpha_hat(u, time, event, beta, phi, c, b, *, risk_sets=None):
     return out
 
 
-def u_alpha_fd(u_builder, time, event, beta, alpha, step=1e-6, *, risk_sets=None):
+def u_alpha_fd(rs, u_builder, beta, alpha, step=1e-6):
     """Central finite-difference derivative of the score in alpha.
 
     ``u_builder(alpha)`` must return the covariate rows implied by a
-    coefficient vector; used to verify :func:`u_alpha_hat`.  All 2 d_alpha
-    scores share one sort (``risk_sets``, a :class:`coxph.RiskSets` of
-    ``time`` and ``event``, saves that one too).
+    coefficient vector; used to verify :func:`u_alpha_hat`.
     """
-    rs = risk_sets or coxph.RiskSets(time, event)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     cols = []
@@ -144,8 +134,8 @@ def u_alpha_fd(u_builder, time, event, beta, alpha, step=1e-6, *, risk_sets=None
         h = step * max(1.0, abs(alpha[k]))
         hi[k] += h
         lo[k] -= h
-        s_hi = coxph.score(u_builder(hi), time, event, beta, risk_sets=rs)
-        s_lo = coxph.score(u_builder(lo), time, event, beta, risk_sets=rs)
+        s_hi = coxph.score(rs, u_builder(hi), beta)
+        s_lo = coxph.score(rs, u_builder(lo), beta)
         cols.append((s_hi - s_lo) / (2.0 * h))
     return np.column_stack(cols)
 
@@ -203,22 +193,20 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
     xhat = mem.predict_mu_matrix(memfit, main.z, main.w)
     u = coxph.build_cox_rows(xhat, main.w, interacting=interacting)
     rs = coxph.RiskSets(main.time, main.event)
-    beta, report = coxph.fit(u, main.time, main.event, risk_sets=rs)
+    beta, report = coxph.fit(rs, u)
     n = len(main)
-    info = coxph.information(u, main.time, main.event, beta, risk_sets=rs)
+    info = coxph.information(rs, u, beta)
     i_beta = info / n
-    g_beta = g_beta_hat(u, main.time, main.event, beta, risk_sets=rs)
+    g_beta = g_beta_hat(rs, u, beta)
     phi = transforms.build_design_matrix(memfit.spec, memfit.transform,
                                          main.z, main.w)
     c, b = calibration_jacobians(beta, main.w, interacting=interacting)
-    u_alpha = u_alpha_hat(u, main.time, main.event, beta, phi, c, b,
-                          risk_sets=rs)
+    u_alpha = u_alpha_hat(rs, u, beta, phi, c, b)
     if check_derivatives:
         def builder(a):
             xh = phi @ a
             return coxph.build_cox_rows(xh, main.w, interacting=interacting)
-        fd = u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha,
-                        risk_sets=rs)
+        fd = u_alpha_fd(rs, builder, beta, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
         if err > fd_tol:

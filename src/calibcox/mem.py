@@ -186,14 +186,16 @@ def fit_ols(validation, spec, transform=None):
                   n_subjects=len(clusters.sizes), n_obs=n)
 
 
-def estimate_psi(residuals_by_subject, sigma2=None):
+def estimate_psi(subject_residuals, sigma2=None):
     """Moment estimator of the exchangeable within-subject correlation.
 
     Mean pairwise within-subject residual product divided by the residual
-    variance.  Falls back to 0 (with a warning) when no subject contributes
-    a pair; estimates outside [0, PSI_MAX] are clamped with a warning.
+    variance.  Falls back to 0 when no subject contributes a pair; estimates
+    outside [0, PSI_MAX] are clamped.  It never warns: the GEE fits call it
+    once per IRLS iteration, also from concurrent Monte Carlo replicates,
+    where silencing a warning would swap the process-wide filter list.
     """
-    groups = [np.asarray(r, dtype=float) for r in residuals_by_subject]
+    groups = [np.asarray(r, dtype=float) for r in subject_residuals]
     all_resid = np.concatenate(groups) if groups else np.array([])
     if all_resid.size == 0:
         raise ContractViolationError("no residuals supplied")
@@ -213,16 +215,10 @@ def estimate_psi(residuals_by_subject, sigma2=None):
 
     num, = _subject_sums(clusters, pair_products, ((),))
     pairs = int(np.sum(sizes * (sizes - 1) // 2))
-    if pairs == 0:
-        warnings.warn("all subjects have a single occasion; psi set to 0")
-        return 0.0
-    if sigma2 <= 0.0:
+    if pairs == 0 or sigma2 <= 0.0:
         return 0.0
     psi = num / pairs / sigma2
-    if psi < 0.0 or psi > constants.PSI_MAX:
-        warnings.warn(f"psi estimate {psi:.4f} outside [0, {constants.PSI_MAX}]; clamped")
-        psi = min(max(psi, 0.0), constants.PSI_MAX)
-    return float(psi)
+    return float(min(max(psi, 0.0), constants.PSI_MAX))
 
 
 def _exchangeable_inverses(sizes, psi):
@@ -271,9 +267,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     for _ in range(constants.GEE_MAX_ITER):
         resid = x - phi @ alpha
         sigma2 = float(resid @ resid) / max(n - p, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            psi = estimate_psi(clusters.split(resid), sigma2=sigma2)
+        psi = estimate_psi(clusters.split(resid), sigma2=sigma2)
         vinv = _exchangeable_inverses(clusters.sizes, psi)
         A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
         new_alpha = linalg.solve_spd(A, rhs)
@@ -296,19 +290,13 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
                   n_subjects=len(clusters.sizes), n_obs=n)
 
 
-def predict_mu(fit, z, w):
-    """Calibrated exposure for one (z, w) pair: phi(z, w)' alpha-hat."""
-    phi = transforms.build_design(fit.spec, fit.transform, z, w)
-    if phi.shape[0] != fit.alpha.shape[0]:
-        raise ContractViolationError(
-            f"design length {phi.shape[0]} does not match coefficient "
-            f"length {fit.alpha.shape[0]}")
-    return float(phi @ fit.alpha)
-
-
 def predict_mu_matrix(fit, zmat, wmat):
-    """Vectorized :func:`predict_mu` over row-aligned surrogate/confounder matrices."""
+    """Calibrated exposures phi(z, w)' alpha-hat for row-aligned z and w matrices."""
     phi = transforms.build_design_matrix(fit.spec, fit.transform, zmat, wmat)
+    if phi.shape[1] != fit.alpha.shape[0]:
+        raise ContractViolationError(
+            f"design width {phi.shape[1]} does not match coefficient "
+            f"length {fit.alpha.shape[0]}")
     return phi @ fit.alpha
 
 

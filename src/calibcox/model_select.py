@@ -28,31 +28,24 @@ class CvMetrics:
     failure_reason: str = ""
 
 
-def kfold_split(validation, k=5, rng=None, by_subject=True):
-    """Partition into k folds of near-equal subject counts.
+def kfold_split(validation, k=5, rng=None):
+    """Partition the subjects into k folds of near-equal subject counts.
 
-    Returns a list of k arrays of row indices.  With by_subject=False rows
-    are split directly (diagnostic option; leaks repeated measurements).
+    Returns a list of k arrays of row indices; all of a subject's rows share
+    its fold.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
-    if by_subject:
-        codes = validation.subject_codes
-        n_subjects = np.bincount(codes).size
-        if n_subjects < k:
-            raise ValueError(f"need at least {k} subjects, got {n_subjects}")
-        # The subject at position pos of a random permutation goes to fold
-        # pos % k.
-        fold_of = np.empty(n_subjects, dtype=np.intp)
-        fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k
-        row_folds = fold_of[codes]
-        return [np.flatnonzero(row_folds == f) for f in range(k)]
-    n = len(validation)
-    if n < k:
-        raise ValueError(f"need at least {k} rows, got {n}")
-    order = rng.permutation(n)
-    return [np.sort(order[i::k]) for i in range(k)]
+    codes = validation.subject_codes
+    n_subjects = np.bincount(codes).size
+    if n_subjects < k:
+        raise ValueError(f"need at least {k} subjects, got {n_subjects}")
+    # The subject at position pos of a random permutation goes to fold pos % k.
+    fold_of = np.empty(n_subjects, dtype=np.intp)
+    fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k
+    row_folds = fold_of[codes]
+    return [np.flatnonzero(row_folds == f) for f in range(k)]
 
 
 def _subset(validation, rows):
@@ -62,14 +55,13 @@ def _subset(validation, rows):
         radii=validation.radii, confounder_names=validation.confounder_names)
 
 
-def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable",
-                by_subject=True):
+def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
     """Fit every candidate on k-1 folds, score on the held-out fold, rank.
 
     Failed candidates are kept in the output, marked and sorted last.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    folds = kfold_split(validation, k=k, rng=rng, by_subject=by_subject)
+    folds = kfold_split(validation, k=k, rng=rng)
     all_rows = np.arange(len(validation))
     splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
               for f in folds]
@@ -86,8 +78,7 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable",
                 fold_maes.append(float(np.mean(np.abs(err))))
             full = mem.fit_gee(validation, spec, working=working)
             qic_value = mem.qic(full, validation)
-        except (mem.SingularDesignError, mem.ConvergenceError,
-                ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             out.append(CvMetrics(spec=spec, mae_mean=np.nan, mae_q25=np.nan,
                                  mae_q50=np.nan, mae_q75=np.nan,
                                  mse_mean=np.nan, qic=np.nan,

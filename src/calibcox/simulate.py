@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants, coxph, data_model, inference, linalg, mem, transforms
+from . import constants, data_model, inference, linalg, mem, transforms
 
 SETTING1_ALPHA = {
     "a0": 0.105,
@@ -80,6 +80,8 @@ class SimulationConfig:
     radii: tuple = data_model.DEFAULT_RADII
 
     def __post_init__(self):
+        if self.n1 < 1 or self.n2 < 1:
+            raise ValueError("n1 and n2 must be at least 1")
         if not 0.0 < self.event_rate < 1.0:
             raise ValueError("event_rate must be in (0, 1)")
         if self.sigma2_v <= 0.0:
@@ -288,10 +290,9 @@ def run_replicate(cfg, c_max, rep, cell_index=0):
         try:
             fit = mem.fit_gee(validation, spec, working=cfg.mem_working)
             cox = inference.fit_calibrated_cox(main, fit)
-        except (coxph.CoxConvergenceError, coxph.CoxDivergenceError,
-                mem.ConvergenceError, mem.SingularDesignError,
-                linalg.DecompositionError, ValueError) as exc:
-            # ValueError includes linalg.ContractViolationError.
+        except (ArithmeticError, ValueError) as exc:
+            # The package's numerical errors derive from ArithmeticError, its
+            # input errors (ContractViolationError) from ValueError.
             results.append(ReplicateResult(replicate=rep, model=name,
                                            converged=False, error=str(exc)))
             continue

@@ -161,28 +161,12 @@ def fit_transform(spec, zmat, radii, warn=None):
     return None
 
 
-def build_design(spec, transform, z, w):
-    """Assemble one design row [1, s(z), w, interactions].
+def build_design_matrix(spec, transform, zmat, wmat):
+    """Design rows [1, s(z), w, interactions] for row-aligned z and w matrices.
 
     The interaction block repeats s(z) scaled by each configured confounder,
     in confounder-major order, and is present only when the spec asks for it.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    s = np.atleast_1d(reduce_z(spec, transform, z))
-    parts = [np.array([1.0]), s, w]
-    if spec.include_interactions:
-        which = (range(len(w)) if spec.interacting_confounders is None
-                 else spec.interacting_confounders)
-        for j in which:
-            if j >= len(w):
-                raise ContractViolationError(f"interacting confounder index {j} out of range")
-            parts.append(w[j] * s)
-    return np.concatenate(parts)
-
-
-def build_design_matrix(spec, transform, zmat, wmat):
-    """Vectorized :func:`build_design` over row-aligned z and w matrices."""
     zmat = np.asarray(zmat, dtype=float)
     wmat = np.asarray(wmat, dtype=float)
     if wmat.ndim == 1:
@@ -199,39 +183,6 @@ def build_design_matrix(spec, transform, zmat, wmat):
                 raise ContractViolationError(f"interacting confounder index {j} out of range")
             parts.append(wmat[:, j:j + 1] * s)
     return np.hstack(parts)
-
-
-def design_width(spec, p_z, p_w):
-    """Length of the design row produced by ``spec``."""
-    if spec.variant == "standard":
-        k = p_z if spec.radius_subset is None else len(spec.radius_subset)
-    elif spec.variant == "pca":
-        k = spec.n_components
-    else:
-        k = spec.n_knots - 1
-    n_int = 0
-    if spec.include_interactions:
-        n_int = (p_w if spec.interacting_confounders is None
-                 else len(spec.interacting_confounders)) * k
-    return 1 + k + p_w + n_int
-
-
-def design_column_names(spec, radii, confounder_names):
-    """Human-readable labels matching the build_design ordering."""
-    if spec.variant == "standard":
-        idx = range(len(radii)) if spec.radius_subset is None else spec.radius_subset
-        s_names = [f"z_{radii[i]:g}" for i in idx]
-    elif spec.variant == "pca":
-        s_names = [f"pc{k + 1}" for k in range(spec.n_components)]
-    else:
-        s_names = [f"rcs{k + 1}" for k in range(spec.n_knots - 1)]
-    names = ["intercept"] + s_names + list(confounder_names)
-    if spec.include_interactions:
-        which = (range(len(confounder_names)) if spec.interacting_confounders is None
-                 else spec.interacting_confounders)
-        for j in which:
-            names += [f"{confounder_names[j]}:{s}" for s in s_names]
-    return names
 
 
 def transform_to_json(spec, transform):

@@ -1,5 +1,6 @@
 """CLI surface: argument handling, outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,6 +147,25 @@ class TestFitCommand:
         code = main(["fit", str(main_csv), "--validation", str(bad)])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda ds: {"event": np.zeros_like(ds.event)}, "no events"),
+        (lambda ds: {"w": np.hstack([ds.w, ds.w]), "confounder_names": ("w_1", "w_2")},
+         "disagree on confounder columns"),
+    ], ids=["no events", "confounders w_1,w_2 against w_1"])
+    def test_main_file_is_data_error(self, change, message, study_files, tmp_path,
+                                     capsys):
+        main_csv, val_csv = study_files
+        ds = data_model.read_main_csv(main_csv)
+        bad = tmp_path / "bad_main.csv"
+        data_model.write_main_csv(bad, dataclasses.replace(ds, **change(ds)))
+        code = main(["fit", str(bad), "--validation", str(val_csv),
+                     "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
     def test_hr_at_modifier(self, study_files, tmp_path, capsys):
         main_csv, val_csv = study_files
         code = main(["fit", str(main_csv), "--validation", str(val_csv),
@@ -171,11 +191,31 @@ class TestExitCodes:
         ["select", "{val}", "--folds", "81"],  # the study has 80 subjects
         ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
          "--seed", "1", "--threads", "0", "--out", "{out}"],
+        ["simulate", "--cell", "abc,600,60,0.01", "--replicates", "1",
+         "--seed", "1", "--out", "{out}"],
+        ["simulate", "--cell", "1.5,600,60,0.01", "--replicates", "1",
+         "--seed", "1", "--out", "{out}"],
+        ["simulate", "--cell", "0.035,500,30,-1", "--replicates", "1",
+         "--seed", "1", "--out", "{out}"],
+        ["simulate", "--cell", "0.1,0,60,0.01", "--replicates", "1",
+         "--seed", "1", "--out", "{out}"],
+        # An argument starting with "[" is the text of a config file.
+        ["simulate", "--config", "[simulate]\nreplicates = abc",
+         "--cell", "0.1,600,60,0.01", "--seed", "1", "--out", "{out}"],
+        ["simulate", "--config", "[simulate]\nsetting = 3",
+         "--cell", "0.1,600,60,0.01", "--replicates", "1", "--seed", "1",
+         "--out", "{out}"],
+        ["select", "{val}", "--config", "[select]\nfolds = x", "--out", "{out}"],
     ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
     def test_usage_error(self, argv, study_files, tmp_path, capsys):
         main_csv, val_csv = study_files
         argv = [a.format(main=main_csv, val=val_csv, out=tmp_path / "out")
                 for a in argv]
+        for i, a in enumerate(argv):
+            if a.startswith("["):
+                ini = tmp_path / "run.ini"
+                ini.write_text(a + "\n")
+                argv[i] = str(ini)
         assert main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -21,7 +21,8 @@ def direct_loglik(u, time, event, beta):
 class TestLogPartialLikelihood:
     def test_null_model_closed_form(self, rng):
         u, time, event, _ = make_survival(rng, n=40)
-        ll = coxph.log_partial_likelihood(u, time, event, np.zeros(u.shape[1]))
+        rs = coxph.RiskSets(time, event)
+        ll = coxph.log_partial_likelihood(rs, u, np.zeros(u.shape[1]))
         n_at_risk = [np.sum(time >= time[i]) for i in np.flatnonzero(event == 1)]
         assert ll == pytest.approx(-np.sum(np.log(n_at_risk)), abs=1e-10)
 
@@ -29,30 +30,34 @@ class TestLogPartialLikelihood:
         u = np.array([[1.0], [2.0]])
         time = np.array([1.0, 2.0])
         event = np.array([1, 0])
+        rs = coxph.RiskSets(time, event)
         beta = np.array([0.7])
         expected = np.log(np.exp(0.7) / (np.exp(0.7) + np.exp(1.4)))
-        assert coxph.log_partial_likelihood(u, time, event, beta) == pytest.approx(expected)
+        assert coxph.log_partial_likelihood(rs, u, beta) == pytest.approx(expected)
 
     def test_matches_quadratic_scan(self, rng):
         u, time, event, beta = make_survival(rng, n=50, d=3)
-        ll = coxph.log_partial_likelihood(u, time, event, beta)
+        rs = coxph.RiskSets(time, event)
+        ll = coxph.log_partial_likelihood(rs, u, beta)
         assert ll == pytest.approx(direct_loglik(u, time, event, beta), abs=1e-10)
 
     def test_no_events_rejected(self, rng):
-        u, time, _, beta = make_survival(rng, n=10)
-        with pytest.raises(ValueError):
-            coxph.log_partial_likelihood(u, time, np.zeros(10, dtype=int), beta)
+        _, time, _, _ = make_survival(rng, n=10)
+        with pytest.raises(ValueError, match="at least one event"):
+            coxph.RiskSets(time, np.zeros(10, dtype=int))
 
     def test_overflow_guard(self, rng):
         u, time, event, _ = make_survival(rng, n=30)
+        rs = coxph.RiskSets(time, event)
         big = 300.0 * np.ones(u.shape[1])
-        assert np.isfinite(coxph.log_partial_likelihood(u, time, event, big))
+        assert np.isfinite(coxph.log_partial_likelihood(rs, u, big))
 
 
 class TestScore:
     def test_null_model_closed_form(self, rng):
         u, time, event, _ = make_survival(rng, n=30)
-        sc = coxph.score(u, time, event, np.zeros(u.shape[1]))
+        rs = coxph.RiskSets(time, event)
+        sc = coxph.score(rs, u, np.zeros(u.shape[1]))
         expected = np.zeros(u.shape[1])
         for i in np.flatnonzero(event == 1):
             risk = time >= time[i]
@@ -61,18 +66,20 @@ class TestScore:
 
     def test_stationarity_at_fit(self, rng):
         u, time, event, _ = make_survival(rng, n=80)
-        beta, report = coxph.fit(u, time, event)
-        assert np.max(np.abs(coxph.score(u, time, event, beta))) < 1e-6
+        rs = coxph.RiskSets(time, event)
+        beta, report = coxph.fit(rs, u)
+        assert np.max(np.abs(coxph.score(rs, u, beta))) < 1e-6
 
     def test_finite_difference_oracle(self, rng):
         u, time, event, beta = make_survival(rng, n=40, d=2)
-        sc = coxph.score(u, time, event, beta)
+        rs = coxph.RiskSets(time, event)
+        sc = coxph.score(rs, u, beta)
         h = 1e-6
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            fd = (coxph.log_partial_likelihood(u, time, event, beta + e)
-                  - coxph.log_partial_likelihood(u, time, event, beta - e)) / (2 * h)
+            fd = (coxph.log_partial_likelihood(rs, u, beta + e)
+                  - coxph.log_partial_likelihood(rs, u, beta - e)) / (2 * h)
             assert abs(sc[k] - fd) / (1.0 + abs(fd)) < 1e-6
 
 
@@ -81,22 +88,24 @@ class TestInformation:
         u = np.array([[1.0], [3.0]])
         time = np.array([1.0, 2.0])
         event = np.array([1, 0])
+        rs = coxph.RiskSets(time, event)
         beta = np.array([0.4])
         w = np.exp(u[:, 0] * 0.4)
         p = w[0] / w.sum()
         expected = p * (1 - p) * (u[0, 0] - u[1, 0]) ** 2
-        info = coxph.information(u, time, event, beta)
+        info = coxph.information(rs, u, beta)
         assert info[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_jacobian_finite_difference(self, rng):
         u, time, event, beta = make_survival(rng, n=35, d=3)
-        info = coxph.information(u, time, event, beta)
+        rs = coxph.RiskSets(time, event)
+        info = coxph.information(rs, u, beta)
         h = 1e-5
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (coxph.score(u, time, event, beta - e)
-                  - coxph.score(u, time, event, beta + e)) / (2 * h)
+            fd = (coxph.score(rs, u, beta - e)
+                  - coxph.score(rs, u, beta + e)) / (2 * h)
             assert np.max(np.abs(info[:, k] - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
     def test_psd_sweep(self, rng):
@@ -104,7 +113,8 @@ class TestInformation:
             n = int(rng.integers(10, 40))
             d = int(rng.integers(1, 4))
             u, time, event, beta = make_survival(rng, n=n, d=d)
-            info = coxph.information(u, time, event, beta)
+            rs = coxph.RiskSets(time, event)
+            info = coxph.information(rs, u, beta)
             assert np.min(np.linalg.eigvalsh(info)) > -1e-9 * (1.0 + np.max(np.abs(info)))
 
 
@@ -115,16 +125,18 @@ class TestFit:
         cens = rng.exponential(1.5, size=2000)
         time = np.minimum(t0, cens)
         event = (t0 <= cens).astype(int)
-        beta, _ = coxph.fit(u, time, event)
-        info = coxph.information(u, time, event, beta)
+        rs = coxph.RiskSets(time, event)
+        beta, _ = coxph.fit(rs, u)
+        info = coxph.information(rs, u, beta)
         se = 1.0 / np.sqrt(info[0, 0])
         assert abs(beta[0]) < 3.0 * se
 
     def test_matches_grid_search(self, rng):
         u, time, event, _ = make_survival(rng, n=20, d=1)
-        beta, _ = coxph.fit(u, time, event)
+        rs = coxph.RiskSets(time, event)
+        beta, _ = coxph.fit(rs, u)
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
-        lls = [coxph.log_partial_likelihood(u, time, event, np.array([b])) for b in grid]
+        lls = [coxph.log_partial_likelihood(rs, u, np.array([b])) for b in grid]
         best = grid[int(np.argmax(lls))]
         assert abs(beta[0] - best) < 2e-4
 
@@ -135,22 +147,25 @@ class TestFit:
         u = 0.01 * np.concatenate([np.zeros(10), np.ones(10)])[:, None]
         time = np.concatenate([np.arange(1, 11), np.arange(11, 21)]).astype(float)
         event = np.concatenate([np.ones(10, dtype=int), np.zeros(10, dtype=int)])
+        rs = coxph.RiskSets(time, event)
         with pytest.raises(coxph.CoxDivergenceError):
-            coxph.fit(u, time, event)
+            coxph.fit(rs, u)
 
     def test_failed_step_halving_raises(self, rng, monkeypatch):
         # Every step points downhill, so no halving can raise the
         # likelihood: the fit must stop and name the iteration instead of
         # taking the step.
         u, time, event, _ = make_survival(rng, n=50, beta=[1.0, -1.0])
+        rs = coxph.RiskSets(time, event)
         monkeypatch.setattr(coxph.linalg, "solve_spd",
                             lambda a, b: -np.linalg.solve(a, b))
         with pytest.raises(coxph.CoxConvergenceError, match="iteration 1:"):
-            coxph.fit(u, time, event)
+            coxph.fit(rs, u)
 
     def test_report_fields(self, rng):
         u, time, event, _ = make_survival(rng, n=50)
-        beta, report = coxph.fit(u, time, event)
+        rs = coxph.RiskSets(time, event)
+        beta, report = coxph.fit(rs, u)
         assert report.converged
         assert report.iterations >= 1
         assert np.isfinite(report.loglik)
@@ -159,29 +174,32 @@ class TestFit:
 class TestInvariances:
     def test_location_invariance(self, rng):
         u, time, event, _ = make_survival(rng, n=60, d=2)
-        beta0, _ = coxph.fit(u, time, event)
+        rs = coxph.RiskSets(time, event)
+        beta0, _ = coxph.fit(rs, u)
         shifted = u.copy()
         shifted[:, 0] += 3.7
-        beta1, _ = coxph.fit(shifted, time, event)
+        beta1, _ = coxph.fit(rs, shifted)
         assert np.max(np.abs(beta0 - beta1)) < 1e-8
 
     def test_scale_equivariance(self, rng):
         u, time, event, _ = make_survival(rng, n=60, d=2)
-        beta0, _ = coxph.fit(u, time, event)
+        rs = coxph.RiskSets(time, event)
+        beta0, _ = coxph.fit(rs, u)
         scaled = u.copy()
         scaled[:, 1] *= 4.0
-        beta1, _ = coxph.fit(scaled, time, event)
+        beta1, _ = coxph.fit(rs, scaled)
         assert abs(beta1[1] - beta0[1] / 4.0) < 1e-8
         assert abs(beta1[0] - beta0[0]) < 1e-8
 
     def test_permutation_invariance(self, rng):
         u, time, event, beta = make_survival(rng, n=45, d=2)
+        rs = coxph.RiskSets(time, event)
         perm = rng.permutation(45)
-        ll0 = coxph.log_partial_likelihood(u, time, event, beta)
-        ll1 = coxph.log_partial_likelihood(u[perm], time[perm], event[perm], beta)
+        ll0 = coxph.log_partial_likelihood(rs, u, beta)
+        ll1 = coxph.log_partial_likelihood(coxph.RiskSets(time[perm], event[perm]), u[perm], beta)
         assert abs(ll0 - ll1) < 1e-12 * (1.0 + abs(ll0))
-        b0, _ = coxph.fit(u, time, event)
-        b1, _ = coxph.fit(u[perm], time[perm], event[perm])
+        b0, _ = coxph.fit(rs, u)
+        b1, _ = coxph.fit(coxph.RiskSets(time[perm], event[perm]), u[perm])
         assert np.max(np.abs(b0 - b1)) < 1e-10
 
     def test_tied_times_breslow(self):
@@ -189,10 +207,11 @@ class TestInvariances:
         u = np.array([[0.5], [1.0], [2.0]])
         time = np.array([1.0, 1.0, 2.0])
         event = np.array([1, 1, 0])
+        rs = coxph.RiskSets(time, event)
         beta = np.array([0.3])
         denom = np.sum(np.exp(u[:, 0] * 0.3))
         expected = (0.3 * (0.5 + 1.0)) - 2.0 * np.log(denom)
-        assert coxph.log_partial_likelihood(u, time, event, beta) == pytest.approx(expected)
+        assert coxph.log_partial_likelihood(rs, u, beta) == pytest.approx(expected)
 
 
 class TestBuildCoxRows:

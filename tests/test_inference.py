@@ -66,24 +66,25 @@ def small_calibration_problem(rng, n=40, d_alpha=4):
 
 
 class TestGBetaHat:
-    def test_no_events_zero_matrix(self, rng):
-        u = rng.normal(size=(5, 2))
-        g = inference.g_beta_hat(u, np.arange(1.0, 6.0), np.zeros(5, dtype=int),
-                                 np.zeros(2))
-        assert np.allclose(g, 0.0)
+    def test_no_events_rejected(self):
+        # A cohort without events has no risk set, so it never reaches G.
+        with pytest.raises(ValueError, match="at least one event"):
+            coxph.RiskSets(np.arange(1.0, 6.0), np.zeros(5, dtype=int))
 
     def test_single_event_hand_expansion(self, rng):
         u = rng.normal(size=(3, 2))
         time = np.array([1.0, 2.0, 3.0])
         event = np.array([0, 1, 0])
+        rs = coxph.RiskSets(time, event)
         beta = rng.normal(size=2)
-        g = inference.g_beta_hat(u, time, event, beta)
+        g = inference.g_beta_hat(rs, u, beta)
         assert np.allclose(g, reference_g_beta(u, time, event, beta), atol=1e-12)
 
     def test_matches_reference_random(self, rng):
         for _ in range(10):
             u, time, event, beta = make_survival(rng, n=30, d=2)
-            g = inference.g_beta_hat(u, time, event, beta)
+            rs = coxph.RiskSets(time, event)
+            g = inference.g_beta_hat(rs, u, beta)
             ref = reference_g_beta(u, time, event, beta)
             assert np.max(np.abs(g - ref)) < 1e-10 * (1.0 + np.max(np.abs(ref)))
 
@@ -98,9 +99,10 @@ class TestGBetaHat:
             cens = rng.exponential(2.0, size=n)
             time = np.minimum(t0, cens)
             event = (t0 <= cens).astype(int)
-            beta, _ = coxph.fit(u, time, event)
-            i_beta = coxph.information(u, time, event, beta) / n
-            g = inference.g_beta_hat(u, time, event, beta)
+            rs = coxph.RiskSets(time, event)
+            beta, _ = coxph.fit(rs, u)
+            i_beta = coxph.information(rs, u, beta) / n
+            g = inference.g_beta_hat(rs, u, beta)
             i_inv = linalg.inv_spd(i_beta)
             vars_.append(float((i_inv @ g @ i_inv.T)[0, 0] / n))
             betas.append(beta[0])
@@ -111,7 +113,8 @@ class TestGBetaHat:
 class TestUAlphaHat:
     def test_zero_design(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
-        ua = inference.u_alpha_hat(rows, time, event, beta, np.zeros_like(phi), c, b)
+        rs = coxph.RiskSets(time, event)
+        ua = inference.u_alpha_hat(rs, rows, beta, np.zeros_like(phi), c, b)
         assert np.allclose(ua, 0.0)
 
     def test_hand_expansion_three_rows_null_beta(self, rng):
@@ -123,38 +126,42 @@ class TestUAlphaHat:
         rows = coxph.build_cox_rows(phi @ alpha, w)
         time = np.array([1.0, 2.0, 3.0])
         event = np.array([1, 0, 1])
+        rs = coxph.RiskSets(time, event)
         beta = np.zeros(3)
         c, b = inference.calibration_jacobians(beta, w)
         assert np.allclose(b, 0.0)
-        ua = inference.u_alpha_hat(rows, time, event, beta, phi, c, b)
+        ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
         ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
         assert np.allclose(ua, ref, atol=1e-12)
 
     def test_matches_reference_random(self, rng):
         for _ in range(10):
             rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
-            ua = inference.u_alpha_hat(rows, time, event, beta, phi, c, b)
+            rs = coxph.RiskSets(time, event)
+            ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
             ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
             assert np.max(np.abs(ua - ref)) < 1e-9 * (1.0 + np.max(np.abs(ref)))
 
     def test_matches_finite_differences(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
-        ua = inference.u_alpha_hat(rows, time, event, beta, phi, c, b)
+        rs = coxph.RiskSets(time, event)
+        ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
 
         def builder(a):
             return coxph.build_cox_rows(phi @ a, w)
 
-        fd = inference.u_alpha_fd(builder, time, event, beta, alpha)
+        fd = inference.u_alpha_fd(rs, builder, beta, alpha)
         assert np.max(np.abs(ua - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
 
 class TestSandwichCovariance:
     def test_zero_v_alpha_reduces_to_robust(self, rng):
         u, time, event, _ = make_survival(rng, n=50, d=2)
-        beta, _ = coxph.fit(u, time, event)
+        rs = coxph.RiskSets(time, event)
+        beta, _ = coxph.fit(rs, u)
         n = len(time)
-        i_beta = coxph.information(u, time, event, beta) / n
-        g = inference.g_beta_hat(u, time, event, beta)
+        i_beta = coxph.information(rs, u, beta) / n
+        g = inference.g_beta_hat(rs, u, beta)
         comps = SandwichComponents(i_beta=i_beta, g_beta=g,
                                    u_alpha=np.zeros((2, 3)),
                                    v_alpha=np.zeros((3, 3)))

@@ -1,5 +1,10 @@
 """Measurement error model fitting: OLS, GEE, psi estimation, prediction, QIC."""
 
+import dataclasses
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -43,7 +48,6 @@ class TestFitOls:
         val, _ = make_validation(rng)
         z = val.z.copy()
         z[:, 2] = z[:, 0] + z[:, 1]  # collinear column
-        import dataclasses
         bad = dataclasses.replace(val, z=z)
         with pytest.raises(mem.SingularDesignError, match="column 3"):
             mem.fit_ols(bad, STD)
@@ -93,6 +97,29 @@ class TestFitGee:
         se = psis.std(ddof=1) / np.sqrt(len(psis))
         assert abs(psis.mean() - 0.5) < 3.0 * se + 0.02
 
+    def test_threads_leave_warning_filters_alone(self, rng):
+        # Each subject's residuals alternate in sign, so every IRLS
+        # iteration's psi moment is negative and clamped to 0.  Fits running
+        # on several threads at once must neither change the process-wide
+        # warning filters nor let a warning out.
+        val, _ = make_validation(rng, n_subjects=100, occasions=4, sigma2=0.0)
+        signs = np.tile([1.0, -1.0, 1.0, -1.0], 100)
+        val = dataclasses.replace(val, x=val.x + 0.2 * signs * rng.random(400))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                filters = list(warnings.filters)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    fits = list(pool.map(lambda _: mem.fit_gee(val, STD), range(64)))
+                assert warnings.filters == filters
+        finally:
+            sys.setswitchinterval(interval)
+        assert [str(w.message) for w in caught] == []
+        assert {f.psi for f in fits} == {0.0}
+        assert all(np.array_equal(f.alpha, fits[0].alpha) for f in fits)
+
     def test_unknown_working_rejected(self, rng):
         val, _ = make_validation(rng)
         with pytest.raises(linalg.ContractViolationError):
@@ -101,8 +128,7 @@ class TestFitGee:
 
 class TestEstimatePsi:
     def test_identical_residuals_clamped(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            psi = mem.estimate_psi([np.array([1.0, 1.0]), np.array([-2.0, -2.0])])
+        psi = mem.estimate_psi([np.array([1.0, 1.0]), np.array([-2.0, -2.0])])
         assert psi == pytest.approx(0.99)
 
     def test_hand_computed_two_by_two(self):
@@ -117,16 +143,11 @@ class TestEstimatePsi:
         vals = []
         for _ in range(50):
             groups = [rng.normal(size=4) for _ in range(80)]
-            import warnings
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                vals.append(mem.estimate_psi(groups))
+            vals.append(mem.estimate_psi(groups))
         assert abs(np.mean(vals)) < 0.02
 
-    def test_single_occasion_warns_zero(self):
-        with pytest.warns(UserWarning, match="single occasion"):
-            psi = mem.estimate_psi([np.array([1.0]), np.array([2.0])])
-        assert psi == 0.0
+    def test_single_occasion_zero(self):
+        assert mem.estimate_psi([np.array([1.0]), np.array([2.0])]) == 0.0
 
 
 class TestPredictMu:
@@ -139,7 +160,8 @@ class TestPredictMu:
         fit = mem.MemFit(params=mem.MemParams(alpha=alpha), psi=0.0, sigma2=0.01,
                          v_alpha=np.eye(len(alpha)), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
-        assert mem.predict_mu(fit, np.zeros(9), np.zeros(1)) == pytest.approx(0.05)
+        assert mem.predict_mu_matrix(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
+            pytest.approx([0.05])
 
     def test_intercept_only(self):
         alpha = np.array([1.0, 0.0, 0.0])
@@ -147,30 +169,33 @@ class TestPredictMu:
         fit = mem.MemFit(params=mem.MemParams(alpha=alpha), psi=0.0, sigma2=0.0,
                          v_alpha=np.eye(3), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
-        assert mem.predict_mu(fit, np.array([7.0]), np.array([-3.0])) == pytest.approx(1.0)
+        assert mem.predict_mu_matrix(fit, np.array([[7.0]]), np.array([[-3.0]])) == \
+            pytest.approx([1.0])
 
     def test_matches_dot_product(self, rng):
         val, _ = make_validation(rng)
         fit = mem.fit_ols(val, STD)
         z, w = rng.normal(size=3), rng.normal(size=1)
-        phi = transforms.build_design(STD, None, z, w)
-        assert mem.predict_mu(fit, z, w) == pytest.approx(float(phi @ fit.alpha))
+        phi = np.concatenate([[1.0], z, w])
+        assert mem.predict_mu_matrix(fit, z[None], w[None]) == \
+            pytest.approx([float(phi @ fit.alpha)])
 
     def test_affine_in_z(self, rng):
         val, _ = make_validation(rng)
         fit = mem.fit_ols(val, STD)
-        w = np.array([0.8])
-        z1, z2 = rng.normal(size=3), rng.normal(size=3)
+        w = np.array([[0.8]])
+        z1, z2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
         for a in (0.0, 0.3, 1.0):
-            mix = mem.predict_mu(fit, a * z1 + (1 - a) * z2, w)
-            combo = a * mem.predict_mu(fit, z1, w) + (1 - a) * mem.predict_mu(fit, z2, w)
-            assert abs(mix - combo) < 1e-12
+            mix = mem.predict_mu_matrix(fit, a * z1 + (1 - a) * z2, w)
+            combo = (a * mem.predict_mu_matrix(fit, z1, w)
+                     + (1 - a) * mem.predict_mu_matrix(fit, z2, w))
+            assert abs(mix[0] - combo[0]) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         val, _ = make_validation(rng)
         fit = mem.fit_ols(val, STD)
-        with pytest.raises(Exception):
-            mem.predict_mu(fit, np.zeros(5), np.zeros(1))
+        with pytest.raises(linalg.ContractViolationError, match="design width 7"):
+            mem.predict_mu_matrix(fit, np.zeros((2, 5)), np.zeros((2, 1)))
 
 
 class TestQic:

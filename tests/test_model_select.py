@@ -48,16 +48,14 @@ class TestKfoldSplit:
             model_select.kfold_split(val, k=5, rng=rng)
 
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("by_subject", [True, False])
-    def test_fewer_than_two_folds(self, rng, k, by_subject):
+    @pytest.mark.parametrize("through_cv", [True, False])
+    def test_fewer_than_two_folds(self, rng, k, through_cv):
         val, _ = make_validation(rng, n_subjects=6, occasions=2)
         with pytest.raises(ValueError, match="at least 2 folds"):
-            model_select.kfold_split(val, k=k, rng=rng, by_subject=by_subject)
-
-    def test_row_level_option(self, rng):
-        val, _ = make_validation(rng, n_subjects=10, occasions=2)
-        folds = model_select.kfold_split(val, k=4, rng=rng, by_subject=False)
-        assert sum(len(f) for f in folds) == len(val)
+            if through_cv:
+                model_select.cv_evaluate(val, [DesignSpec()], k=k, rng=rng)
+            else:
+                model_select.kfold_split(val, k=k, rng=rng)
 
 
 class TestCvEvaluate:

@@ -10,7 +10,7 @@ total across blocks.
 import numpy as np
 import pytest
 
-from calibcox import coxph, inference, mem, simulate, transforms
+from calibcox import coxph, inference, linalg, mem, simulate, transforms
 from conftest import make_survival, risk_set_indices
 import seed_cox
 
@@ -41,6 +41,7 @@ class TestOracleSums:
 
     def test_loglik_score_information(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        rs = coxph.RiskSets(time, event)
         assert len(np.unique(time)) < len(time)
         ll = sc = info = 0.0
         for i, rows in risk_set_indices(time, event):
@@ -51,14 +52,15 @@ class TestOracleSums:
             ll += u[i] @ beta - np.log(s0)
             sc = sc + u[i] - ubar
             info = info + s2 / s0 - np.outer(ubar, ubar)
-        assert np.isclose(coxph.log_partial_likelihood(u, time, event, beta), ll,
+        assert np.isclose(coxph.log_partial_likelihood(rs, u, beta), ll,
                           rtol=1e-12)
-        assert np.allclose(coxph.score(u, time, event, beta), sc, rtol=1e-12, atol=1e-12)
-        assert np.allclose(coxph.information(u, time, event, beta), info,
+        assert np.allclose(coxph.score(rs, u, beta), sc, rtol=1e-12, atol=1e-12)
+        assert np.allclose(coxph.information(rs, u, beta), info,
                            rtol=1e-12, atol=1e-12)
 
     def test_g_beta(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        rs = coxph.RiskSets(time, event)
         n = len(time)
         resid = np.zeros_like(u)
         for i, rows in risk_set_indices(time, event):
@@ -67,11 +69,12 @@ class TestOracleSums:
             resid[i] += u[i] - ubar
             resid[rows] -= (r / r.sum())[:, None] * (u[rows] - ubar)
         expected = resid.T @ resid / n
-        assert np.allclose(inference.g_beta_hat(u, time, event, beta), expected,
+        assert np.allclose(inference.g_beta_hat(rs, u, beta), expected,
                            rtol=1e-12, atol=1e-14)
 
     def test_u_alpha(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        rs = coxph.RiskSets(time, event)
         d, da = u.shape[1], 5
         phi, c = _calibration_terms(rng, len(time), d, da)
         b = c @ beta
@@ -82,7 +85,7 @@ class TestOracleSums:
             m = ((r[:, None] * (c[rows] + b[rows, None] * u[rows])).T @ phi[rows])
             q = (r * b[rows]) @ phi[rows]
             expected += np.outer(c[i], phi[i]) - m / s0 + np.outer(s1 / s0 ** 2, q)
-        got = inference.u_alpha_hat(u, time, event, beta, phi, c, b)
+        got = inference.u_alpha_hat(rs, u, beta, phi, c, b)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -91,17 +94,18 @@ class TestSeedEquality:
 
     def test_evaluators(self, rng, block):
         u, time, event, beta = _tied_survival(rng, n=300)
+        rs = coxph.RiskSets(time, event)
         phi, c = _calibration_terms(rng, len(time), u.shape[1], 4)
         b = c @ beta
-        assert np.array_equal(coxph.score(u, time, event, beta),
+        assert np.array_equal(coxph.score(rs, u, beta),
                               seed_cox.score(u, time, event, beta))
-        assert np.array_equal(coxph.information(u, time, event, beta),
+        assert np.array_equal(coxph.information(rs, u, beta),
                               seed_cox.information(u, time, event, beta))
-        assert np.array_equal(inference.g_beta_hat(u, time, event, beta),
+        assert np.array_equal(inference.g_beta_hat(rs, u, beta),
                               seed_cox.g_beta_hat(u, time, event, beta))
-        assert np.array_equal(inference.u_alpha_hat(u, time, event, beta, phi, c, b),
+        assert np.array_equal(inference.u_alpha_hat(rs, u, beta, phi, c, b),
                               seed_cox.u_alpha_hat(u, time, event, beta, phi, c, b))
-        got, want = coxph.fit(u, time, event), seed_cox.fit(u, time, event)
+        got, want = coxph.fit(rs, u), seed_cox.fit(u, time, event)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_fit_calibrated_cox(self, block):
@@ -141,9 +145,20 @@ class TestSeedEquality:
 
         def builder(a):
             return coxph.build_cox_rows(phi @ a, main.w)
+        rs = coxph.RiskSets(main.time, main.event)
         assert np.array_equal(
-            inference.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha),
+            inference.u_alpha_fd(rs, builder, beta, memfit.alpha),
             seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha))
+
+
+def test_rows_of_another_cohort_rejected(rng):
+    u, time, event, beta = _tied_survival(rng)
+    rs = coxph.RiskSets(time[:-1], event[:-1])
+    with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
+        coxph.score(rs, u, beta)
+    with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
+        inference.u_alpha_hat(rs, u[:-1], beta, np.ones((len(time), 2)),
+                              np.ones_like(u[:-1]), np.ones(len(time) - 1))
 
 
 def test_one_sort_per_calibrated_fit(monkeypatch):

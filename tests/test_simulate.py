@@ -156,7 +156,7 @@ class TestGenMain:
             rr = simulate._replicate_rng(16, 0, rep)
             main, x = simulate.gen_main(cfg, rr, cmax)
             rows = coxph.build_cox_rows(x, main.w)
-            beta, _ = coxph.fit(rows, main.time, main.event)
+            beta, _ = coxph.fit(coxph.RiskSets(main.time, main.event), rows)
             b1s.append(beta[0])
         b1s = np.array(b1s)
         mc_se = b1s.std(ddof=1) / np.sqrt(len(b1s))

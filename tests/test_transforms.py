@@ -161,24 +161,22 @@ class TestRcsBasis:
 class TestBuildDesign:
     def test_standard_width(self):
         spec = DesignSpec(variant="standard")
-        phi = transforms.build_design(spec, None, np.zeros(9), np.zeros(1))
-        assert phi.shape == (11,)
-        assert transforms.design_width(spec, 9, 1) == 11
+        phi = transforms.build_design_matrix(spec, None, np.zeros((1, 9)), np.zeros((1, 1)))
+        assert phi.shape == (1, 11)
 
     def test_pca3_interaction_width(self, rng):
         spec = DesignSpec(variant="pca", n_components=3, include_interactions=True)
         t = transforms.fit_pca(rng.normal(size=(30, 9)), 3)
-        phi = transforms.build_design(spec, t, np.zeros(9), np.zeros(1))
-        assert phi.shape == (8,)  # 1 + 3 + 1 + 3
-        assert transforms.design_width(spec, 9, 1) == 8
+        phi = transforms.build_design_matrix(spec, t, np.zeros((1, 9)), np.zeros((1, 1)))
+        assert phi.shape == (1, 8)  # 1 + 3 + 1 + 3
 
     def test_standard_interactions_concatenation(self, rng):
         spec = DesignSpec(variant="standard", include_interactions=True)
         z = rng.normal(size=4)
         w = np.array([2.5])
-        phi = transforms.build_design(spec, None, z, w)
+        phi = transforms.build_design_matrix(spec, None, z[None], w[None])
         expected = np.concatenate([[1.0], z, w, 2.5 * z])
-        assert np.allclose(phi, expected, atol=1e-14)
+        assert np.allclose(phi[0], expected, atol=1e-14)
 
     def test_matrix_matches_rowwise(self, rng):
         spec = DesignSpec(variant="pca", n_components=2, include_interactions=True)
@@ -187,13 +185,15 @@ class TestBuildDesign:
         t = transforms.fit_pca(z, 2)
         mat = transforms.build_design_matrix(spec, t, z, w)
         for i in range(15):
-            assert np.allclose(mat[i], transforms.build_design(spec, t, z[i], w[i]))
+            s = transforms.apply_pca(t, z[i])
+            row = np.concatenate([[1.0], s, w[i], w[i, 0] * s, w[i, 1] * s])
+            assert np.allclose(mat[i], row)
 
     def test_radius_subset(self, rng):
         spec = DesignSpec(variant="standard", radius_subset=(1,))
         z = rng.normal(size=3)
-        phi = transforms.build_design(spec, None, z, np.array([1.0]))
-        assert np.allclose(phi, [1.0, z[1], 1.0])
+        phi = transforms.build_design_matrix(spec, None, z[None], np.array([[1.0]]))
+        assert np.allclose(phi, [[1.0, z[1], 1.0]])
 
     def test_full_rank_pca_prediction_equivalence(self, rng):
         # A linear model on the full-rank PCA design predicts identically to
@@ -210,11 +210,6 @@ class TestBuildDesign:
         a_std = np.linalg.lstsq(phi_std, x, rcond=None)[0]
         a_pca = np.linalg.lstsq(phi_pca, x, rcond=None)[0]
         assert np.max(np.abs(phi_std @ a_std - phi_pca @ a_pca)) < 1e-8
-
-    def test_column_names(self):
-        spec = DesignSpec(variant="pca", n_components=2, include_interactions=True)
-        names = transforms.design_column_names(spec, RADII, ("w_1",))
-        assert names == ["intercept", "pc1", "pc2", "w_1", "w_1:pc1", "w_1:pc2"]
 
 
 class TestSpecValidation:
