@@ -122,6 +122,11 @@ def cmd_simulate(args):
         raise UsageError("--replicates must be >= 1")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if args.threads > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise UsageError("--threads above 1 starts forked worker processes, "
+                             "and this platform cannot fork")
     interactions = not args.no_interactions
     make = simulate.setting1 if setting == 1 else simulate.setting2
     if args.cell:
@@ -335,7 +340,11 @@ def build_parser():
                           "without it, the full 24-cell grid")
     sim.add_argument("--replicates", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes for the replicates (forked; "
+                          "default 1 runs them in this process); set "
+                          "OPENBLAS_NUM_THREADS=1 to keep BLAS from "
+                          "oversubscribing the cores")
     sim.add_argument("--no-interactions", action="store_true",
                      help="fit the measurement error models without interaction terms")
     sim.add_argument("--out", default="results")

@@ -33,6 +33,16 @@ import numpy as np
 from . import constants, coxph, linalg, mem, transforms
 
 
+class TooFewSubjectsError(ArithmeticError):
+    """The validation study cannot give a full-rank V_a.
+
+    The subjects' scores sum to zero at the fitted alpha, so the
+    cluster-robust meat of V_a has rank at most (subjects - 1); with no more
+    subjects than coefficients, V_a is singular and the sandwich SEs are
+    not estimable.
+    """
+
+
 @dataclass(frozen=True)
 class SandwichComponents:
     i_beta: np.ndarray    # empirical information / N
@@ -189,7 +199,14 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
     the outcome model (all by default).  With ``check_derivatives`` the
     analytic alpha-derivative is verified against central finite differences.
     The main study is sorted by time once, for every step of the fit.
+    A validation fit on no more subjects than coefficients raises
+    :class:`TooFewSubjectsError`, as its V_a is singular.
     """
+    if memfit.n_subjects <= len(memfit.alpha):
+        raise TooFewSubjectsError(
+            f"{memfit.n_subjects} validation subjects for {len(memfit.alpha)} "
+            f"calibration coefficients: V_alpha needs more subjects than "
+            f"coefficients")
     xhat = mem.predict_mu_matrix(memfit, main.z, main.w)
     u = coxph.build_cox_rows(xhat, main.w, interacting=interacting)
     rs = coxph.RiskSets(main.time, main.event)

@@ -16,11 +16,20 @@ parameter is a variance.
 
 Determinism: every replicate's random stream is derived only from
 (seed, cell_index, replicate index) via SeedSequence spawn keys, so results
-are identical across thread counts and execution order.
+are identical across worker counts and execution order.
+
+Parallelism: with threads > 1, :func:`run_cell` hands replicates to a pool of
+worker processes started with fork (a replicate is mostly short NumPy calls
+that hold the GIL, so worker threads would not run side by side; spawned
+workers would import NumPy and the package again for every cell).  A forked
+child holds only the calling thread, so call it with threads > 1 from a
+process that runs no other threads.  Each worker inherits the parent's BLAS;
+set OPENBLAS_NUM_THREADS=1 (or the equivalent for another BLAS) so that the
+workers do not oversubscribe the cores.
 """
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,9 +348,12 @@ def summarize(cfg, results):
 def run_cell(cfg, cell_index=0, threads=1):
     """All replicates of one cell; returns (summaries, replicate results).
 
-    Replicates are independent; with threads > 1 they run concurrently but
-    the output is identical because each replicate's stream depends only on
-    (seed, cell_index, replicate) and aggregation is index-ordered.
+    Replicates are independent.  With threads > 1 they run in
+    min(threads, replicates) forked worker processes, handed out one at a
+    time; the output is identical to the in-process loop because each
+    replicate's stream depends only on (seed, cell_index, replicate) and the
+    results are aggregated in replicate order.  Where the platform has no
+    fork start method, threads > 1 raises ValueError.
     """
     if cfg.replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -350,9 +362,14 @@ def run_cell(cfg, cell_index=0, threads=1):
     c_max = calibrate_cmax(cfg, pilot_rng)
     reps = range(cfg.replicates)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda r: run_replicate(cfg, c_max, r, cell_index), reps))
+        # Imported here, not at module level: they add to every import of
+        # the package, and only a multi-worker cell needs them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        job = functools.partial(run_replicate, cfg, c_max, cell_index=cell_index)
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.replicates),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            chunks = list(pool.map(job, reps, chunksize=1))
     else:
         chunks = [run_replicate(cfg, c_max, r, cell_index) for r in reps]
     results = [r for chunk in chunks for r in chunk]

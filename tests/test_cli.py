@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestSimulateCommand:
 
     def test_thread_invariant_bytes(self, tmp_path):
         outs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "3", "4"):
             out = tmp_path / f"t{threads}"
             code = main(["simulate", "--cell", "0.1,600,60,0.01",
                          "--replicates", "4", "--seed", "9",
@@ -71,7 +72,20 @@ class TestSimulateCommand:
             assert code == 0
             outs.append((out / "summary.csv").read_bytes()
                         + (out / "replicates.csv").read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[1:] == outs[:1] * 3
+
+    def test_workers_need_fork(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        out = tmp_path / "out"
+        argv = ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "2",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv + ["--threads", "2"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "fork" in err
+        assert not out.exists()
+        assert main(argv + ["--threads", "1"]) == 0
 
     def test_zero_replicates_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "0",
@@ -164,6 +178,25 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_validation_subjects_is_numerical(self, study_files,
+                                                      tmp_path, capsys):
+        # Five subjects cannot give a full-rank V_alpha for pca3+int's eight
+        # coefficients.
+        main_csv, val_csv = study_files
+        lines = val_csv.read_text().splitlines()
+        keep = {f"v{i}" for i in range(1, 6)}
+        few = tmp_path / "few.csv"
+        few.write_text("\n".join([lines[0]] + [ln for ln in lines[1:]
+                                               if ln.split(",")[0] in keep]) + "\n")
+        code = main(["fit", str(main_csv), "--validation", str(few),
+                     "--spec", "pca3+int", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 5 validation subjects for 8 "
+                              "calibration coefficients")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_hr_at_modifier(self, study_files, tmp_path, capsys):

@@ -278,6 +278,35 @@ class TestFitCalibratedCox:
         assert np.min(np.linalg.eigvalsh(fit.covariance)) > -1e-9
 
 
+    @pytest.mark.parametrize("n2, spec", [
+        (1, transforms.DesignSpec(variant="pca", n_components=3,
+                                  include_interactions=True)),
+        (8, transforms.DesignSpec(variant="pca", n_components=3,
+                                  include_interactions=True)),
+        (4, transforms.DesignSpec(variant="pca", n_components=2)),
+    ], ids=["1 subject, 8 coefficients", "8 subjects, 8 coefficients",
+            "4 subjects, 4 coefficients"])
+    def test_too_few_subjects_for_v_alpha(self, n2, spec):
+        # The subject scores sum to zero at alpha-hat, so the meat of V_a has
+        # rank <= subjects - 1: with subjects <= coefficients V_a is singular.
+        cfg, val, main = self.fixture_cell(n2=n2)
+        memfit = mem.fit_gee(val, spec)
+        assert memfit.n_subjects == n2
+        with pytest.raises(inference.TooFewSubjectsError) as info:
+            inference.fit_calibrated_cox(main, memfit)
+        assert isinstance(info.value, ArithmeticError)
+        assert str(info.value).startswith(
+            f"{n2} validation subjects for {len(memfit.alpha)} calibration "
+            f"coefficients")
+
+    def test_one_more_subject_than_coefficients_fits(self):
+        cfg, val, main = self.fixture_cell(n2=5)
+        memfit = mem.fit_gee(val, transforms.DesignSpec(variant="pca", n_components=2))
+        assert (memfit.n_subjects, len(memfit.alpha)) == (5, 4)
+        fit = inference.fit_calibrated_cox(main, memfit)
+        assert np.all(np.isfinite(fit.se)) and np.all(fit.se > 0)
+
+
 class TestHazardRatio:
     def make_fit(self, beta, cov):
         params = coxph.CoxParams.from_vector(beta, 1, 1)

@@ -1,9 +1,30 @@
 """Monte Carlo engine: generators, event-rate calibration, replicate cells."""
 
+import concurrent.futures
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from calibcox import coxph, linalg, mem, simulate, transforms
+
+
+def assert_same_results(got, expected):
+    """Field-by-field equality of replicate results, with NaN equal to NaN.
+
+    A result that comes back from a worker process is unpickled, so its NaN
+    fields are new float objects, and the dataclass ``==`` (which compares
+    field tuples, where NaN != NaN unless it is the same object) cannot be
+    used.
+    """
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for f in dataclasses.fields(simulate.ReplicateResult):
+            a, b = getattr(g, f.name), getattr(e, f.name)
+            same = (a == b or (isinstance(a, float) and isinstance(b, float)
+                               and math.isnan(a) and math.isnan(b)))
+            assert same, (g.replicate, g.model, f.name, a, b)
 
 
 class TestConfig:
@@ -217,6 +238,57 @@ class TestRunCell:
             (1, "M1", str(error))]
         m1 = next(s for s in summaries if s.model == "M1")
         assert (m1.n_converged, m1.n_replicates) == (2, 3)
+
+    def test_worker_failure_matches_serial(self, monkeypatch):
+        # Each forked worker counts only its own calls, so the injected
+        # failure is keyed on the replicate's data: replicate 2's validation
+        # cohort, model M1.
+        cfg = simulate.setting1(n1=600, n2=60, event_rate=0.10, replicates=5, seed=25)
+        target = simulate.gen_validation(cfg, simulate._replicate_rng(25, 0, 2)).x[0]
+        fit_gee = mem.fit_gee
+
+        def fails_on_replicate_2(validation, spec, **kwargs):
+            if validation.x[0] == target and spec.variant == "standard":
+                raise ArithmeticError("injected failure")
+            return fit_gee(validation, spec, **kwargs)
+
+        monkeypatch.setattr(mem, "fit_gee", fails_on_replicate_2)
+        s1, r1 = simulate.run_cell(cfg, threads=1)
+        s2, r2 = simulate.run_cell(cfg, threads=2)
+        assert [(r.replicate, r.model, r.error) for r in r1 if not r.converged] == [
+            (2, "M1", "injected failure")]
+        assert_same_results(r2, r1)
+        assert [(s.model, s.n_converged, s.n_replicates) for s in s2] == [
+            ("M1", 4, 5), ("M2", 5, 5)]
+        assert [(s.model, s.n_converged, s.n_replicates) for s in s1] == [
+            ("M1", 4, 5), ("M2", 5, 5)]
+
+    def test_workers_capped_at_replicates(self, monkeypatch):
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        cfg = simulate.setting1(n1=600, n2=60, event_rate=0.10, replicates=1, seed=26)
+        s4, r4 = simulate.run_cell(cfg, threads=4)
+        assert started == [1]
+        s1, r1 = simulate.run_cell(cfg, threads=1)
+        assert started == [1]  # one thread runs in this process
+        assert_same_results(r4, r1)
+
+    def test_too_few_validation_subjects_recorded(self):
+        # One validation subject: V_alpha is singular for both models.
+        cfg = simulate.setting1(n1=600, n2=1, event_rate=0.10, replicates=2, seed=1)
+        summaries, results = simulate.run_cell(cfg)
+        assert [(r.replicate, r.model, r.converged) for r in results] == [
+            (0, "M1", False), (0, "M2", False), (1, "M1", False), (1, "M2", False)]
+        m2 = [r for r in results if r.model == "M2"]
+        assert all(r.error.startswith("1 validation subjects for 8 calibration "
+                                      "coefficients") for r in m2)
+        assert all(s.n_converged == 0 and s.flagged for s in summaries)
 
     def test_replicates_validated(self):
         cfg = simulate.setting1(replicates=1)
