@@ -12,7 +12,7 @@ All commands accept --config pointing at an INI file whose [simulate],
 [select], [fit] sections provide defaults; explicit flags override the file.
 The effective configuration is echoed to a provenance file next to the
 outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure.
+failure, 5 a worker process of ``simulate --threads N`` died.
 """
 
 import argparse
@@ -30,6 +30,7 @@ from . import (__version__, data_model, inference, linalg, mem, model_select,
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 
 class UsageError(ValueError):
@@ -395,6 +396,15 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except RuntimeError as exc:
+        # A dead worker process breaks the pool (BrokenProcessPool).  The
+        # executor module is imported here, where it is already loaded if a
+        # pool ran, because importing it up front slows every command.
+        from concurrent.futures import BrokenExecutor
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

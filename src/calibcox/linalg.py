@@ -5,8 +5,16 @@ multivariate-normal sampling) runs through these three primitives.  Matrices
 here are small (at most a few dozen rows), so the implementations favor
 transparent, well-tested algorithms over BLAS bindings: column-blocked
 Cholesky and a cyclic Jacobi eigensolver.
+
+The Jacobi rotations run on lists of Python floats rather than on NumPy
+rows.  A rotation is a handful of scalar products per entry, which NumPy
+would spend most of its time dispatching; and a Python float operation
+rounds exactly as NumPy's elementwise float64 operation on the same
+operands does (both are one IEEE-754 double operation, with no fused
+multiply-add), so the eigenpairs are bit for bit those of the array version.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +97,20 @@ def solve_upper(U, b):
     return x
 
 
+def cho_solve(L, b):
+    """Solve (L L') x = b given the Cholesky factor L of an SPD matrix.
+
+    b may be a vector or a matrix of right-hand sides.
+    """
+    return solve_upper(L.T, solve_lower(L, b))
+
+
 def solve_spd(a, b):
     """Solve a x = b for symmetric positive-definite a via Cholesky.
 
     b may be a vector or a matrix of right-hand sides.
     """
-    L = cholesky(a)
-    return solve_upper(L.T, solve_lower(L, b))
+    return cho_solve(cholesky(a), b)
 
 
 def inv_spd(a):
@@ -119,39 +134,45 @@ def sym_eigen(a):
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Matrices in this package are at most ~30x30, where Jacobi is both simple
-    and accurate to machine precision.
+    and accurate to machine precision (Golub & Van Loan, *Matrix
+    Computations*, section 8.5).  The rotations update lists of Python
+    floats: each entry's ``c*x - s*y`` is rounded exactly as the elementwise
+    NumPy expression on whole rows rounds it, so the result equals the array
+    version's bit for bit.  The convergence test between sweeps stays a
+    NumPy sum, whose pairwise order the loop would not reproduce.
     """
     a = _check_symmetric(a, "sym_eigen input")
     n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        return SymEigen(np.zeros(n), V)
+        return SymEigen(np.zeros(n), np.eye(n))
+    A = a.tolist()                # rows
+    Vt = np.eye(n).tolist()       # rows of Vt are the columns of V
     for _ in range(constants.JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
+        off = np.sqrt(np.sum(np.tril(np.array(A), -1) ** 2))
         if off <= constants.JACOBI_OFFDIAG_TOL * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = A[p][q]
                 if abs(apq) <= 1e-300:
                     continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                theta = 0.5 * (A[q][q] - A[p][p]) / apq
                 if theta == 0.0:
                     t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                else:
+                    sign = 1.0 if theta > 0.0 else -1.0
+                    t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    vals = np.diag(A).copy()
+                for row in A:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                for rows in (A, Vt):
+                    xs, ys = rows[p], rows[q]
+                    rows[p] = [c * x - s * y for x, y in zip(xs, ys)]
+                    rows[q] = [s * x + c * y for x, y in zip(xs, ys)]
+    vals = np.diag(np.array(A))
     order = np.argsort(vals)[::-1]
-    return SymEigen(vals[order], V[:, order])
+    return SymEigen(vals[order], np.array(Vt).T[:, order])

@@ -84,12 +84,6 @@ class _Clusters:
                 buckets.append((m, pos, order[starts[lo + pos, None] + np.arange(m)]))
             self.blocks.append((len(in_block), buckets))
 
-    def split(self, values):
-        """Each subject's entries of ``values``, as views, in subject order."""
-        ordered = values[self.order]
-        ends = np.cumsum(self.sizes).tolist()
-        return [ordered[e - m:e] for m, e in zip(self.sizes.tolist(), ends)]
-
 
 def _subject_sums(clusters, terms, shapes):
     """Sums over subjects of per-subject terms, added in subject order.
@@ -129,18 +123,21 @@ def _design_and_groups(validation, spec, transform=None):
 
 
 def _check_rank(phi):
+    """Cholesky factor of the Gram matrix phi' phi, which the OLS solve reuses.
+
+    Raises SingularDesignError when the design is numerically rank deficient.
+    """
     gram = phi.T @ phi
     # Relative pivot floor: exact collinearity leaves a tiny positive pivot
     # in floating point, which must still count as rank deficiency.
     floor = 1e-10 * float(np.max(np.diag(gram)))
     try:
-        linalg.cholesky(gram, min_pivot=floor)
+        return linalg.cholesky(gram, min_pivot=floor)
     except DecompositionError as exc:
         raise SingularDesignError(
             f"design matrix is rank deficient: column {exc.pivot} is collinear "
             f"with the preceding columns"
         ) from exc
-    return gram
 
 
 # The per-subject products below are stacked np.matmul calls over a bucket.
@@ -174,46 +171,45 @@ def fit_ols(validation, spec, transform=None):
     covariance is the cluster-robust sandwich grouped by subject id.
     """
     phi, clusters, transform = _design_and_groups(validation, spec, transform)
-    gram = _check_rank(phi)
-    alpha = linalg.solve_spd(gram, phi.T @ validation.x)
+    L = _check_rank(phi)
+    alpha = linalg.cho_solve(L, phi.T @ validation.x)
     resid = validation.x - phi @ alpha
     n, p = phi.shape
     sigma2 = float(resid @ resid) / max(n - p, 1)
-    bread_inv = linalg.inv_spd(gram)
+    bread_inv = linalg.cho_solve(L, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv)
     return MemFit(params=MemParams(alpha=alpha), psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(clusters.sizes), n_obs=n)
 
 
-def estimate_psi(subject_residuals, sigma2=None):
+def estimate_psi(resid, clusters, sigma2):
     """Moment estimator of the exchangeable within-subject correlation.
 
     Mean pairwise within-subject residual product divided by the residual
-    variance.  Falls back to 0 when no subject contributes a pair; estimates
-    outside [0, PSI_MAX] are clamped.  It never warns: the GEE fits call it
-    once per IRLS iteration, also from concurrent Monte Carlo replicates,
-    where silencing a warning would swap the process-wide filter list.
+    variance ``sigma2``.  ``resid`` holds one residual per row and
+    ``clusters`` is the fit's own grouping of those rows by subject, so the
+    pair products are summed over its size buckets without regrouping the
+    residuals.  Falls back to 0 when no subject contributes a pair or
+    sigma2 is not positive; estimates outside [0, PSI_MAX] are clamped.  It
+    never warns: the GEE fits call it once per IRLS iteration, also from
+    concurrent Monte Carlo replicates, where silencing a warning would swap
+    the process-wide filter list.
     """
-    groups = [np.asarray(r, dtype=float) for r in subject_residuals]
-    all_resid = np.concatenate(groups) if groups else np.array([])
-    if all_resid.size == 0:
+    if resid.size == 0:
         raise ContractViolationError("no residuals supplied")
-    if sigma2 is None:
-        sigma2 = float(all_resid @ all_resid) / all_resid.size
-    sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-    clusters = _Clusters(np.arange(all_resid.size), sizes, _BLOCK_VALUES)
 
     def pair_products(m, rows):
         # Half the sum of a subject's pairwise residual products, or 0 for
         # a single occasion; r @ r is the slice product, as ddot forms it.
         if m < 2:
             return (np.zeros(len(rows)),)
-        r = all_resid[rows]
+        r = resid[rows]
         s = r.sum(axis=1)
         return (0.5 * (s * s - np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]),)
 
     num, = _subject_sums(clusters, pair_products, ((),))
+    sizes = clusters.sizes
     pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if pairs == 0 or sigma2 <= 0.0:
         return 0.0
@@ -257,20 +253,20 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         return fit_ols(validation, spec, transform=transform)
 
     phi, clusters, transform = _design_and_groups(validation, spec, transform)
-    _check_rank(phi)
     x = validation.x
     n, p = phi.shape
     # IRLS from the OLS solution.
-    alpha = linalg.solve_spd(phi.T @ phi, phi.T @ x)
+    alpha = linalg.cho_solve(_check_rank(phi), phi.T @ x)
     psi = 0.0
     last_delta = np.inf
     for _ in range(constants.GEE_MAX_ITER):
         resid = x - phi @ alpha
         sigma2 = float(resid @ resid) / max(n - p, 1)
-        psi = estimate_psi(clusters.split(resid), sigma2=sigma2)
+        psi = estimate_psi(resid, clusters, sigma2)
         vinv = _exchangeable_inverses(clusters.sizes, psi)
         A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
-        new_alpha = linalg.solve_spd(A, rhs)
+        L = linalg.cholesky(A)
+        new_alpha = linalg.cho_solve(L, rhs)
         last_delta = float(np.max(np.abs(new_alpha - alpha)))
         alpha = new_alpha
         if last_delta < constants.GEE_PARAM_TOL:
@@ -282,8 +278,9 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
 
     resid = x - phi @ alpha
     sigma2 = float(resid @ resid) / max(n - p, 1)
-    # The bread depends on psi alone, so the last iteration's A is the bread.
-    bread_inv = linalg.inv_spd(A)
+    # The bread depends on psi alone, so the last iteration's A, factored as
+    # L, is the bread.
+    bread_inv = linalg.cho_solve(L, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=vinv)
     return MemFit(params=MemParams(alpha=alpha), psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,

@@ -8,6 +8,8 @@ comes from a fit on the full data.  Candidates are ranked by MAE with QIC as
 the tiebreaker.
 """
 
+import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,25 +60,43 @@ def _subset(validation, rows):
 def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
     """Fit every candidate on k-1 folds, score on the held-out fold, rank.
 
-    Failed candidates are kept in the output, marked and sorted last.
+    A transform depends on the data it is fitted on and on the spec's
+    reduction, not on its interactions.  So each training set's (and the
+    full data's) transform is fitted once per reduction, when a candidate
+    first needs it, and handed to the fits of every candidate that differs
+    only in interactions; a candidate whose transform cannot be fitted
+    fails with the message it did when it fitted its own.  Failed
+    candidates are kept in the output, marked and sorted last.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     folds = kfold_split(validation, k=k, rng=rng)
     all_rows = np.arange(len(validation))
     splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
               for f in folds]
+    fitted = {}
+
+    def fit_gee(key, data, spec):
+        reduction = dataclasses.replace(spec, include_interactions=False,
+                                        interacting_confounders=None)
+        if (key, reduction) not in fitted:
+            fitted[key, reduction] = transforms.fit_transform(
+                reduction, data.z, data.radii,
+                warn=lambda msg: warnings.warn(msg, stacklevel=3))
+        return mem.fit_gee(data, spec, working=working,
+                           transform=fitted[key, reduction])
+
     out = []
     for spec in specs:
         abs_errors, sq_errors, fold_maes = [], [], []
         try:
-            for train, test in splits:
-                fit = mem.fit_gee(train, spec, working=working)
+            for i, (train, test) in enumerate(splits):
+                fit = fit_gee(i, train, spec)
                 pred = mem.predict_mu_matrix(fit, test.z, test.w)
                 err = test.x - pred
                 abs_errors.append(np.abs(err))
                 sq_errors.append(err ** 2)
                 fold_maes.append(float(np.mean(np.abs(err))))
-            full = mem.fit_gee(validation, spec, working=working)
+            full = fit_gee("full", validation, spec)
             qic_value = mem.qic(full, validation)
         except (ValueError, ArithmeticError) as exc:
             out.append(CvMetrics(spec=spec, mae_mean=np.nan, mae_q25=np.nan,

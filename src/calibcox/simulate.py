@@ -30,7 +30,7 @@ workers do not oversubscribe the cores.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,6 +247,15 @@ def model_specs(cfg):
 
 @dataclass(frozen=True)
 class ReplicateResult:
+    """One model's outcome on one replicate; NaN marks an estimate a failed
+    fit did not produce.
+
+    Two results are equal when their fields are, with NaN equal to NaN: a
+    result that comes back from a worker process is unpickled, so its NaN
+    fields are new float objects, and the field-tuple comparison a dataclass
+    generates holds NaN equal only to the very same object.
+    """
+
     replicate: int
     model: str
     converged: bool
@@ -257,6 +266,18 @@ class ReplicateResult:
     se3: float = np.nan
     ci3_covers: bool = False
     error: str = ""
+
+    def _key(self):
+        return tuple(None if isinstance(v, float) and math.isnan(v) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

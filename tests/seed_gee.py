@@ -4,9 +4,11 @@ A verbatim copy of the per-subject loop versions of ``fit_gee``,
 ``fit_ols``, ``estimate_psi``, ``_exchangeable_inverses`` and
 ``_cluster_sandwich`` (one working inverse, one score and one outer product
 per subject, added into a running total), kept as the reference that
-``test_gee_buckets`` requires the bucketed fits to match bit for bit.  Two
-things differ: the imports, and ``_design_and_groups`` builds the subject
-groups from ``subject_groups()`` here, as the loop versions did.
+``test_gee_buckets`` requires the bucketed fits to match bit for bit.  Three
+things differ: the imports; ``_design_and_groups`` builds the subject groups
+from ``subject_groups()`` here, as the loop versions did; and ``fit_ols``
+forms the Gram matrix itself, because ``mem._check_rank`` now returns its
+Cholesky factor.
 """
 
 import warnings
@@ -49,7 +51,8 @@ def fit_ols(validation, spec, transform=None):
     covariance is the cluster-robust sandwich grouped by subject id.
     """
     phi, groups, transform = _design_and_groups(validation, spec, transform)
-    gram = _check_rank(phi)
+    _check_rank(phi)
+    gram = phi.T @ phi
     alpha = linalg.solve_spd(gram, phi.T @ validation.x)
     resid = validation.x - phi @ alpha
     n, p = phi.shape

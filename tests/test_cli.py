@@ -3,11 +3,12 @@
 import dataclasses
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from calibcox import cli, data_model, simulate
+from calibcox import cli, data_model, mem, simulate
 from calibcox.cli import main
 
 
@@ -86,6 +87,24 @@ class TestSimulateCommand:
         assert "fork" in err
         assert not out.exists()
         assert main(argv + ["--threads", "1"]) == 0
+
+    def test_dead_worker_exits_5(self, tmp_path, capsys, monkeypatch):
+        # The injected fit ends the process it runs in unless that is this
+        # one, so only a forked worker dies.
+        parent = os.getpid()
+        fit_gee = mem.fit_gee
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fit_gee(*args, **kwargs)
+
+        monkeypatch.setattr(mem, "fit_gee", dies_in_worker)
+        code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "2",
+                     "--seed", "1", "--threads", "2", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_WORKER
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
 
     def test_zero_replicates_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "0",

@@ -15,6 +15,7 @@ import pytest
 from calibcox import data_model, mem, model_select, simulate
 from calibcox.transforms import DesignSpec
 import seed_gee
+from conftest import residual_clusters
 
 SPECS = [DesignSpec(variant="standard"),
          DesignSpec(variant="standard", include_interactions=True),
@@ -102,17 +103,23 @@ def test_cv_folds(block, rng):
 
 def test_estimate_psi(rng):
     # The loop version warns when it clamps psi or finds no pair; the
-    # bucketed one returns the same value and never warns.
+    # bucketed one returns the same value and never warns.  The loop
+    # version's default sigma2 is the mean squared residual, passed here
+    # explicitly.  Subjects may have no residuals or a single one.
     ragged = [rng.normal(size=m) + 0.5 * rng.normal()
               for m in rng.choice([0, 1, 2, 3, 8], size=40)]
     for groups, sigma2 in [(ragged, None), (ragged, 0.7), (ragged, 0.2),
+                           (ragged, 0.0),
                            ([np.array([1.0]), np.array([2.0])], None),
                            ([np.array([1.0, -1.0]), np.array([2.0, -2.0])], None)]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = mem.estimate_psi(groups, sigma2)
-        assert caught == []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = seed_gee.estimate_psi(groups, sigma2)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for block in (1, 3, mem._BLOCK_VALUES):
+            resid, clusters = residual_clusters(groups, block)
+            s2 = float(resid @ resid) / resid.size if sigma2 is None else sigma2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = mem.estimate_psi(resid, clusters, s2)
+            assert caught == []
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), block

@@ -11,7 +11,7 @@ import pytest
 from calibcox import linalg, mem, simulate, transforms
 from calibcox.transforms import DesignSpec
 
-from conftest import make_validation
+from conftest import make_validation, residual_clusters
 
 
 STD = DesignSpec(variant="standard")
@@ -126,9 +126,18 @@ class TestFitGee:
             mem.fit_gee(val, STD, working="ar1")
 
 
+def _psi(groups, sigma2=None):
+    """estimate_psi on per-subject residual groups; sigma2 defaults to the
+    mean squared residual."""
+    resid, clusters = residual_clusters(groups)
+    if sigma2 is None:
+        sigma2 = float(resid @ resid) / resid.size
+    return mem.estimate_psi(resid, clusters, sigma2)
+
+
 class TestEstimatePsi:
     def test_identical_residuals_clamped(self):
-        psi = mem.estimate_psi([np.array([1.0, 1.0]), np.array([-2.0, -2.0])])
+        psi = _psi([np.array([1.0, 1.0]), np.array([-2.0, -2.0])])
         assert psi == pytest.approx(0.99)
 
     def test_hand_computed_two_by_two(self):
@@ -137,17 +146,22 @@ class TestEstimatePsi:
         groups = [np.array([1.0, 0.5]), np.array([-1.0, -0.5])]
         sigma2 = (1.0 + 0.25 + 1.0 + 0.25) / 4.0
         expected = ((1.0 * 0.5) + (1.0 * 0.5)) / 2.0 / sigma2
-        assert mem.estimate_psi(groups, sigma2=sigma2) == pytest.approx(expected)
+        assert _psi(groups, sigma2=sigma2) == pytest.approx(expected)
 
     def test_independent_residuals_near_zero(self, rng):
         vals = []
         for _ in range(50):
             groups = [rng.normal(size=4) for _ in range(80)]
-            vals.append(mem.estimate_psi(groups))
+            vals.append(_psi(groups))
         assert abs(np.mean(vals)) < 0.02
 
     def test_single_occasion_zero(self):
-        assert mem.estimate_psi([np.array([1.0]), np.array([2.0])]) == 0.0
+        assert _psi([np.array([1.0]), np.array([2.0])]) == 0.0
+
+    def test_no_residuals_rejected(self):
+        resid, clusters = residual_clusters([np.array([]), np.array([])])
+        with pytest.raises(linalg.ContractViolationError, match="no residuals"):
+            mem.estimate_psi(resid, clusters, 1.0)
 
 
 class TestPredictMu:
