@@ -230,9 +230,8 @@ def cmd_select(args):
             writer.writerows(rows)
         best = next((m for m in metrics if not m.failed), None)
         if best is not None:
-            full = mem.fit_gee(validation, best.spec, working=args.working)
             (outdir / "best_transform.json").write_text(
-                transforms.transform_to_json(best.spec, full.transform))
+                transforms.transform_to_json(best.spec, best.transform))
         _write_provenance(outdir, "select", {
             "seed": seed, "folds": folds, "working": args.working,
             "validation_csv": str(args.validation_csv),
@@ -263,7 +262,11 @@ def cmd_fit(args):
         raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
                                     "needs at least one")
     spec = parse_spec_token(spec_token, main.radii)
-    memfit = mem.fit_gee(validation, spec, working=args.working)
+    try:
+        memfit = mem.fit_gee(validation, spec, working=args.working)
+    except linalg.ContractViolationError as exc:
+        # The spec parsed, so the fit rejects the data (too few rows, say).
+        raise data_model.ParseError(f"{args.validation_csv}: {exc}") from None
     cox = inference.fit_calibrated_cox(main, memfit,
                                        check_derivatives=args.check_derivatives)
     try:

@@ -1,12 +1,13 @@
-"""Cox partial likelihood: log-likelihood, score, information, Newton fit.
+"""Cox partial likelihood: score, information, Newton fit.
 
 Covariate rows are u_i = [xhat_i, w_i', (xhat_i * w_i[interacting])'] with
 the calibrated exposure in the first slot.  Ties are handled by the Breslow
 convention, which is exact for the continuous simulated times and the
 simplest correct choice otherwise.  A cohort enters this module, and
-:mod:`calibcox.inference`, only as a :class:`RiskSets`: callers build one per
-cohort, which sorts the rows by time once, and pass it to every evaluation,
-each then a few reverse cumulative sweeps, O(n d^2).  The S2 sums of the
+:mod:`calibcox.inference`, only as a :class:`RiskSets` over rows that
+already arrive in time order: the caller sorts its cohort once, before it
+builds any per-row array, and every evaluation is then a few reverse
+cumulative sweeps, O(n d^2), with no gather of rows.  The S2 sums of the
 information are taken in blocks of rows from the last row down, with the
 running total carried between blocks, so no n x d x d array is built and
 every element is still added in the order of one sweep over all rows.
@@ -64,50 +65,52 @@ _BLOCK_VALUES = 1 << 16
 
 
 class RiskSets:
-    """The time order of one cohort and the risk set of each of its events.
+    """The risk set of each event of one cohort whose rows are in time order.
 
-    Every risk-set sum runs over rows sorted by time, and the order depends
-    on the times alone, so a fit sorts once and reuses this state for every
-    beta and every set of covariate rows: each Newton step, the information,
-    G, U_alpha and each finite-difference score.
+    Every risk-set sum runs over rows sorted by time, and the rows arrive
+    sorted: the caller puts its cohort in time order once, before it builds
+    any per-row array, so each Newton step, the information, G, U_alpha and
+    each finite-difference score read their rows as given.  Times that
+    decrease anywhere raise ``ContractViolationError``.
 
-    order   stable argsort of the times
-    time    the sorted times
-    events  sorted positions of the events
-    start   for each event, the first sorted row tied with it: its risk
-            set is every row from there on (ties share a risk set)
+    time    the non-decreasing times
+    events  positions of the events
+    start   for each event, the first row tied with it: its risk set is
+            every row from there on (ties share a risk set)
 
     A cohort without events has no risk set and raises ``ValueError``.
     """
 
     def __init__(self, time, event):
         time = np.asarray(time, dtype=float)
-        self.order = np.argsort(time, kind="stable")
-        self.time = time[self.order]
-        self.events = np.flatnonzero(np.asarray(event)[self.order] == 1)
+        if not np.all(time[:-1] <= time[1:]):
+            raise linalg.ContractViolationError(
+                "times must be non-decreasing: sort the cohort by time first")
+        self.time = time
+        self.events = np.flatnonzero(np.asarray(event) == 1)
         if not self.events.size:
             raise ValueError("need at least one event")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
 
-    def sort(self, a):
-        """Rows of ``a`` in time order, as a new C-contiguous float array."""
-        a = np.asarray(a, dtype=float)
-        if len(a) != len(self.order):
-            raise linalg.ContractViolationError(
-                f"{len(a)} rows for a cohort of {len(self.order)} subjects")
-        # np.take copies the same rows as a[order], several times faster.
-        return np.take(a, self.order, axis=0)
+    def check_rows(self, *arrays):
+        """Raise ``ContractViolationError`` unless each array has a row per subject."""
+        for a in arrays:
+            if len(a) != len(self.time):
+                raise linalg.ContractViolationError(
+                    f"{len(a)} rows for a cohort of {len(self.time)} subjects")
 
-    def sums(self, u_s, beta):
-        """(eta, w, S0, S1) for time-sorted rows ``u_s`` at ``beta``.
+    def sums(self, u, beta):
+        """(eta, w, S0, S1) for the cohort's rows ``u`` at ``beta``.
 
         w = exp(eta - max eta); S0 and S1 are the suffix sums of w and w*u,
-        so S0[start[e]] is event e's (scaled) risk-set total.
+        so S0[start[e]] is event e's (scaled) risk-set total.  Every
+        evaluator of the cohort's rows reaches them through here.
         """
-        eta = u_s @ np.asarray(beta, dtype=float)
+        self.check_rows(u)
+        eta = u @ np.asarray(beta, dtype=float)
         w = np.exp(eta - eta.max())
         S0 = np.cumsum(w[::-1])[::-1]
-        S1 = np.cumsum((w[:, None] * u_s)[::-1], axis=0)[::-1]
+        S1 = np.cumsum((w[:, None] * u)[::-1], axis=0)[::-1]
         return eta, w, S0, S1
 
     def loglik(self, eta, S0):
@@ -115,17 +118,17 @@ class RiskSets:
         return float(np.sum(eta[self.events]
                             - (np.log(S0[self.start]) + eta.max())))
 
-    def score(self, u_s, S0, S1):
+    def score(self, u, S0, S1):
         """sum over events of u_i - S1/S0, from :meth:`sums`."""
         ubar = S1[self.start] / S0[self.start, None]
-        return np.sum(u_s[self.events] - ubar, axis=0)
+        return np.sum(u[self.events] - ubar, axis=0)
 
-    def information(self, u_s, w, S0, S1):
+    def information(self, u, w, S0, S1):
         """sum over events of S2/S0 - (S1/S0)(S1/S0)', from :meth:`sums`."""
-        d = u_s.shape[1]
-        wu = w[:, None] * u_s
+        d = u.shape[1]
+        wu = w[:, None] * u
         S2 = self.suffix_at_starts(
-            lambda lo, hi: wu[lo:hi, :, None] * u_s[lo:hi, None, :], (d, d))
+            lambda lo, hi: wu[lo:hi, :, None] * u[lo:hi, None, :], (d, d))
         ubar = S1[self.start] / S0[self.start, None]
         info = (S2 / S0[self.start, None, None]).sum(axis=0)
         info -= np.einsum("ij,ik->jk", ubar, ubar)
@@ -135,7 +138,7 @@ class RiskSets:
         """Suffix sums of per-row terms at each event's risk-set start.
 
         ``terms(lo, hi)`` returns a new array of shape ``(hi - lo,) + shape``
-        holding the terms of sorted rows lo..hi-1.  Row blocks run from the
+        holding the terms of rows lo..hi-1.  Row blocks run from the
         last row down; the running total is added into each block's first
         reversed row before ``np.cumsum``, so every element is added in the
         order of one cumsum over all n rows, while only one block is held.
@@ -159,33 +162,16 @@ class RiskSets:
         return out
 
 
-def _rows(u):
-    u = np.asarray(u, dtype=float)
-    return u[:, None] if u.ndim == 1 else u
-
-
-def log_partial_likelihood(rs, u, beta):
-    """Breslow log partial likelihood at beta (constant term dropped).
-
-    The risk-set sum is evaluated in log-sum-exp form: linear predictors are
-    centered at their maximum before exponentiation.
-    """
-    eta, _, S0, _ = rs.sums(rs.sort(_rows(u)), beta)
-    return rs.loglik(eta, S0)
-
-
 def score(rs, u, beta):
     """Score vector sum_i D_i (u_i - S1/S0 at T_i)."""
-    u_s = rs.sort(_rows(u))
-    _, _, S0, S1 = rs.sums(u_s, beta)
-    return rs.score(u_s, S0, S1)
+    _, _, S0, S1 = rs.sums(u, beta)
+    return rs.score(u, S0, S1)
 
 
 def information(rs, u, beta):
     """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)')."""
-    u_s = rs.sort(_rows(u))
-    _, w, S0, S1 = rs.sums(u_s, beta)
-    return rs.information(u_s, w, S0, S1)
+    _, w, S0, S1 = rs.sums(u, beta)
+    return rs.information(u, w, S0, S1)
 
 
 def fit(rs, u, init=None):
@@ -196,17 +182,17 @@ def fit(rs, u, init=None):
     magnitude of the corresponding quantity at the starting point.  Any
     coefficient running past COX_DIVERGENCE_BOUND is treated as
     monotone-likelihood separation; a Newton step that no halving makes
-    ascend raises :class:`CoxConvergenceError`.  The rows are put in time
-    order once, and every step reuses them.
+    ascend raises :class:`CoxConvergenceError`.
 
-    Returns (beta, ConvergenceReport).
+    Returns (beta, ConvergenceReport, sums, information), with the
+    :meth:`RiskSets.sums` and the information the last step computed at
+    beta, so the variance needs no second evaluation there.
     """
-    u_s = rs.sort(_rows(u))
-    d = u_s.shape[1]
+    d = u.shape[1]
     beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
-    eta, w, S0, S1 = rs.sums(u_s, beta)
+    eta, w, S0, S1 = rs.sums(u, beta)
     ll = rs.loglik(eta, S0)
-    sc, info = rs.score(u_s, S0, S1), rs.information(u_s, w, S0, S1)
+    sc, info = rs.score(u, S0, S1), rs.information(u, w, S0, S1)
     # Scale-aware tolerances: the score is a sum over events, so its floating
     # point noise floor grows with the data; anchor both tests to the size of
     # the problem at the starting point.
@@ -218,7 +204,7 @@ def fit(rs, u, init=None):
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            eta, w, S0, S1 = rs.sums(u_s, cand)
+            eta, w, S0, S1 = rs.sums(u, cand)
             ll_new = rs.loglik(eta, S0)
             if ll_new >= ll - 1e-13:
                 break
@@ -229,13 +215,14 @@ def fit(rs, u, init=None):
                 f"raise the log-likelihood (grad norm {np.max(np.abs(sc)):.3e})")
         delta_ll = ll_new - ll
         beta, ll = cand, ll_new
-        sc, info = rs.score(u_s, S0, S1), rs.information(u_s, w, S0, S1)
+        sc, info = rs.score(u, S0, S1), rs.information(u, w, S0, S1)
         if np.max(np.abs(beta)) > constants.COX_DIVERGENCE_BOUND:
             raise CoxDivergenceError(
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "
                 f"likely monotone likelihood (separation)")
         if np.max(np.abs(sc)) < g_tol and abs(delta_ll) < ll_tol:
-            return beta, ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
+            report = ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
+            return beta, report, (eta, w, S0, S1), info
     raise CoxConvergenceError(
         f"Newton-Raphson did not converge in {constants.COX_MAX_ITER} iterations "
         f"(grad norm {np.max(np.abs(sc)):.3e})")

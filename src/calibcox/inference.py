@@ -18,19 +18,20 @@ d beta-hat / d alpha = (N I)^-1 U_a.
 U_a is computed analytically; a finite-difference verification mode recomputes
 it by central differences in alpha and reports the relative discrepancy.
 
-The main study enters every function here as one :class:`coxph.RiskSets`,
-built once per fit: the Newton loop, the information, G, U_a and every
-finite-difference score reuse its time order.  The risk-set sums of U_a and
-of the information's S2 are taken in blocks of rows from the last row down,
-carrying the running total, so their n x d x d_alpha and n x d x d arrays
-are never built.
+:func:`fit_calibrated_cox` sorts the main study by time once, at entry, so
+every per-row array is built in risk-set order and the study enters each
+function here as one :class:`coxph.RiskSets` over those rows.  I, G and U_a
+reuse the risk-set sums the Newton fit holds at beta-hat.  The risk-set
+sums of U_a and of the information's S2 are taken in blocks of rows from
+the last row down, carrying the running total, so their n x d x d_alpha and
+n x d x d arrays are never built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants, coxph, linalg, mem, transforms
+from . import constants, coxph, linalg, transforms
 
 
 class TooFewSubjectsError(ArithmeticError):
@@ -66,10 +67,11 @@ class CoxFit:
     term_names: tuple
 
 
-def g_beta_hat(rs, u, beta):
+def g_beta_hat(rs, u, sums):
     """Robust score-residual outer-product mean.
 
-    Each subject's residual is its own score contribution minus its weighted
+    ``sums`` is :meth:`coxph.RiskSets.sums` of ``u`` at beta.  Each
+    subject's residual is its own score contribution minus its weighted
     appearances in every earlier event's risk set:
 
         W_i = D_i (u_i - ubar(T_i))
@@ -77,9 +79,8 @@ def g_beta_hat(rs, u, beta):
 
     and G = (1/N) sum_i W_i W_i'.
     """
-    u_s = rs.sort(coxph._rows(u))
-    n, d = u_s.shape
-    _, w, S0, S1 = rs.sums(u_s, beta)
+    n, d = u.shape
+    _, w, S0, S1 = sums
     ev = rs.events
     s0_e = S0[rs.start]
     ubar_e = S1[rs.start] / s0_e[:, None]
@@ -88,16 +89,17 @@ def g_beta_hat(rs, u, beta):
     ubar_over_s0 = np.vstack([np.zeros(d), np.cumsum(ubar_e / s0_e[:, None], axis=0)])
     # Number of event times <= each subject's follow-up (ties stay in the risk set).
     cnt = np.searchsorted(rs.time[ev], rs.time, side="right")
-    corr = w[:, None] * (u_s * inv_s0[cnt, None] - ubar_over_s0[cnt])
+    corr = w[:, None] * (u * inv_s0[cnt, None] - ubar_over_s0[cnt])
     resid = -corr
-    resid[ev] += u_s[ev] - ubar_e
+    resid[ev] += u[ev] - ubar_e
     return (resid.T @ resid) / n
 
 
-def u_alpha_hat(rs, u, beta, phi, c, b):
+def u_alpha_hat(rs, u, sums, phi, c, b):
     """Analytic derivative of the Cox score with respect to alpha.
 
-    The calibrated exposure enters each covariate row as mu_i = phi_i' alpha,
+    ``sums`` is :meth:`coxph.RiskSets.sums` of ``u`` at beta.  The
+    calibrated exposure enters each covariate row as mu_i = phi_i' alpha,
     so d u_i / d alpha = c_i phi_i' and d eta_i / d alpha = b_i phi_i', with
     c_i = d u_i / d mu_i and b_i = beta' c_i supplied by the caller.  The
     chain rule through both the event terms and the risk-set sums gives
@@ -110,20 +112,19 @@ def u_alpha_hat(rs, u, beta, phi, c, b):
     block (:meth:`coxph.RiskSets.suffix_at_starts`), so the n x d x d_alpha
     array of per-row terms is never built.
     """
-    u_s = rs.sort(coxph._rows(u))
-    phi_s, c_s, b_s = rs.sort(phi), rs.sort(c), rs.sort(b)
-    d, da = u_s.shape[1], phi_s.shape[1]
-    _, w, S0, S1 = rs.sums(u_s, beta)
+    rs.check_rows(u, phi, c, b)
+    d, da = u.shape[1], phi.shape[1]
+    _, w, S0, S1 = sums
     ev = rs.events
     # Suffix sums of w (c + b u) phi' and of w b phi at each risk-set start.
     SM = rs.suffix_at_starts(
         lambda lo, hi: (w[lo:hi, None, None]
-                        * (c_s[lo:hi] + b_s[lo:hi, None] * u_s[lo:hi])[:, :, None]
-                        * phi_s[lo:hi, None, :]), (d, da))
+                        * (c[lo:hi] + b[lo:hi, None] * u[lo:hi])[:, :, None]
+                        * phi[lo:hi, None, :]), (d, da))
     Sq = rs.suffix_at_starts(
-        lambda lo, hi: (w[lo:hi] * b_s[lo:hi])[:, None] * phi_s[lo:hi], (da,))
+        lambda lo, hi: (w[lo:hi] * b[lo:hi])[:, None] * phi[lo:hi], (da,))
     s0_e = S0[rs.start]
-    out = np.einsum("ij,ik->jk", c_s[ev], phi_s[ev])
+    out = np.einsum("ij,ik->jk", c[ev], phi[ev])
     out -= (SM / s0_e[:, None, None]).sum(axis=0)
     ratio = S1[rs.start] / (s0_e ** 2)[:, None]
     out += np.einsum("ij,ik->jk", ratio, Sq)
@@ -198,7 +199,8 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
     ``interacting`` selects which confounders get exposure interactions in
     the outcome model (all by default).  With ``check_derivatives`` the
     analytic alpha-derivative is verified against central finite differences.
-    The main study is sorted by time once, for every step of the fit.
+    The main study is put in time order here, once, by a stable sort of its
+    times; with distinct times, the fit does not depend on its row order.
     A validation fit on no more subjects than coefficients raises
     :class:`TooFewSubjectsError`, as its V_a is singular.
     """
@@ -207,22 +209,21 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
             f"{memfit.n_subjects} validation subjects for {len(memfit.alpha)} "
             f"calibration coefficients: V_alpha needs more subjects than "
             f"coefficients")
-    xhat = mem.predict_mu_matrix(memfit, main.z, main.w)
-    u = coxph.build_cox_rows(xhat, main.w, interacting=interacting)
-    rs = coxph.RiskSets(main.time, main.event)
-    beta, report = coxph.fit(rs, u)
+    order = np.argsort(main.time, kind="stable")
+    z, w = main.z[order], main.w[order]
+    rs = coxph.RiskSets(main.time[order], main.event[order])
+    phi = transforms.build_design_matrix(memfit.spec, memfit.transform, z, w)
+    u = coxph.build_cox_rows(phi @ memfit.alpha, w, interacting=interacting)
+    beta, report, sums, info = coxph.fit(rs, u)
     n = len(main)
-    info = coxph.information(rs, u, beta)
     i_beta = info / n
-    g_beta = g_beta_hat(rs, u, beta)
-    phi = transforms.build_design_matrix(memfit.spec, memfit.transform,
-                                         main.z, main.w)
-    c, b = calibration_jacobians(beta, main.w, interacting=interacting)
-    u_alpha = u_alpha_hat(rs, u, beta, phi, c, b)
+    g_beta = g_beta_hat(rs, u, sums)
+    c, b = calibration_jacobians(beta, w, interacting=interacting)
+    u_alpha = u_alpha_hat(rs, u, sums, phi, c, b)
     if check_derivatives:
         def builder(a):
             xh = phi @ a
-            return coxph.build_cox_rows(xh, main.w, interacting=interacting)
+            return coxph.build_cox_rows(xh, w, interacting=interacting)
         fd = u_alpha_fd(rs, builder, beta, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale

@@ -26,6 +26,7 @@ class CvMetrics:
     mae_q75: float
     mse_mean: float
     qic: float
+    transform: object  # fitted on the full data; None if failed or not needed
     failed: bool = False
     failure_reason: str = ""
 
@@ -101,7 +102,7 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
         except (ValueError, ArithmeticError) as exc:
             out.append(CvMetrics(spec=spec, mae_mean=np.nan, mae_q25=np.nan,
                                  mae_q50=np.nan, mae_q75=np.nan,
-                                 mse_mean=np.nan, qic=np.nan,
+                                 mse_mean=np.nan, qic=np.nan, transform=None,
                                  failed=True, failure_reason=str(exc)))
             continue
         abs_all = np.concatenate(abs_errors)
@@ -110,7 +111,7 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
         out.append(CvMetrics(spec=spec, mae_mean=float(abs_all.mean()),
                              mae_q25=float(q25), mae_q50=float(q50),
                              mae_q75=float(q75), mse_mean=float(sq_all.mean()),
-                             qic=float(qic_value)))
+                             qic=float(qic_value), transform=full.transform))
     ok = sorted((m for m in out if not m.failed),
                 key=lambda m: (m.mae_mean, m.qic))
     return ok + [m for m in out if m.failed]

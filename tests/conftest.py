@@ -63,6 +63,18 @@ def make_survival(rng, n=60, d=2, beta=None, censor_frac=0.3):
     return u, time, event, beta
 
 
+def time_ordered(time, event, *rows):
+    """``(time, event, *rows)`` in stable time order, as ``coxph.RiskSets`` takes them."""
+    order = np.argsort(time, kind="stable")
+    return tuple(np.asarray(a)[order] for a in (time, event) + rows)
+
+
+def loglik(rs, u, beta):
+    """Breslow log partial likelihood of the time-ordered rows ``u`` at ``beta``."""
+    eta, _, S0, _ = rs.sums(np.asarray(u, dtype=float), beta)
+    return rs.loglik(eta, S0)
+
+
 def risk_set_indices(time, event):
     """Risk sets {j : T_j >= T_i} for every event record, via one sort.
 

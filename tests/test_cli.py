@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from calibcox import cli, data_model, mem, simulate
+from calibcox import cli, data_model, mem, simulate, transforms
 from calibcox.cli import main
 
 
@@ -151,6 +151,22 @@ class TestSelectCommand:
         lines = (out / "selection.csv").read_text().splitlines()
         assert len(lines) - 1 >= 17
 
+    def test_best_transform_is_the_winners_full_data_fit(self, study_files,
+                                                         tmp_path):
+        # The file holds what a fit of the winner on the full validation
+        # data writes, byte for byte.
+        _, val_csv = study_files
+        out = tmp_path / "sel"
+        assert main(["select", str(val_csv), "--specs", "pca2", "pca3", "pca3+int",
+                     "--seed", "1", "--out", str(out)]) == 0
+        winner = (out / "selection.csv").read_text().splitlines()[1].split(",")[2]
+        validation = data_model.read_validation_csv(val_csv)
+        spec = cli.parse_spec_token(winner, validation.radii)
+        refit = mem.fit_gee(validation, spec)
+        assert spec.variant == "pca"
+        assert ((out / "best_transform.json").read_text()
+                == transforms.transform_to_json(spec, refit.transform))
+
     def test_missing_file_data_error(self, tmp_path, capsys):
         code = main(["select", str(tmp_path / "nope.csv"), "--seed", "1"])
         assert code == cli.EXIT_DATA
@@ -230,7 +246,8 @@ FIT = ["fit", "{main}", "--validation", "{val}"]
 
 
 class TestExitCodes:
-    """Bad arguments exit 2 with a usage error line, not a traceback."""
+    """Bad arguments exit 2 with a usage error line, and data a fit cannot
+    use exits 3 with a data error line, not a traceback."""
 
     @pytest.mark.parametrize("argv", [
         FIT + ["--spec", "pcax"],
@@ -271,6 +288,19 @@ class TestExitCodes:
         assert main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_validation_rows_is_data_error(self, study_files, tmp_path,
+                                                   capsys):
+        # pca3 needs four rows to fit its three axes.
+        main_csv, val_csv = study_files
+        few = tmp_path / "three_rows.csv"
+        few.write_text("\n".join(val_csv.read_text().splitlines()[:4]) + "\n")
+        code = main(["fit", str(main_csv), "--validation", str(few),
+                     "--spec", "pca3+int", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {few}: need at least 4 rows, got 3\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from calibcox import coxph
+from calibcox import coxph, linalg
 
-from conftest import make_survival
+from conftest import loglik, make_survival, time_ordered
 
 
 def direct_loglik(u, time, event, beta):
@@ -21,8 +21,9 @@ def direct_loglik(u, time, event, beta):
 class TestLogPartialLikelihood:
     def test_null_model_closed_form(self, rng):
         u, time, event, _ = make_survival(rng, n=40)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        ll = coxph.log_partial_likelihood(rs, u, np.zeros(u.shape[1]))
+        ll = loglik(rs, u, np.zeros(u.shape[1]))
         n_at_risk = [np.sum(time >= time[i]) for i in np.flatnonzero(event == 1)]
         assert ll == pytest.approx(-np.sum(np.log(n_at_risk)), abs=1e-10)
 
@@ -33,29 +34,37 @@ class TestLogPartialLikelihood:
         rs = coxph.RiskSets(time, event)
         beta = np.array([0.7])
         expected = np.log(np.exp(0.7) / (np.exp(0.7) + np.exp(1.4)))
-        assert coxph.log_partial_likelihood(rs, u, beta) == pytest.approx(expected)
+        assert loglik(rs, u, beta) == pytest.approx(expected)
 
     def test_matches_quadratic_scan(self, rng):
         u, time, event, beta = make_survival(rng, n=50, d=3)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        ll = coxph.log_partial_likelihood(rs, u, beta)
+        ll = loglik(rs, u, beta)
         assert ll == pytest.approx(direct_loglik(u, time, event, beta), abs=1e-10)
 
     def test_no_events_rejected(self, rng):
         _, time, _, _ = make_survival(rng, n=10)
         with pytest.raises(ValueError, match="at least one event"):
-            coxph.RiskSets(time, np.zeros(10, dtype=int))
+            coxph.RiskSets(np.sort(time), np.zeros(10, dtype=int))
+
+    def test_decreasing_times_rejected(self):
+        with pytest.raises(linalg.ContractViolationError,
+                           match="non-decreasing"):
+            coxph.RiskSets(np.array([1.0, 3.0, 2.0]), np.array([1, 1, 0]))
 
     def test_overflow_guard(self, rng):
         u, time, event, _ = make_survival(rng, n=30)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         big = 300.0 * np.ones(u.shape[1])
-        assert np.isfinite(coxph.log_partial_likelihood(rs, u, big))
+        assert np.isfinite(loglik(rs, u, big))
 
 
 class TestScore:
     def test_null_model_closed_form(self, rng):
         u, time, event, _ = make_survival(rng, n=30)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         sc = coxph.score(rs, u, np.zeros(u.shape[1]))
         expected = np.zeros(u.shape[1])
@@ -66,20 +75,21 @@ class TestScore:
 
     def test_stationarity_at_fit(self, rng):
         u, time, event, _ = make_survival(rng, n=80)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta, report = coxph.fit(rs, u)
+        beta, *_ = coxph.fit(rs, u)
         assert np.max(np.abs(coxph.score(rs, u, beta))) < 1e-6
 
     def test_finite_difference_oracle(self, rng):
         u, time, event, beta = make_survival(rng, n=40, d=2)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         sc = coxph.score(rs, u, beta)
         h = 1e-6
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            fd = (coxph.log_partial_likelihood(rs, u, beta + e)
-                  - coxph.log_partial_likelihood(rs, u, beta - e)) / (2 * h)
+            fd = (loglik(rs, u, beta + e) - loglik(rs, u, beta - e)) / (2 * h)
             assert abs(sc[k] - fd) / (1.0 + abs(fd)) < 1e-6
 
 
@@ -98,6 +108,7 @@ class TestInformation:
 
     def test_jacobian_finite_difference(self, rng):
         u, time, event, beta = make_survival(rng, n=35, d=3)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         info = coxph.information(rs, u, beta)
         h = 1e-5
@@ -113,6 +124,7 @@ class TestInformation:
             n = int(rng.integers(10, 40))
             d = int(rng.integers(1, 4))
             u, time, event, beta = make_survival(rng, n=n, d=d)
+            time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
             info = coxph.information(rs, u, beta)
             assert np.min(np.linalg.eigvalsh(info)) > -1e-9 * (1.0 + np.max(np.abs(info)))
@@ -125,18 +137,20 @@ class TestFit:
         cens = rng.exponential(1.5, size=2000)
         time = np.minimum(t0, cens)
         event = (t0 <= cens).astype(int)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta, _ = coxph.fit(rs, u)
+        beta, *_ = coxph.fit(rs, u)
         info = coxph.information(rs, u, beta)
         se = 1.0 / np.sqrt(info[0, 0])
         assert abs(beta[0]) < 3.0 * se
 
     def test_matches_grid_search(self, rng):
         u, time, event, _ = make_survival(rng, n=20, d=1)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta, _ = coxph.fit(rs, u)
+        beta, *_ = coxph.fit(rs, u)
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
-        lls = [coxph.log_partial_likelihood(rs, u, np.array([b])) for b in grid]
+        lls = [loglik(rs, u, np.array([b])) for b in grid]
         best = grid[int(np.argmax(lls))]
         assert abs(beta[0] - best) < 2e-4
 
@@ -156,6 +170,7 @@ class TestFit:
         # likelihood: the fit must stop and name the iteration instead of
         # taking the step.
         u, time, event, _ = make_survival(rng, n=50, beta=[1.0, -1.0])
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         monkeypatch.setattr(coxph.linalg, "solve_spd",
                             lambda a, b: -np.linalg.solve(a, b))
@@ -164,8 +179,9 @@ class TestFit:
 
     def test_report_fields(self, rng):
         u, time, event, _ = make_survival(rng, n=50)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta, report = coxph.fit(rs, u)
+        beta, report, *_ = coxph.fit(rs, u)
         assert report.converged
         assert report.iterations >= 1
         assert np.isfinite(report.loglik)
@@ -174,32 +190,36 @@ class TestFit:
 class TestInvariances:
     def test_location_invariance(self, rng):
         u, time, event, _ = make_survival(rng, n=60, d=2)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta0, _ = coxph.fit(rs, u)
+        beta0, *_ = coxph.fit(rs, u)
         shifted = u.copy()
         shifted[:, 0] += 3.7
-        beta1, _ = coxph.fit(rs, shifted)
+        beta1, *_ = coxph.fit(rs, shifted)
         assert np.max(np.abs(beta0 - beta1)) < 1e-8
 
     def test_scale_equivariance(self, rng):
         u, time, event, _ = make_survival(rng, n=60, d=2)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta0, _ = coxph.fit(rs, u)
+        beta0, *_ = coxph.fit(rs, u)
         scaled = u.copy()
         scaled[:, 1] *= 4.0
-        beta1, _ = coxph.fit(rs, scaled)
+        beta1, *_ = coxph.fit(rs, scaled)
         assert abs(beta1[1] - beta0[1] / 4.0) < 1e-8
         assert abs(beta1[0] - beta0[0]) < 1e-8
 
     def test_permutation_invariance(self, rng):
         u, time, event, beta = make_survival(rng, n=45, d=2)
-        rs = coxph.RiskSets(time, event)
         perm = rng.permutation(45)
-        ll0 = coxph.log_partial_likelihood(rs, u, beta)
-        ll1 = coxph.log_partial_likelihood(coxph.RiskSets(time[perm], event[perm]), u[perm], beta)
+        time0, event0, u0 = time_ordered(time, event, u)
+        time1, event1, u1 = time_ordered(time[perm], event[perm], u[perm])
+        rs0, rs1 = coxph.RiskSets(time0, event0), coxph.RiskSets(time1, event1)
+        ll0 = loglik(rs0, u0, beta)
+        ll1 = loglik(rs1, u1, beta)
         assert abs(ll0 - ll1) < 1e-12 * (1.0 + abs(ll0))
-        b0, _ = coxph.fit(rs, u)
-        b1, _ = coxph.fit(coxph.RiskSets(time[perm], event[perm]), u[perm])
+        b0, *_ = coxph.fit(rs0, u0)
+        b1, *_ = coxph.fit(rs1, u1)
         assert np.max(np.abs(b0 - b1)) < 1e-10
 
     def test_tied_times_breslow(self):
@@ -211,7 +231,7 @@ class TestInvariances:
         beta = np.array([0.3])
         denom = np.sum(np.exp(u[:, 0] * 0.3))
         expected = (0.3 * (0.5 + 1.0)) - 2.0 * np.log(denom)
-        assert coxph.log_partial_likelihood(rs, u, beta) == pytest.approx(expected)
+        assert loglik(rs, u, beta) == pytest.approx(expected)
 
 
 class TestBuildCoxRows:

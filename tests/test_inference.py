@@ -6,7 +6,7 @@ import pytest
 from calibcox import coxph, inference, linalg, mem, simulate, transforms
 from calibcox.inference import SandwichComponents
 
-from conftest import make_survival
+from conftest import make_survival, time_ordered
 
 
 def reference_g_beta(u, time, event, beta):
@@ -62,6 +62,7 @@ def small_calibration_problem(rng, n=40, d_alpha=4):
     w = rng.normal(size=(n, 1))
     rows = coxph.build_cox_rows(xhat, w)
     c, b = inference.calibration_jacobians(beta, w)
+    time, event, rows, phi, w, c, b = time_ordered(time, event, rows, phi, w, c, b)
     return rows, time, event, beta, phi, alpha, w, c, b
 
 
@@ -77,14 +78,15 @@ class TestGBetaHat:
         event = np.array([0, 1, 0])
         rs = coxph.RiskSets(time, event)
         beta = rng.normal(size=2)
-        g = inference.g_beta_hat(rs, u, beta)
+        g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
         assert np.allclose(g, reference_g_beta(u, time, event, beta), atol=1e-12)
 
     def test_matches_reference_random(self, rng):
         for _ in range(10):
             u, time, event, beta = make_survival(rng, n=30, d=2)
+            time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
-            g = inference.g_beta_hat(rs, u, beta)
+            g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
             ref = reference_g_beta(u, time, event, beta)
             assert np.max(np.abs(g - ref)) < 1e-10 * (1.0 + np.max(np.abs(ref)))
 
@@ -99,10 +101,11 @@ class TestGBetaHat:
             cens = rng.exponential(2.0, size=n)
             time = np.minimum(t0, cens)
             event = (t0 <= cens).astype(int)
+            time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
-            beta, _ = coxph.fit(rs, u)
+            beta, *_ = coxph.fit(rs, u)
             i_beta = coxph.information(rs, u, beta) / n
-            g = inference.g_beta_hat(rs, u, beta)
+            g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
             i_inv = linalg.inv_spd(i_beta)
             vars_.append(float((i_inv @ g @ i_inv.T)[0, 0] / n))
             betas.append(beta[0])
@@ -114,7 +117,8 @@ class TestUAlphaHat:
     def test_zero_design(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
         rs = coxph.RiskSets(time, event)
-        ua = inference.u_alpha_hat(rs, rows, beta, np.zeros_like(phi), c, b)
+        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta),
+                                   np.zeros_like(phi), c, b)
         assert np.allclose(ua, 0.0)
 
     def test_hand_expansion_three_rows_null_beta(self, rng):
@@ -130,7 +134,7 @@ class TestUAlphaHat:
         beta = np.zeros(3)
         c, b = inference.calibration_jacobians(beta, w)
         assert np.allclose(b, 0.0)
-        ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
+        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
         ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
         assert np.allclose(ua, ref, atol=1e-12)
 
@@ -138,14 +142,14 @@ class TestUAlphaHat:
         for _ in range(10):
             rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
             rs = coxph.RiskSets(time, event)
-            ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
+            ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
             ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
             assert np.max(np.abs(ua - ref)) < 1e-9 * (1.0 + np.max(np.abs(ref)))
 
     def test_matches_finite_differences(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
         rs = coxph.RiskSets(time, event)
-        ua = inference.u_alpha_hat(rs, rows, beta, phi, c, b)
+        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
 
         def builder(a):
             return coxph.build_cox_rows(phi @ a, w)
@@ -157,11 +161,12 @@ class TestUAlphaHat:
 class TestSandwichCovariance:
     def test_zero_v_alpha_reduces_to_robust(self, rng):
         u, time, event, _ = make_survival(rng, n=50, d=2)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        beta, _ = coxph.fit(rs, u)
+        beta, *_ = coxph.fit(rs, u)
         n = len(time)
         i_beta = coxph.information(rs, u, beta) / n
-        g = inference.g_beta_hat(rs, u, beta)
+        g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
         comps = SandwichComponents(i_beta=i_beta, g_beta=g,
                                    u_alpha=np.zeros((2, 3)),
                                    v_alpha=np.zeros((3, 3)))

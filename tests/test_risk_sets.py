@@ -1,17 +1,18 @@
-"""The sorted-once risk-set engine against its oracles.
+"""The risk-set engine on time-ordered rows against its oracles.
 
 Two references: the O(n^2) risk-set definition (``conftest.risk_set_indices``),
 which the engine must match to rounding on data with ties, and a verbatim
-copy of the per-call-sorting functions it replaced (``seed_cox``), which it
-must match bit for bit, including when the block suffix sums carry a running
-total across blocks.
+copy of the per-call-sorting functions it replaced (``seed_cox``), which
+takes the rows in file order and which the engine, given the same rows in
+time order, must match bit for bit, including when the block suffix sums
+carry a running total across blocks.
 """
 
 import numpy as np
 import pytest
 
 from calibcox import coxph, inference, linalg, mem, simulate, transforms
-from conftest import make_survival, risk_set_indices
+from conftest import loglik, make_survival, risk_set_indices, time_ordered
 import seed_cox
 
 
@@ -25,6 +26,7 @@ def block(request, monkeypatch):
 
 
 def _tied_survival(rng, n=40, d=3):
+    """File-order rows; tests put them in time order with ``time_ordered``."""
     u, time, event, beta = make_survival(rng, n=n, d=d)
     # Coarse times: events tie with events and with censorings.
     return u, np.ceil(time * 4.0) / 4.0 + 0.25, event, beta
@@ -41,6 +43,7 @@ class TestOracleSums:
 
     def test_loglik_score_information(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         assert len(np.unique(time)) < len(time)
         ll = sc = info = 0.0
@@ -52,14 +55,14 @@ class TestOracleSums:
             ll += u[i] @ beta - np.log(s0)
             sc = sc + u[i] - ubar
             info = info + s2 / s0 - np.outer(ubar, ubar)
-        assert np.isclose(coxph.log_partial_likelihood(rs, u, beta), ll,
-                          rtol=1e-12)
+        assert np.isclose(loglik(rs, u, beta), ll, rtol=1e-12)
         assert np.allclose(coxph.score(rs, u, beta), sc, rtol=1e-12, atol=1e-12)
         assert np.allclose(coxph.information(rs, u, beta), info,
                            rtol=1e-12, atol=1e-12)
 
     def test_g_beta(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         n = len(time)
         resid = np.zeros_like(u)
@@ -69,11 +72,12 @@ class TestOracleSums:
             resid[i] += u[i] - ubar
             resid[rows] -= (r / r.sum())[:, None] * (u[rows] - ubar)
         expected = resid.T @ resid / n
-        assert np.allclose(inference.g_beta_hat(rs, u, beta), expected,
+        assert np.allclose(inference.g_beta_hat(rs, u, rs.sums(u, beta)), expected,
                            rtol=1e-12, atol=1e-14)
 
     def test_u_alpha(self, rng, block):
         u, time, event, beta = _tied_survival(rng)
+        time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         d, da = u.shape[1], 5
         phi, c = _calibration_terms(rng, len(time), d, da)
@@ -85,28 +89,35 @@ class TestOracleSums:
             m = ((r[:, None] * (c[rows] + b[rows, None] * u[rows])).T @ phi[rows])
             q = (r * b[rows]) @ phi[rows]
             expected += np.outer(c[i], phi[i]) - m / s0 + np.outer(s1 / s0 ** 2, q)
-        got = inference.u_alpha_hat(rs, u, beta, phi, c, b)
+        got = inference.u_alpha_hat(rs, u, rs.sums(u, beta), phi, c, b)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestSeedEquality:
-    """Bit-for-bit equality with the per-call-sorting functions."""
+    """Bit-for-bit equality with the per-call-sorting functions, which take
+    the same rows in file order."""
 
     def test_evaluators(self, rng, block):
         u, time, event, beta = _tied_survival(rng, n=300)
-        rs = coxph.RiskSets(time, event)
         phi, c = _calibration_terms(rng, len(time), u.shape[1], 4)
         b = c @ beta
-        assert np.array_equal(coxph.score(rs, u, beta),
+        t_s, e_s, u_s, phi_s, c_s, b_s = time_ordered(time, event, u, phi, c, b)
+        rs = coxph.RiskSets(t_s, e_s)
+        sums = rs.sums(u_s, beta)
+        assert np.array_equal(coxph.score(rs, u_s, beta),
                               seed_cox.score(u, time, event, beta))
-        assert np.array_equal(coxph.information(rs, u, beta),
+        assert np.array_equal(coxph.information(rs, u_s, beta),
                               seed_cox.information(u, time, event, beta))
-        assert np.array_equal(inference.g_beta_hat(rs, u, beta),
+        assert np.array_equal(inference.g_beta_hat(rs, u_s, sums),
                               seed_cox.g_beta_hat(u, time, event, beta))
-        assert np.array_equal(inference.u_alpha_hat(rs, u, beta, phi, c, b),
+        assert np.array_equal(inference.u_alpha_hat(rs, u_s, sums, phi_s, c_s, b_s),
                               seed_cox.u_alpha_hat(u, time, event, beta, phi, c, b))
-        got, want = coxph.fit(rs, u), seed_cox.fit(u, time, event)
+        got, want = coxph.fit(rs, u_s), seed_cox.fit(u, time, event)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        # The sums and information the fit returns are those at its beta.
+        for returned, fresh in zip(got[2], rs.sums(u_s, got[0])):
+            assert np.array_equal(returned, fresh)
+        assert np.array_equal(got[3], coxph.information(rs, u_s, got[0]))
 
     def test_fit_calibrated_cox(self, block):
         # n1 = 3000 with d_alpha = 20: the U_alpha blocks hold fewer rows
@@ -145,36 +156,62 @@ class TestSeedEquality:
 
         def builder(a):
             return coxph.build_cox_rows(phi @ a, main.w)
-        rs = coxph.RiskSets(main.time, main.event)
+        time, event, phi_s, w_s = time_ordered(main.time, main.event, phi, main.w)
+
+        def sorted_builder(a):
+            return coxph.build_cox_rows(phi_s @ a, w_s)
+        rs = coxph.RiskSets(time, event)
         assert np.array_equal(
-            inference.u_alpha_fd(rs, builder, beta, memfit.alpha),
+            inference.u_alpha_fd(rs, sorted_builder, beta, memfit.alpha),
             seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha))
 
 
 def test_rows_of_another_cohort_rejected(rng):
     u, time, event, beta = _tied_survival(rng)
+    time, event, u = time_ordered(time, event, u)
     rs = coxph.RiskSets(time[:-1], event[:-1])
     with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
         coxph.score(rs, u, beta)
     with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
-        inference.u_alpha_hat(rs, u[:-1], beta, np.ones((len(time), 2)),
-                              np.ones_like(u[:-1]), np.ones(len(time) - 1))
+        inference.u_alpha_hat(rs, u[:-1], rs.sums(u[:-1], beta),
+                              np.ones((len(time), 2)), np.ones_like(u[:-1]),
+                              np.ones(len(time) - 1))
 
 
-def test_one_sort_per_calibrated_fit(monkeypatch):
+def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     cfg = simulate.setting1(n1=800, n2=60, event_rate=0.2, seed=3)
     rng = np.random.default_rng(3)
     c_max = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
     validation = simulate.gen_validation(cfg, rng)
     main, _ = simulate.gen_main(cfg, rng, c_max)
     memfit = mem.fit_gee(validation, transforms.DesignSpec(include_interactions=True))
-    built = []
-    original = coxph.RiskSets.__init__
+    calls = []
 
-    def counting(self, time, event):
-        built.append(len(time))
-        original(self, time, event)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(coxph.RiskSets, "__init__", counting)
-    inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
-    assert built == [len(main)]
+        def counted(*args, **kwargs):
+            calls.append((name, args))
+            result = original(*args, **kwargs)
+            if name == "fit":
+                calls.append(("fit returned", args))
+            return result
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(np, "argsort"), (coxph, "fit"),
+                        (coxph.RiskSets, "sums"), (coxph.RiskSets, "information")]:
+        count(owner, name)
+    cox = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
+
+    names = [name for name, _ in calls]
+    assert [args[0] is main.time for name, args in calls if name == "argsort"] == [True]
+    assert names.count("fit") == 1
+    done = names.index("fit returned")
+    fitted_rows = calls[done][1][1]
+    # One information per Newton iterate, beta = 0 included.
+    assert names[:done].count("information") == cox.report.iterations + 1
+    # After the fit, only the finite-difference scores evaluate the risk
+    # sets, each on rows built from a perturbed alpha.
+    after = calls[done + 1:]
+    assert [name for name, _ in after] == ["sums"] * (2 * len(memfit.alpha))
+    assert not any(np.array_equal(args[1], fitted_rows) for _, args in after)

@@ -9,6 +9,8 @@ import pytest
 
 from calibcox import coxph, linalg, mem, simulate, transforms
 
+from conftest import time_ordered
+
 
 class TestConfig:
     def test_event_rate_bounds(self):
@@ -159,8 +161,9 @@ class TestGenMain:
         for rep in range(40):
             rr = simulate._replicate_rng(16, 0, rep)
             main, x = simulate.gen_main(cfg, rr, cmax)
-            rows = coxph.build_cox_rows(x, main.w)
-            beta, _ = coxph.fit(coxph.RiskSets(main.time, main.event), rows)
+            time, event, rows = time_ordered(main.time, main.event,
+                                             coxph.build_cox_rows(x, main.w))
+            beta, *_ = coxph.fit(coxph.RiskSets(time, event), rows)
             b1s.append(beta[0])
         b1s = np.array(b1s)
         mc_se = b1s.std(ddof=1) / np.sqrt(len(b1s))
