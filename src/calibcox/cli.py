@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,7 +80,10 @@ def _load_config(path, section):
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     return dict(parser[section]) if parser.has_section(section) else {}
@@ -100,6 +104,25 @@ def _int_setting(flag, file_cfg, key, default=None):
         return None if value is None else int(value)
     except ValueError:
         raise UsageError(f"{key} must be an integer, got '{value}'") from None
+
+
+def _hr_at(args, confounder_names):
+    """The confounder values w0 of the hazard ratio, one per confounder.
+
+    A non-finite --hr-increment or --at value is a usage error.
+    """
+    if not math.isfinite(args.hr_increment):
+        raise UsageError(f"--hr-increment must be finite, got {args.hr_increment}")
+    if not args.at:
+        return [0.0] * len(confounder_names)
+    try:
+        w0 = [float(v) for v in args.at.split(",")]
+    except ValueError:
+        w0 = []  # not numbers: fails the check below
+    if len(w0) != len(confounder_names) or not all(map(math.isfinite, w0)):
+        raise UsageError(f"--at needs one finite number per confounder "
+                         f"({', '.join(confounder_names)}), got '{args.at}'")
+    return w0
 
 
 def _parse_cell(text):
@@ -206,8 +229,7 @@ def cmd_select(args):
     if args.specs:
         specs = [parse_spec_token(t, validation.radii) for t in args.specs]
     else:
-        specs = model_select.candidate_grid(
-            p_z=validation.z.shape[1], p_w=validation.w.shape[1])
+        specs = model_select.candidate_grid(p_z=validation.z.shape[1])
     rng = np.random.default_rng(seed)
     metrics = model_select.cv_evaluate(validation, specs, k=folds, rng=rng,
                                        working=args.working)
@@ -258,6 +280,7 @@ def cmd_fit(args):
         raise data_model.ParseError(
             "main and validation files disagree on confounder columns: "
             f"{list(main.confounder_names)} vs {list(validation.confounder_names)}")
+    w0 = _hr_at(args, main.confounder_names)
     if not np.any(main.event == 1):
         raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
                                     "needs at least one")
@@ -269,11 +292,6 @@ def cmd_fit(args):
         raise data_model.ParseError(f"{args.validation_csv}: {exc}") from None
     cox = inference.fit_calibrated_cox(main, memfit,
                                        check_derivatives=args.check_derivatives)
-    try:
-        w0 = ([float(v) for v in args.at.split(",")] if args.at
-              else [0.0] * main.w.shape[1])
-    except ValueError:
-        raise UsageError(f"--at expects comma-separated numbers, got '{args.at}'") from None
     hr, hr_lo, hr_hi = inference.hazard_ratio(cox, args.hr_increment, w0)
 
     lines = [f"calibrated Cox fit ({spec.label()} measurement error model, "
@@ -319,6 +337,10 @@ def cmd_report(args):
     if not rows:
         raise data_model.ParseError(f"{summary}: empty file")
     header, body = rows[0], rows[1:]
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise data_model.ParseError(f"{summary}: row {line} has {len(row)} "
+                                        f"fields where the header has {len(header)}")
     widths = [max(len(str(r[k])) for r in rows) for k in range(len(header))]
     def fmt(row):
         return "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
@@ -393,7 +415,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data_model.ParseError, FileNotFoundError) as exc:
+    except (data_model.ParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

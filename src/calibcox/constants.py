@@ -30,6 +30,11 @@ COX_LOGLIK_TOL = 1e-10
 COX_MAX_ITER = 100
 COX_DIVERGENCE_BOUND = 50.0
 
+# Finite-difference check of the analytic U_alpha: central differences with
+# step FD_STEP * max(1, |alpha_k|), agreeing to a relative FD_TOL.
+FD_STEP = 1e-6
+FD_TOL = 1e-4
+
 # GEE iteratively reweighted least squares.
 GEE_PARAM_TOL = 1e-10
 GEE_MAX_ITER = 50

@@ -1,16 +1,17 @@
 """Cox partial likelihood: score, information, Newton fit.
 
-Covariate rows are u_i = [xhat_i, w_i', (xhat_i * w_i[interacting])'] with
-the calibrated exposure in the first slot.  Ties are handled by the Breslow
-convention, which is exact for the continuous simulated times and the
-simplest correct choice otherwise.  A cohort enters this module, and
-:mod:`calibcox.inference`, only as a :class:`RiskSets` over rows that
-already arrive in time order: the caller sorts its cohort once, before it
-builds any per-row array, and every evaluation is then a few reverse
-cumulative sweeps, O(n d^2), with no gather of rows.  The S2 sums of the
-information are taken in blocks of rows from the last row down, with the
-running total carried between blocks, so no n x d x d array is built and
-every element is still added in the order of one sweep over all rows.
+Covariate rows are u_i = [xhat_i, w_i', xhat_i * w_i'] with the calibrated
+exposure in the first slot; it interacts with every confounder.  Ties are
+handled by the Breslow convention, which is exact for the continuous
+simulated times and the simplest correct choice otherwise.  A cohort enters
+this module, and :mod:`calibcox.inference`, only as a :class:`RiskSets`
+over rows that already arrive in time order: the caller sorts its cohort
+once, before it builds any per-row array, and every evaluation is then a
+few reverse cumulative sweeps, O(n d^2), with no gather of rows.  The S2
+sums of the information are taken in blocks of rows from the last row down,
+with the running total carried between blocks, so no n x d x d array is
+built and every element is still added in the order of one sweep over all
+rows.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
@@ -30,25 +31,6 @@ class CoxConvergenceError(ArithmeticError):
 
 class CoxDivergenceError(ArithmeticError):
     """Monotone likelihood / separation: estimates ran away."""
-
-
-@dataclass(frozen=True)
-class CoxParams:
-    """beta = (beta1, beta2', beta3') in covariate-row order."""
-
-    beta1: float
-    beta2: np.ndarray
-    beta3: np.ndarray
-
-    def as_vector(self):
-        return np.concatenate([[self.beta1], self.beta2, self.beta3])
-
-    @staticmethod
-    def from_vector(beta, p_w, p_int):
-        beta = np.asarray(beta, dtype=float)
-        return CoxParams(beta1=float(beta[0]),
-                         beta2=beta[1:1 + p_w].copy(),
-                         beta3=beta[1 + p_w:1 + p_w + p_int].copy())
 
 
 @dataclass(frozen=True)
@@ -174,8 +156,8 @@ def information(rs, u, beta):
     return rs.information(u, w, S0, S1)
 
 
-def fit(rs, u, init=None):
-    """Newton-Raphson with step-halving from beta = 0 (or ``init``).
+def fit(rs, u):
+    """Newton-Raphson with step-halving from beta = 0.
 
     Converged when the max-norm of the score and the log-likelihood
     improvement drop below COX_GRAD_TOL / COX_LOGLIK_TOL, both scaled by the
@@ -188,8 +170,7 @@ def fit(rs, u, init=None):
     :meth:`RiskSets.sums` and the information the last step computed at
     beta, so the variance needs no second evaluation there.
     """
-    d = u.shape[1]
-    beta = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
+    beta = np.zeros(u.shape[1])
     eta, w, S0, S1 = rs.sums(u, beta)
     ll = rs.loglik(eta, S0)
     sc, info = rs.score(u, S0, S1), rs.information(u, w, S0, S1)
@@ -228,16 +209,8 @@ def fit(rs, u, init=None):
         f"(grad norm {np.max(np.abs(sc)):.3e})")
 
 
-def build_cox_rows(xhat, w, interacting=None):
-    """Covariate rows [xhat, w', (xhat * w[interacting])'].
-
-    ``interacting`` selects the confounders with exposure interactions
-    (all by default); pass an empty tuple for a no-interaction model.
-    """
-    xhat = np.asarray(xhat, dtype=float)
+def build_cox_rows(xhat, w):
+    """Covariate rows [xhat, w', xhat * w'] for an (n, p_w) confounder matrix."""
+    xhat = np.asarray(xhat, dtype=float)[:, None]
     w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    which = range(w.shape[1]) if interacting is None else interacting
-    cols = [xhat[:, None], w] + [(xhat * w[:, j])[:, None] for j in which]
-    return np.hstack(cols)
+    return np.hstack([xhat, w, xhat * w])

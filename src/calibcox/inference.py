@@ -56,7 +56,6 @@ class SandwichComponents:
 class CoxFit:
     """Point estimates, Eq-style sandwich covariance, and Wald intervals."""
 
-    params: coxph.CoxParams
     beta: np.ndarray
     covariance: np.ndarray
     se: np.ndarray
@@ -131,18 +130,19 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     return out
 
 
-def u_alpha_fd(rs, u_builder, beta, alpha, step=1e-6):
+def u_alpha_fd(rs, u_builder, beta, alpha):
     """Central finite-difference derivative of the score in alpha.
 
     ``u_builder(alpha)`` must return the covariate rows implied by a
-    coefficient vector; used to verify :func:`u_alpha_hat`.
+    coefficient vector; used to verify :func:`u_alpha_hat`.  Coefficient k
+    moves by FD_STEP * max(1, |alpha_k|) either way.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     cols = []
     for k in range(alpha.size):
         hi, lo = alpha.copy(), alpha.copy()
-        h = step * max(1.0, abs(alpha[k]))
+        h = constants.FD_STEP * max(1.0, abs(alpha[k]))
         hi[k] += h
         lo[k] -= h
         s_hi = coxph.score(rs, u_builder(hi), beta)
@@ -173,32 +173,23 @@ def wald_ci(beta, covariance):
     return se, beta - constants.Z_975 * se, beta + constants.Z_975 * se
 
 
-def calibration_jacobians(beta, w, interacting=None):
+def calibration_jacobians(beta, w):
     """(c, b) arrays for u rows built by :func:`coxph.build_cox_rows`.
 
-    c_i = d u_i / d mu_i = [1, 0_pw, w_i[interacting]'], b_i = beta' c_i.
+    c_i = d u_i / d mu_i = [1, 0_pw, w_i'], b_i = beta' c_i.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
     n, p_w = w.shape
-    which = list(range(p_w)) if interacting is None else list(interacting)
-    d = 1 + p_w + len(which)
-    c = np.zeros((n, d))
-    c[:, 0] = 1.0
-    for k, j in enumerate(which):
-        c[:, 1 + p_w + k] = w[:, j]
+    c = np.hstack([np.ones((n, 1)), np.zeros((n, p_w)), w])
     b = c @ np.asarray(beta, dtype=float)
     return c, b
 
 
-def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
-                       fd_tol=1e-4):
+def fit_calibrated_cox(main, memfit, check_derivatives=False):
     """Full second-stage fit: calibrate exposures, maximize, propagate variance.
 
-    ``interacting`` selects which confounders get exposure interactions in
-    the outcome model (all by default).  With ``check_derivatives`` the
-    analytic alpha-derivative is verified against central finite differences.
+    With ``check_derivatives`` the analytic alpha-derivative is verified
+    against central finite differences, to a relative FD_TOL.
     The main study is put in time order here, once, by a stable sort of its
     times; with distinct times, the fit does not depend on its row order.
     A validation fit on no more subjects than coefficients raises
@@ -213,21 +204,19 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
     z, w = main.z[order], main.w[order]
     rs = coxph.RiskSets(main.time[order], main.event[order])
     phi = transforms.build_design_matrix(memfit.spec, memfit.transform, z, w)
-    u = coxph.build_cox_rows(phi @ memfit.alpha, w, interacting=interacting)
+    u = coxph.build_cox_rows(phi @ memfit.alpha, w)
     beta, report, sums, info = coxph.fit(rs, u)
     n = len(main)
     i_beta = info / n
     g_beta = g_beta_hat(rs, u, sums)
-    c, b = calibration_jacobians(beta, w, interacting=interacting)
+    c, b = calibration_jacobians(beta, w)
     u_alpha = u_alpha_hat(rs, u, sums, phi, c, b)
     if check_derivatives:
-        def builder(a):
-            xh = phi @ a
-            return coxph.build_cox_rows(xh, w, interacting=interacting)
-        fd = u_alpha_fd(rs, builder, beta, memfit.alpha)
+        fd = u_alpha_fd(rs, lambda a: coxph.build_cox_rows(phi @ a, w),
+                        beta, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
-        if err > fd_tol:
+        if err > constants.FD_TOL:
             raise ArithmeticError(
                 f"analytic alpha-derivative disagrees with finite differences "
                 f"(relative error {err:.3e})")
@@ -235,28 +224,25 @@ def fit_calibrated_cox(main, memfit, interacting=None, check_derivatives=False,
                                u_alpha=u_alpha, v_alpha=memfit.v_alpha)
     cov = sandwich_covariance(comps, n)
     se, lo, hi = wald_ci(beta, cov)
-    p_w = main.w.shape[1]
-    which = list(range(p_w)) if interacting is None else list(interacting)
     names = (["exposure"] + list(main.confounder_names)
-             + [f"exposure:{main.confounder_names[j]}" for j in which])
-    params = coxph.CoxParams.from_vector(beta, p_w, len(which))
-    return CoxFit(params=params, beta=beta, covariance=cov, se=se,
+             + [f"exposure:{name}" for name in main.confounder_names])
+    return CoxFit(beta=beta, covariance=cov, se=se,
                   ci_lower=lo, ci_upper=hi, components=comps, report=report,
                   term_names=tuple(names))
 
 
-def hazard_ratio(fit, increment, w0, interacting=None):
+def hazard_ratio(fit, increment, w0):
     """HR per exposure increment at confounder values w0, with delta-method CI.
 
-    HR = exp(increment * (beta1 + beta3' w0[interacting])).
+    HR = exp(increment * (beta1 + beta3' w0)); ``w0`` holds one value per
+    confounder, and beta = (beta1, beta2', beta3') has 1 + 2 p_w entries.
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
-    p_w = len(fit.params.beta2)
-    which = list(range(p_w)) if interacting is None else list(interacting)
-    grad = np.zeros(fit.beta.shape[0])
-    grad[0] = 1.0
-    for k, j in enumerate(which):
-        grad[1 + p_w + k] = w0[j]
+    p_w = (len(fit.beta) - 1) // 2
+    if w0.shape != (p_w,):
+        raise linalg.ContractViolationError(
+            f"w0 needs one value per confounder column ({p_w}), got {w0.size}")
+    grad = np.concatenate([[1.0], np.zeros(p_w), w0])
     g = float(grad @ fit.beta)
     var_g = float(grad @ fit.covariance @ grad)
     half = constants.Z_975 * increment * np.sqrt(max(var_g, 0.0))

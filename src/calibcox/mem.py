@@ -14,7 +14,6 @@ independence-model information scaled by 1/phi, and V_R the robust
 coefficient covariance.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +31,10 @@ class ConvergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class MemParams:
-    """Coefficient vector ordered as the design row: (a0, a1', a2', a3')."""
-
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
 class MemFit:
     """A fitted measurement error model plus everything inference needs."""
 
-    params: MemParams
+    alpha: np.ndarray  # ordered as the design row: (a0, a1', a2', a3')
     psi: float
     sigma2: float
     v_alpha: np.ndarray
@@ -50,10 +42,6 @@ class MemFit:
     transform: object
     n_subjects: int
     n_obs: int
-
-    @property
-    def alpha(self):
-        return self.params.alpha
 
 
 # Values per stack of per-subject terms (see _subject_sums): subjects are
@@ -111,9 +99,7 @@ def _subject_sums(clusters, terms, shapes):
 
 def _design_and_groups(validation, spec, transform=None):
     if transform is None:
-        transform = transforms.fit_transform(
-            spec, validation.z, validation.radii,
-            warn=lambda msg: warnings.warn(msg, stacklevel=3))
+        transform = transforms.fit_transform(spec, validation.z, validation.radii)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     codes = validation.subject_codes
     p = phi.shape[1]
@@ -178,7 +164,7 @@ def fit_ols(validation, spec, transform=None):
     sigma2 = float(resid @ resid) / max(n - p, 1)
     bread_inv = linalg.cho_solve(L, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv)
-    return MemFit(params=MemParams(alpha=alpha), psi=0.0, sigma2=sigma2,
+    return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(clusters.sizes), n_obs=n)
 
@@ -282,7 +268,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     # L, is the bread.
     bread_inv = linalg.cho_solve(L, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=vinv)
-    return MemFit(params=MemParams(alpha=alpha), psi=psi, sigma2=sigma2,
+    return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(clusters.sizes), n_obs=n)
 

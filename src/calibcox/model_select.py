@@ -9,7 +9,6 @@ the tiebreaker.
 """
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,12 @@ class CvMetrics:
     failure_reason: str = ""
 
 
-def kfold_split(validation, k=5, rng=None):
+def kfold_split(validation, rng, k=5):
     """Partition the subjects into k folds of near-equal subject counts.
 
-    Returns a list of k arrays of row indices; all of a subject's rows share
-    its fold.
+    ``rng`` (a NumPy Generator) draws the assignment.  Returns a list of k
+    arrays of row indices; all of a subject's rows share its fold.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     codes = validation.subject_codes
@@ -58,7 +56,7 @@ def _subset(validation, rows):
         radii=validation.radii, confounder_names=validation.confounder_names)
 
 
-def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
+def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     """Fit every candidate on k-1 folds, score on the held-out fold, rank.
 
     A transform depends on the data it is fitted on and on the spec's
@@ -69,20 +67,17 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
     fails with the message it did when it fitted its own.  Failed
     candidates are kept in the output, marked and sorted last.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    folds = kfold_split(validation, k=k, rng=rng)
+    folds = kfold_split(validation, rng, k=k)
     all_rows = np.arange(len(validation))
     splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
               for f in folds]
     fitted = {}
 
     def fit_gee(key, data, spec):
-        reduction = dataclasses.replace(spec, include_interactions=False,
-                                        interacting_confounders=None)
+        reduction = dataclasses.replace(spec, include_interactions=False)
         if (key, reduction) not in fitted:
             fitted[key, reduction] = transforms.fit_transform(
-                reduction, data.z, data.radii,
-                warn=lambda msg: warnings.warn(msg, stacklevel=3))
+                reduction, data.z, data.radii)
         return mem.fit_gee(data, spec, working=working,
                            transform=fitted[key, reduction])
 
@@ -117,27 +112,16 @@ def cv_evaluate(validation, specs, k=5, rng=None, working="exchangeable"):
     return ok + [m for m in out if m.failed]
 
 
-def candidate_grid(p_z, p_w, interactions=True):
+def candidate_grid(p_z, interactions=True):
     """The standard candidate set: all-radii / single-radius standard models,
     PCA with 2 or 3 components, splines with 3-7 knots, plus (optionally)
-    with-interaction variants of each family."""
-    specs = [transforms.DesignSpec(variant="standard")]
-    for j in range(min(4, p_z)):
-        specs.append(transforms.DesignSpec(variant="standard", radius_subset=(j,)))
-    for k in (2, 3):
-        if k <= p_z:
-            specs.append(transforms.DesignSpec(variant="pca", n_components=k))
-    for m in range(3, 8):
-        if m <= p_z:
-            specs.append(transforms.DesignSpec(variant="rcs", n_knots=m))
+    with-interaction variants of each family but the single-radius one."""
+    Spec = transforms.DesignSpec
+    specs = ([Spec(variant="standard")]
+             + [Spec(variant="standard", radius_subset=(j,)) for j in range(min(4, p_z))]
+             + [Spec(variant="pca", n_components=k) for k in (2, 3) if k <= p_z]
+             + [Spec(variant="rcs", n_knots=m) for m in range(3, 8) if m <= p_z])
     if interactions:
-        specs.append(transforms.DesignSpec(variant="standard", include_interactions=True))
-        for k in (2, 3):
-            if k <= p_z:
-                specs.append(transforms.DesignSpec(variant="pca", n_components=k,
-                                                   include_interactions=True))
-        for m in range(3, 8):
-            if m <= p_z:
-                specs.append(transforms.DesignSpec(variant="rcs", n_knots=m,
-                                                   include_interactions=True))
+        specs += [dataclasses.replace(s, include_interactions=True)
+                  for s in specs if s.radius_subset is None]
     return specs

@@ -85,7 +85,6 @@ class SimulationConfig:
     replicates: int = 1000
     seed: int = 0
     mem_interactions: bool = True
-    mem_working: str = "exchangeable"
     radii: tuple = data_model.DEFAULT_RADII
 
     def __post_init__(self):
@@ -318,7 +317,7 @@ def run_replicate(cfg, c_max, rep, cell_index=0):
     results = []
     for name, spec in model_specs(cfg).items():
         try:
-            fit = mem.fit_gee(validation, spec, working=cfg.mem_working)
+            fit = mem.fit_gee(validation, spec)
             cox = inference.fit_calibrated_cox(main, fit)
         except (ArithmeticError, ValueError) as exc:
             # The package's numerical errors derive from ArithmeticError, its

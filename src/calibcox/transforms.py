@@ -12,7 +12,8 @@ A design row is always ordered [1, s(z), w, w x s(z)-interactions].
 """
 
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +27,15 @@ SERIALIZATION_VERSION = 1
 class DesignSpec:
     """Which reduction and interaction structure a design row uses.
 
-    interacting_confounders selects which confounder columns get surrogate
-    interactions (all of them by default).  radius_subset restricts the
-    standard variant to a subset of z columns (single-radius models).
+    include_interactions adds the surrogates' interactions with every
+    confounder.  radius_subset restricts the standard variant to a subset
+    of z columns (single-radius models).
     """
 
     variant: str = "standard"  # standard | pca | rcs
     n_components: int = 3
     n_knots: int = 3
     include_interactions: bool = False
-    interacting_confounders: tuple | None = None
     radius_subset: tuple | None = None
 
     def __post_init__(self):
@@ -74,12 +74,12 @@ class RcsTransform:
     basis: np.ndarray  # (p_z, L_n)
 
 
-def fit_pca(zmat, k, warn=None):
+def fit_pca(zmat, k):
     """Principal axes of the column covariance of ``zmat``.
 
     Centering only, no scaling: all surrogates share units by construction.
     Eigenvector signs are fixed so the first nonzero loading entry of each
-    component is positive.
+    component is positive.  A zero-variance column raises a UserWarning.
     """
     zmat = np.asarray(zmat, dtype=float)
     n, p = zmat.shape
@@ -91,8 +91,8 @@ def fit_pca(zmat, k, warn=None):
     zc = zmat - center
     cov = (zc.T @ zc) / (n - 1)
     diag = np.diag(cov)
-    if np.any(diag <= 1e-14 * max(float(diag.max()), 1e-300)) and warn is not None:
-        warn("zero-variance surrogate column in PCA input")
+    if np.any(diag <= 1e-14 * max(float(diag.max()), 1e-300)):
+        warnings.warn("zero-variance surrogate column in PCA input", stacklevel=2)
     eig = linalg.sym_eigen(cov)
     loadings = eig.eigenvectors[:, :k].T.copy()
     for row in loadings:
@@ -152,10 +152,10 @@ def reduce_z(spec, transform, z):
     return z @ transform.basis  # rcs: B'z per row
 
 
-def fit_transform(spec, zmat, radii, warn=None):
+def fit_transform(spec, zmat, radii):
     """Fit whatever transform the spec needs (None for the standard variant)."""
     if spec.variant == "pca":
-        return fit_pca(zmat, spec.n_components, warn=warn)
+        return fit_pca(zmat, spec.n_components)
     if spec.variant == "rcs":
         return rcs_basis(radii, spec.n_knots)
     return None
@@ -164,24 +164,15 @@ def fit_transform(spec, zmat, radii, warn=None):
 def build_design_matrix(spec, transform, zmat, wmat):
     """Design rows [1, s(z), w, interactions] for row-aligned z and w matrices.
 
-    The interaction block repeats s(z) scaled by each configured confounder,
-    in confounder-major order, and is present only when the spec asks for it.
+    The interaction block repeats s(z) scaled by each confounder, in
+    confounder-major order, and is present only when the spec asks for it.
     """
     zmat = np.asarray(zmat, dtype=float)
     wmat = np.asarray(wmat, dtype=float)
-    if wmat.ndim == 1:
-        wmat = wmat[:, None]
     s = reduce_z(spec, transform, zmat)
-    if s.ndim == 1:
-        s = s[:, None]
     parts = [np.ones((len(zmat), 1)), s, wmat]
     if spec.include_interactions:
-        which = (range(wmat.shape[1]) if spec.interacting_confounders is None
-                 else spec.interacting_confounders)
-        for j in which:
-            if j >= wmat.shape[1]:
-                raise ContractViolationError(f"interacting confounder index {j} out of range")
-            parts.append(wmat[:, j:j + 1] * s)
+        parts += [wmat[:, j:j + 1] * s for j in range(wmat.shape[1])]
     return np.hstack(parts)
 
 
@@ -194,8 +185,8 @@ def transform_to_json(spec, transform):
             "n_components": spec.n_components,
             "n_knots": spec.n_knots,
             "include_interactions": spec.include_interactions,
-            "interacting_confounders": (None if spec.interacting_confounders is None
-                                        else list(spec.interacting_confounders)),
+            # Kept for the file format: interactions pair with every confounder.
+            "interacting_confounders": None,
             "radius_subset": (None if spec.radius_subset is None
                               else list(spec.radius_subset)),
         },
@@ -221,11 +212,12 @@ def transform_from_json(text):
         raise ContractViolationError(
             f"unsupported transform file version {payload.get('version')}")
     s = payload["spec"]
+    if s["interacting_confounders"] is not None:
+        raise ContractViolationError(
+            "interactions with a subset of confounders are not supported")
     spec = DesignSpec(
         variant=s["variant"], n_components=s["n_components"], n_knots=s["n_knots"],
         include_interactions=s["include_interactions"],
-        interacting_confounders=(None if s["interacting_confounders"] is None
-                                 else tuple(s["interacting_confounders"])),
         radius_subset=(None if s["radius_subset"] is None else tuple(s["radius_subset"])),
     )
     transform = None

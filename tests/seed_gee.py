@@ -17,14 +17,12 @@ import numpy as np
 
 from calibcox import constants, linalg, transforms
 from calibcox.linalg import ContractViolationError
-from calibcox.mem import ConvergenceError, MemFit, MemParams, _check_rank
+from calibcox.mem import ConvergenceError, MemFit, _check_rank
 
 
 def _design_and_groups(validation, spec, transform=None):
     if transform is None:
-        transform = transforms.fit_transform(
-            spec, validation.z, validation.radii,
-            warn=lambda msg: warnings.warn(msg, stacklevel=3))
+        transform = transforms.fit_transform(spec, validation.z, validation.radii)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     groups = list(validation.subject_groups().values())
     return phi, groups, transform
@@ -59,7 +57,7 @@ def fit_ols(validation, spec, transform=None):
     sigma2 = float(resid @ resid) / max(n - p, 1)
     bread_inv = linalg.inv_spd(gram)
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv)
-    return MemFit(params=MemParams(alpha=alpha), psi=0.0, sigma2=sigma2,
+    return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(groups), n_obs=n)
 
@@ -161,6 +159,6 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         A += phi[rows].T @ vinv[g] @ phi[rows]
     bread_inv = linalg.inv_spd(A)
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=vinv)
-    return MemFit(params=MemParams(alpha=alpha), psi=psi, sigma2=sigma2,
+    return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(groups), n_obs=n)

@@ -28,6 +28,24 @@ def study_files(tmp_path_factory):
     return main_csv, val_csv
 
 
+@pytest.fixture(scope="module")
+def two_confounder_files(study_files, tmp_path_factory):
+    """The study files with a second confounder column, w_2."""
+    root = tmp_path_factory.mktemp("two_confounders")
+    rng = np.random.default_rng(23)
+    paths = []
+    for path, read, write in (
+            (study_files[0], data_model.read_main_csv, data_model.write_main_csv),
+            (study_files[1], data_model.read_validation_csv,
+             data_model.write_validation_csv)):
+        ds = read(path)
+        w = np.hstack([ds.w, rng.normal(1.0, 1.0, size=(len(ds.w), 1))])
+        paths.append(root / path.name)
+        write(paths[-1], dataclasses.replace(ds, w=w,
+                                             confounder_names=("w_1", "w_2")))
+    return tuple(paths)
+
+
 class TestParseSpecToken:
     RADII = list(data_model.DEFAULT_RADII)
 
@@ -243,6 +261,7 @@ class TestFitCommand:
 
 
 FIT = ["fit", "{main}", "--validation", "{val}"]
+FIT2 = ["fit", "{main2}", "--validation", "{val2}"]  # two confounders
 
 
 class TestExitCodes:
@@ -254,6 +273,10 @@ class TestExitCodes:
         FIT + ["--spec", "rcs9"],
         FIT + ["--spec", "pca99"],
         FIT + ["--spec", "standard", "--at", "abc"],
+        FIT + ["--spec", "standard", "--at", "1.0,2.0,3.0"],
+        FIT + ["--spec", "standard", "--at", "nan"],
+        FIT + ["--spec", "standard", "--hr-increment", "nan"],
+        FIT2 + ["--spec", "standard", "--at", "1.0"],
         ["select", "{val}", "--specs", "pcax"],
         ["select", "{val}", "--folds", "0"],
         ["select", "{val}", "--folds", "1"],
@@ -276,9 +299,12 @@ class TestExitCodes:
          "--out", "{out}"],
         ["select", "{val}", "--config", "[select]\nfolds = x", "--out", "{out}"],
     ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
-    def test_usage_error(self, argv, study_files, tmp_path, capsys):
+    def test_usage_error(self, argv, study_files, two_confounder_files, tmp_path,
+                         capsys):
         main_csv, val_csv = study_files
-        argv = [a.format(main=main_csv, val=val_csv, out=tmp_path / "out")
+        main2, val2 = two_confounder_files
+        argv = [a.format(main=main_csv, val=val_csv, main2=main2, val2=val2,
+                         out=tmp_path / "out")
                 for a in argv]
         for i, a in enumerate(argv):
             if a.startswith("["):
@@ -289,6 +315,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_hr_arguments_checked_before_any_fit(self, study_files, tmp_path,
+                                                  capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the measurement error model was fitted")
+
+        monkeypatch.setattr(mem, "fit_gee", no_fit)
+        main_csv, val_csv = study_files
+        code = main(["fit", str(main_csv), "--validation", str(val_csv),
+                     "--at", "1.0,2.0", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --at needs one finite number per confounder (w_1), "
+            "got '1.0,2.0'\n")
+
+    @pytest.mark.parametrize("text", ["spec = standard",
+                                      "[fit]\nspec = standard\n[fit]"],
+                             ids=["no section header", "duplicated [fit]"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
+         "--seed", "1", "--out", "{out}"],
+        ["select", "{val}", "--out", "{out}"],
+        FIT + ["--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_config_usage_error(self, command, text, study_files,
+                                          tmp_path, capsys):
+        main_csv, val_csv = study_files
+        ini = tmp_path / "run.ini"
+        ini.write_text(text + "\n")
+        argv = [a.format(main=main_csv, val=val_csv, out=tmp_path / "out")
+                for a in command] + ["--config", str(ini)]
+        assert main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {ini}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
+                     "--seed", "1", "--out", str(taken)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(taken) in err
 
     def test_too_few_validation_rows_is_data_error(self, study_files, tmp_path,
                                                    capsys):
@@ -316,6 +387,13 @@ class TestReportCommand:
         second = capsys.readouterr().out
         assert first == second
         assert "bias_pct" in first
+
+    def test_short_row_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("p,n1,model\n0.1,600,M1\n0.1,600\n")
+        assert main(["report", str(tmp_path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {summary}: row 3 has 2 fields where the header has 3\n")
 
     def test_empty_dir_data_error(self, tmp_path, capsys):
         code = main(["report", str(tmp_path)])

@@ -241,15 +241,3 @@ class TestBuildCoxRows:
         rows = coxph.build_cox_rows(xhat, w)
         assert np.allclose(rows, [[0.5, 2.0, 1.0], [1.0, 3.0, 3.0]])
 
-    def test_no_interactions(self):
-        rows = coxph.build_cox_rows(np.array([0.5]), np.array([[2.0]]), interacting=())
-        assert rows.shape == (1, 2)
-
-    def test_params_round_trip(self):
-        p = coxph.CoxParams(beta1=-0.284, beta2=np.array([-0.049]),
-                            beta3=np.array([-0.047]))
-        v = p.as_vector()
-        back = coxph.CoxParams.from_vector(v, 1, 1)
-        assert back.beta1 == p.beta1
-        assert np.allclose(back.beta2, p.beta2)
-        assert np.allclose(back.beta3, p.beta3)

@@ -314,10 +314,9 @@ class TestFitCalibratedCox:
 
 class TestHazardRatio:
     def make_fit(self, beta, cov):
-        params = coxph.CoxParams.from_vector(beta, 1, 1)
         se, lo, hi = inference.wald_ci(beta, cov)
         comps = SandwichComponents(np.eye(3), np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
-        return inference.CoxFit(params=params, beta=beta, covariance=cov, se=se,
+        return inference.CoxFit(beta=beta, covariance=cov, se=se,
                                 ci_lower=lo, ci_upper=hi, components=comps,
                                 report=coxph.ConvergenceReport(True, 1, 0.0, 0.0),
                                 term_names=("exposure", "w_1", "exposure:w_1"))
@@ -326,6 +325,13 @@ class TestHazardRatio:
         fit = self.make_fit(np.array([-0.284, 0.0, 0.0]), np.zeros((3, 3)))
         hr, lo, hi = inference.hazard_ratio(fit, 0.1, [0.0])
         assert hr == pytest.approx(np.exp(-0.0284), rel=1e-10)
+
+    @pytest.mark.parametrize("w0", [[], [0.0, 1.0]])
+    def test_w0_of_wrong_length_raises(self, w0):
+        fit = self.make_fit(np.array([-0.3, 0.1, 5.0]), np.zeros((3, 3)))
+        with pytest.raises(linalg.ContractViolationError,
+                           match=r"one value per confounder column \(1\), got"):
+            inference.hazard_ratio(fit, 0.1, w0)
 
     def test_zero_modifier_ignores_beta3(self):
         fit = self.make_fit(np.array([-0.3, 0.1, 5.0]), np.zeros((3, 3)))

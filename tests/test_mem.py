@@ -171,7 +171,7 @@ class TestPredictMu:
                                 simulate.SETTING2_ALPHA["a2"],
                                 simulate.SETTING2_ALPHA["a3"]])
         spec = DesignSpec(variant="standard", include_interactions=True)
-        fit = mem.MemFit(params=mem.MemParams(alpha=alpha), psi=0.0, sigma2=0.01,
+        fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.01,
                          v_alpha=np.eye(len(alpha)), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
         assert mem.predict_mu_matrix(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
@@ -180,7 +180,7 @@ class TestPredictMu:
     def test_intercept_only(self):
         alpha = np.array([1.0, 0.0, 0.0])
         spec = DesignSpec(variant="standard")
-        fit = mem.MemFit(params=mem.MemParams(alpha=alpha), psi=0.0, sigma2=0.0,
+        fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.0,
                          v_alpha=np.eye(3), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
         assert mem.predict_mu_matrix(fit, np.array([[7.0]]), np.array([[-3.0]])) == \

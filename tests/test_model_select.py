@@ -139,7 +139,7 @@ class TestCvEvaluate:
 
 class TestCandidateGrid:
     def test_cardinality(self):
-        specs = model_select.candidate_grid(p_z=9, p_w=1)
+        specs = model_select.candidate_grid(p_z=9)
         assert len(specs) >= 17
         labels = [s.label() for s in specs]
         assert "standard" in labels
@@ -148,10 +148,10 @@ class TestCandidateGrid:
         assert len(set(labels)) == len(labels)
 
     def test_no_interactions_variant(self):
-        specs = model_select.candidate_grid(p_z=9, p_w=1, interactions=False)
+        specs = model_select.candidate_grid(p_z=9, interactions=False)
         assert all(not s.include_interactions for s in specs)
 
     def test_small_pz_filters(self):
-        specs = model_select.candidate_grid(p_z=2, p_w=1)
+        specs = model_select.candidate_grid(p_z=2)
         assert all(s.variant != "rcs" for s in specs)
         assert all(s.n_components <= 2 for s in specs if s.variant == "pca")

@@ -53,9 +53,8 @@ class TestFitPca:
     def test_zero_variance_column_warns(self, rng):
         z = rng.normal(size=(20, 3))
         z[:, 1] = 0.7
-        messages = []
-        transforms.fit_pca(z, 2, warn=messages.append)
-        assert any("zero-variance" in m for m in messages)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            transforms.fit_pca(z, 2)
 
     def test_sign_convention_deterministic(self, rng):
         z = rng.normal(size=(60, 4))
@@ -244,3 +243,74 @@ class TestSerialization:
     def test_version_check(self):
         with pytest.raises(ContractViolationError):
             transforms.transform_from_json('{"version": 99, "spec": {}}')
+
+    # The pca3+int file written for Z_GOLDEN before interactions were fixed
+    # to pair with every confounder; files like it must keep loading, and a
+    # round trip must reproduce them byte for byte.
+    Z_GOLDEN = np.array([[0.41, 0.52, 0.38, 0.47],
+                         [0.55, 0.49, 0.61, 0.44],
+                         [0.33, 0.40, 0.29, 0.51],
+                         [0.62, 0.58, 0.66, 0.39],
+                         [0.47, 0.45, 0.50, 0.58],
+                         [0.39, 0.61, 0.42, 0.36]])
+    GOLDEN_PCA3_INT = """{
+  "version": 1,
+  "spec": {
+    "variant": "pca",
+    "n_components": 3,
+    "n_knots": 3,
+    "include_interactions": true,
+    "interacting_confounders": null,
+    "radius_subset": null
+  },
+  "pca": {
+    "center": [
+      0.46166666666666667,
+      0.5083333333333334,
+      0.4766666666666666,
+      0.4583333333333333
+    ],
+    "loadings": [
+      [
+        0.5747965531215232,
+        0.23151535663079317,
+        0.7603607790355038,
+        -0.19457915579078475
+      ],
+      [
+        0.20926014799076192,
+        -0.6415442723669907,
+        0.2176055020172649,
+        0.705180106460617
+      ],
+      [
+        0.07004310787681,
+        -0.7283097415097826,
+        -0.005625944006964202,
+        -0.681635703447921
+      ]
+    ],
+    "eigenvalues": [
+      0.03341796256525982,
+      0.00962151244284788,
+      0.0008755307404343224,
+      0.0002416609181246413
+    ]
+  }
+}"""
+
+    def test_golden_pca3_int_file(self):
+        spec, t = transforms.transform_from_json(self.GOLDEN_PCA3_INT)
+        assert spec == DesignSpec(variant="pca", n_components=3,
+                                  include_interactions=True)
+        fitted = transforms.fit_pca(self.Z_GOLDEN, 3)
+        for name in ("center", "loadings", "eigenvalues"):
+            np.testing.assert_allclose(getattr(t, name), getattr(fitted, name),
+                                       rtol=0, atol=1e-12)
+        assert transforms.transform_to_json(spec, t) == self.GOLDEN_PCA3_INT
+
+    def test_confounder_subset_rejected(self):
+        text = self.GOLDEN_PCA3_INT.replace('"interacting_confounders": null',
+                                            '"interacting_confounders": [0]')
+        with pytest.raises(ContractViolationError, match="subset of confounders"):
+            transforms.transform_from_json(text)
