@@ -125,6 +125,16 @@ def _hr_at(args, confounder_names):
     return w0
 
 
+def _check_out(out):
+    """Fail before any work if ``--out`` names a file, not a directory.
+
+    The directory itself is made only once the work has succeeded, so a
+    failed run leaves none behind.
+    """
+    if out is not None and Path(out).exists() and not Path(out).is_dir():
+        raise FileExistsError(f"--out {out}: exists and is not a directory")
+
+
 def _parse_cell(text):
     try:
         p, n1, n2, s2 = text.split(",")
@@ -221,6 +231,7 @@ def cmd_select(args):
     file_cfg = _load_config(args.config, "select")
     seed = _int_setting(args.seed, file_cfg, "seed", 0)
     folds = _int_setting(args.folds, file_cfg, "folds", 5)
+    _check_out(args.out)
     validation = data_model.read_validation_csv(args.validation_csv)
     n_subjects = np.bincount(validation.subject_codes).size
     if not 2 <= folds <= n_subjects:
@@ -270,6 +281,7 @@ def cmd_select(args):
 def cmd_fit(args):
     file_cfg = _load_config(args.config, "fit")
     spec_token = args.spec or file_cfg.get("spec", "pca3+int")
+    _check_out(args.out)
     main = data_model.read_main_csv(args.main_csv)
     validation = data_model.read_validation_csv(args.validation_csv)
     if not np.array_equal(main.radii, validation.radii):

@@ -185,6 +185,8 @@ def fit(rs, u):
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
+            # Free the last sums before the candidate's are built.
+            del eta, w, S0, S1
             eta, w, S0, S1 = rs.sums(u, cand)
             ll_new = rs.loglik(eta, S0)
             if ll_new >= ll - 1e-13:

@@ -13,12 +13,15 @@ strictly increasing.  Files are UTF-8, comma-separated, ``.`` decimal point,
 header row mandatory, no quoting.  Missing cells are errors: the analyses
 this package supports are complete-case.
 
-The readers parse a file's rows in bulk (``np.loadtxt``) and read them one
-at a time, as ``csv.reader`` and ``float()`` do, only when the bulk parse
-rejects the file or its values break the schema; either way a file reads to
-the same arrays or raises the same :class:`ParseError`.
+The readers parse a file's rows in bulk (``np.loadtxt``), streaming the
+text in chunks of about a mebibyte, and read them one at a time, as
+``csv.reader`` and ``float()`` do, only when the bulk parse rejects the file
+or its values break the schema; either way a file reads to the same arrays
+or raises the same :class:`ParseError`.  A file that is not UTF-8 text is a
+:class:`ParseError` too.
 """
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 
@@ -130,6 +133,17 @@ def _cell(row, col_idx, header, rownum, path):
         ) from exc
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """The file as UTF-8 text; a byte that does not decode is a ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte "
+                         f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
+
+
 def _read_header(fh, leading, path):
     try:
         header = next(csv.reader(fh))
@@ -138,35 +152,65 @@ def _read_header(fh, leading, path):
     return header, _parse_header(header, leading, path)
 
 
-def _bulk_rows(fh, n_cols):
-    """Ids and numeric cells of the rows left in ``fh``, parsed in one pass.
+# Characters of file text the bulk parse holds at a time.
+_CHUNK_CHARS = 1 << 20
 
-    Returns ``(ids, cells)`` with the numeric cells of columns 1..n_cols-1
-    as one float array, exactly as ``csv.reader`` and ``float()`` would read
-    them (NumPy's parser rounds as ``float()`` does).  Returns None when
-    they might not agree or a cell does not parse: a quote character, a
-    blank line, a row of the wrong length, a cell NumPy does not take (a
-    non-number, ``1_000``), an undecodable byte, or no rows at all.
+
+def _bulk_rows(fh, n_cols):
+    """Ids and numeric cells of the rows left in ``fh``, parsed in chunks.
+
+    Returns ``(ids, chunks)``: the ids, and the numeric cells of columns
+    1..n_cols-1 as one float array per chunk of rows, exactly as
+    ``csv.reader`` and ``float()`` would read them (NumPy's parser rounds
+    as ``float()`` does).  Returns None when they might not agree or a cell
+    does not parse: a quote character, a blank line, a row of the wrong
+    length, a cell NumPy does not take (a non-number, ``1_000``), an
+    undecodable byte, or no rows at all.
+
+    The text is read _CHUNK_CHARS characters at a time; each chunk's rows
+    end at its last newline, and the partial row after it is carried into
+    the next chunk, so only one chunk's text and lines are held at once.
     """
-    try:
-        body = fh.read()
-    except UnicodeDecodeError:
-        return None
-    if not body or '"' in body:
-        return None
-    lines = body.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    # loadtxt skips blank lines and ignores cells past usecols; either one
-    # breaks this count.  Short rows make loadtxt raise.
-    if body.count(",") != len(lines) * (n_cols - 1):
-        return None
-    try:
-        cells = np.loadtxt(lines, delimiter=",", comments=None,
-                           usecols=range(1, n_cols), ndmin=2)
-    except ValueError:
-        return None
-    return [line.partition(",")[0] for line in lines], cells
+    ids, chunks = [], []
+    rest = ""
+    while True:
+        try:
+            text = fh.read(_CHUNK_CHARS)
+        except UnicodeDecodeError:
+            return None
+        if '"' in text:
+            return None
+        if not text:
+            if not rest:
+                return (ids, chunks) if ids else None
+            text = "\n"  # end the last row, which lacks its newline
+        commas = rest.count(",") + text.count(",")
+        lines = (rest + text).split("\n")
+        del text  # only the chunk's lines are held from here on
+        rest = lines.pop()
+        if not lines:
+            continue
+        # loadtxt skips blank lines, ignores cells past usecols and raises
+        # on short rows, so the comma total and the row count together hold
+        # every row to n_cols - 1 commas.
+        if commas - rest.count(",") != len(lines) * (n_cols - 1):
+            return None
+        try:
+            cells = np.loadtxt(lines, delimiter=",", comments=None,
+                               usecols=range(1, n_cols), ndmin=2)
+        except ValueError:
+            return None
+        if len(cells) != len(lines):
+            return None
+        ids += [line.partition(",")[0] for line in lines]
+        chunks.append(cells)
+
+
+def _columns(chunks, lo, hi=None):
+    """Column ``lo`` (or columns lo..hi-1) of every chunk, joined into one
+    new C-contiguous array."""
+    return np.concatenate([c[:, lo] if hi is None else c[:, lo:hi]
+                           for c in chunks])
 
 
 def read_main_csv(path):
@@ -178,19 +222,19 @@ def read_main_csv(path):
     whose values break the schema, is read again row by row, which names
     the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header, (radii, z_cols, w_cols, w_names) = _read_header(
             fh, ("id", "time", "event"), path)
         bulk = _bulk_rows(fh, len(header))
         if bulk is not None:
-            ids, cells = bulk
-            t, d = cells[:, 0], cells[:, 1]
+            ids, chunks = bulk
+            t, d = _columns(chunks, 0), _columns(chunks, 1)
             if np.all(np.isfinite(t) & (t > 0)) and np.all((d == 0) | (d == 1)):
                 return MainDataset(
-                    ids=np.asarray(ids, dtype=object),
-                    time=np.ascontiguousarray(t), event=d.astype(int),
-                    z=np.ascontiguousarray(cells[:, z_cols[0] - 1:w_cols[0] - 1]),
-                    w=np.ascontiguousarray(cells[:, w_cols[0] - 1:]),
+                    ids=np.asarray(ids, dtype=object), time=t,
+                    event=d.astype(int),
+                    z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
+                    w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
                     radii=radii, confounder_names=w_names)
         fh.seek(0)
         reader = csv.reader(fh)
@@ -224,13 +268,13 @@ def read_validation_csv(path):
     Confounders may vary across occasions within a subject; only duplicate
     (id, occasion) pairs are rejected.  Parsed like :func:`read_main_csv`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header, (radii, z_cols, w_cols, w_names) = _read_header(
             fh, ("id", "occasion", "x"), path)
         bulk = _bulk_rows(fh, len(header))
         if bulk is not None:
-            ids, cells = bulk
-            o = cells[:, 0]
+            ids, chunks = bulk
+            o = _columns(chunks, 0)
             # Occasions must be integers that fit the int64 array, and the
             # (id, occasion) pairs distinct.
             if np.all(np.isfinite(o) & (o == np.floor(o)) & (np.abs(o) < 2.0 ** 63)):
@@ -238,9 +282,9 @@ def read_validation_csv(path):
                 if len(set(zip(ids, occ.tolist()))) == len(ids):
                     return ValidationDataset(
                         ids=np.asarray(ids, dtype=object), occasion=occ,
-                        x=np.ascontiguousarray(cells[:, 1]),
-                        z=np.ascontiguousarray(cells[:, z_cols[0] - 1:w_cols[0] - 1]),
-                        w=np.ascontiguousarray(cells[:, w_cols[0] - 1:]),
+                        x=_columns(chunks, 1),
+                        z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
+                        w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
                         radii=radii, confounder_names=w_names)
         fh.seek(0)
         reader = csv.reader(fh)

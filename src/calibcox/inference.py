@@ -88,8 +88,9 @@ def g_beta_hat(rs, u, sums):
     ubar_over_s0 = np.vstack([np.zeros(d), np.cumsum(ubar_e / s0_e[:, None], axis=0)])
     # Number of event times <= each subject's follow-up (ties stay in the risk set).
     cnt = np.searchsorted(rs.time[ev], rs.time, side="right")
-    corr = w[:, None] * (u * inv_s0[cnt, None] - ubar_over_s0[cnt])
-    resid = -corr
+    resid = u * inv_s0[cnt, None]
+    resid -= ubar_over_s0[cnt]
+    resid *= -w[:, None]
     resid[ev] += u[ev] - ubar_e
     return (resid.T @ resid) / n
 
@@ -124,7 +125,8 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
         lambda lo, hi: (w[lo:hi] * b[lo:hi])[:, None] * phi[lo:hi], (da,))
     s0_e = S0[rs.start]
     out = np.einsum("ij,ik->jk", c[ev], phi[ev])
-    out -= (SM / s0_e[:, None, None]).sum(axis=0)
+    SM /= s0_e[:, None, None]
+    out -= SM.sum(axis=0)
     ratio = S1[rs.start] / (s0_e ** 2)[:, None]
     out += np.einsum("ij,ik->jk", ratio, Sq)
     return out
@@ -201,9 +203,11 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
             f"calibration coefficients: V_alpha needs more subjects than "
             f"coefficients")
     order = np.argsort(main.time, kind="stable")
-    z, w = main.z[order], main.w[order]
+    w = main.w[order]
     rs = coxph.RiskSets(main.time[order], main.event[order])
-    phi = transforms.build_design_matrix(memfit.spec, memfit.transform, z, w)
+    # The sorted z lives only while phi is built from it.
+    phi = transforms.build_design_matrix(memfit.spec, memfit.transform,
+                                         main.z[order], w)
     u = coxph.build_cox_rows(phi @ memfit.alpha, w)
     beta, report, sums, info = coxph.fit(rs, u)
     n = len(main)

@@ -112,16 +112,14 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     return ok + [m for m in out if m.failed]
 
 
-def candidate_grid(p_z, interactions=True):
+def candidate_grid(p_z):
     """The standard candidate set: all-radii / single-radius standard models,
-    PCA with 2 or 3 components, splines with 3-7 knots, plus (optionally)
-    with-interaction variants of each family but the single-radius one."""
+    PCA with 2 or 3 components, splines with 3-7 knots, plus with-interaction
+    variants of each family but the single-radius one."""
     Spec = transforms.DesignSpec
     specs = ([Spec(variant="standard")]
              + [Spec(variant="standard", radius_subset=(j,)) for j in range(min(4, p_z))]
              + [Spec(variant="pca", n_components=k) for k in (2, 3) if k <= p_z]
              + [Spec(variant="rcs", n_knots=m) for m in range(3, 8) if m <= p_z])
-    if interactions:
-        specs += [dataclasses.replace(s, include_interactions=True)
-                  for s in specs if s.radius_subset is None]
-    return specs
+    return specs + [dataclasses.replace(s, include_interactions=True)
+                    for s in specs if s.radius_subset is None]

@@ -166,14 +166,22 @@ def build_design_matrix(spec, transform, zmat, wmat):
 
     The interaction block repeats s(z) scaled by each confounder, in
     confounder-major order, and is present only when the spec asks for it.
+    Each block is written straight into the one (n, p) result.
     """
     zmat = np.asarray(zmat, dtype=float)
     wmat = np.asarray(wmat, dtype=float)
     s = reduce_z(spec, transform, zmat)
-    parts = [np.ones((len(zmat), 1)), s, wmat]
+    k, p_w = s.shape[1], wmat.shape[1]
+    out = np.empty((len(zmat), 1 + k + p_w
+                    + (k * p_w if spec.include_interactions else 0)))
+    out[:, 0] = 1.0
+    out[:, 1:1 + k] = s
+    out[:, 1 + k:1 + k + p_w] = wmat
     if spec.include_interactions:
-        parts += [wmat[:, j:j + 1] * s for j in range(wmat.shape[1])]
-    return np.hstack(parts)
+        for j in range(p_w):
+            lo = 1 + k + p_w + j * k
+            np.multiply(wmat[:, j:j + 1], s, out=out[:, lo:lo + k])
+    return out
 
 
 def transform_to_json(spec, transform):

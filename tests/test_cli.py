@@ -361,6 +361,28 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(taken) in err
 
+    @pytest.mark.parametrize("command", [
+        FIT + ["--spec", "pca3+int", "--check-derivatives"],
+        ["select", "{val}", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_rejected_before_any_work(
+            self, command, study_files, tmp_path, capsys, monkeypatch):
+        main_csv, val_csv = study_files
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_gee ran before --out was checked")
+
+        monkeypatch.setattr(mem, "fit_gee", no_fit)
+        argv = [a.format(main=main_csv, val=val_csv) for a in command]
+        assert main(argv + ["--out", str(taken)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: --out {taken}: exists and is "
+                                "not a directory\n")
+        assert taken.read_text() == ""
+
     def test_too_few_validation_rows_is_data_error(self, study_files, tmp_path,
                                                    capsys):
         # pca3 needs four rows to fit its three axes.

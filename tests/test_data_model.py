@@ -1,7 +1,14 @@
 """CSV schemas, record datasets, and risk-set construction."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibcox import data_model
 from calibcox.data_model import ParseError
@@ -248,3 +255,179 @@ class TestRiskSets:
         for a, b in zip(idx, idx[1:]):
             if time[a] < time[b]:
                 assert set(out[b]) <= set(out[a])
+
+
+def _main_dataset(rng, n=40):
+    """A small main study; ``write_main_csv`` writes its rows with CRLF."""
+    return data_model.MainDataset(
+        ids=np.asarray([f"s{i}" for i in range(n)], dtype=object),
+        time=rng.exponential(1.0, n) + 1e-3, event=rng.integers(0, 2, n),
+        z=rng.normal(0.5, 0.1, (n, 3)), w=rng.normal(1.0, 2.0, (n, 2)),
+        radii=np.array([90.0, 150.0, 270.0]), confounder_names=("w_1", "w_2"))
+
+
+def _write_variant(tmp_path, name, write, ds, variant):
+    """``ds`` written by ``write``, then given the line endings of ``variant``."""
+    p = tmp_path / name
+    write(p, ds)
+    text = p.read_bytes().decode()
+    lines = text.split("\r\n")
+    body = {"crlf": text, "lf": text.replace("\r\n", "\n"),
+            "no final newline": text.replace("\r\n", "\n").rstrip("\n"),
+            "header only": lines[0] + "\n"}[variant]
+    p.write_bytes(body.encode())
+    return p
+
+
+def _outcome(read, path):
+    """What reading ``path`` gives: the dataset, or the ParseError text with
+    the path left out."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+class TestChunkedRead:
+    """Any chunk size reads a file to the arrays, ids and errors of one
+    chunk holding the whole file."""
+
+    MAIN_FIELDS = ("time", "event", "z", "w", "radii")
+    VAL_FIELDS = ("occasion", "x", "z", "w", "radii")
+
+    @pytest.mark.parametrize("variant", ["crlf", "lf", "no final newline",
+                                         "header only"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_same_arrays_at_any_chunk_size(self, tmp_path, rng, monkeypatch,
+                                           chunk, variant):
+        main = _write_variant(tmp_path, "m.csv", data_model.write_main_csv,
+                              _main_dataset(rng), variant)
+        n = 36
+        val = _write_variant(tmp_path, "v.csv", data_model.write_validation_csv,
+                             data_model.ValidationDataset(
+                                 ids=np.asarray([f"s{i // 4}" for i in range(n)],
+                                                dtype=object),
+                                 occasion=np.tile([1, 2, 3, 4], n // 4),
+                                 x=rng.normal(0.5, 0.3, n),
+                                 z=rng.normal(0.5, 0.1, (n, 2)),
+                                 w=rng.normal(1.0, 2.0, (n, 1)),
+                                 radii=np.array([90.0, 150.0])), variant)
+        taken = _spy_bulk(monkeypatch)
+        whole = [data_model.read_main_csv(main), data_model.read_validation_csv(val)]
+        monkeypatch.setattr(data_model, "_CHUNK_CHARS", chunk)
+        chunked = [data_model.read_main_csv(main), data_model.read_validation_csv(val)]
+        # A header-only file has no rows to parse in bulk.
+        assert taken == [variant != "header only"] * 4
+        _assert_same_arrays(whole[0], chunked[0], self.MAIN_FIELDS)
+        _assert_same_arrays(whole[1], chunked[1], self.VAL_FIELDS)
+        assert len(whole[0]) == (0 if variant == "header only" else 40)
+
+    def test_row_straddling_a_chunk_boundary(self, tmp_path, rng, monkeypatch):
+        p = _write_variant(tmp_path, "m.csv", data_model.write_main_csv,
+                           _main_dataset(rng), "lf")
+        rows = p.read_text().split("\n")[1:]
+        # The first chunk starts after the header and ends inside row 3.
+        chunk = len(rows[0]) + len(rows[1]) + 2 + len(rows[2]) // 2
+        whole = data_model.read_main_csv(p)
+        monkeypatch.setattr(data_model, "_CHUNK_CHARS", chunk)
+        taken = _spy_bulk(monkeypatch)
+        _assert_same_arrays(whole, data_model.read_main_csv(p), self.MAIN_FIELDS)
+        assert taken == [True]
+
+    ROW = TestBulkParse.ROW
+    GOOD = 600  # rows ahead of the fault: past the header's read buffer too
+
+    @pytest.mark.parametrize("tail, error", [
+        (b"\n" + ROW.encode(), "row 602: expected 6 cells, got 0"),
+        (b"b,2.0,0,0.4,0.5\n", "row 602: expected 6 cells, got 5"),
+        (b"b,2.0,0,0.4,0.5,1.0,7\n", "row 602: expected 6 cells, got 7"),
+        (b"a,1.0,1,#,0.6,2.0\n", "row 602, column 'z_90': non-numeric or missing cell"),
+        # The blank line's missing commas make up for the long row's extra
+        # ones, so only the row count tells the bulk parse a row is off.
+        (b"b,1,1,1,1,1,1,1,1,1,1\n\n", "row 602: expected 6 cells, got 11"),
+        (b'b,1.0,0,"0.4",0.5,1.0\n', None),
+        (b"b,1.0,0,0.4,0.5,1.\xff\n", "not UTF-8 text: byte 0xff (invalid start byte)"),
+    ], ids=["blank line", "short row", "long row", "non-number",
+            "long row and blank line", "quote", "non-UTF-8 byte"])
+    @pytest.mark.parametrize("chunk", [7, 64, data_model._CHUNK_CHARS])
+    def test_later_chunk_falls_back_to_row_scan(self, tmp_path, monkeypatch,
+                                                chunk, tail, error):
+        # At 7 and 64 characters the fault sits in a later chunk than the
+        # first; at the default size the one chunk holds it.
+        p = tmp_path / "m.csv"
+        p.write_bytes((MAIN_HEADER + self.ROW * self.GOOD).encode() + tail)
+        monkeypatch.setattr(data_model, "_CHUNK_CHARS", chunk)
+        taken = _spy_bulk(monkeypatch)
+        if error is None:
+            ds = data_model.read_main_csv(p)
+            assert len(ds) == self.GOOD + 1 and ds.z[-1].tolist() == [0.4, 0.5]
+        else:
+            with pytest.raises(ParseError) as err:
+                data_model.read_main_csv(p)
+            assert str(err.value) == f"{p}: {error}"
+        assert taken == [False]
+
+
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.floats(min_value=-1e6, max_value=1e6).map("{:.5e}".format),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "", "x", "1_0", " 2.5", "1e999"]))
+
+
+@st.composite
+def _main_bodies(draw):
+    """Main-study file bodies: mostly well formed, sometimes not."""
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        cells = [f"s{i}", draw(st.sampled_from(["1.5", "0.25", "3", "0", "-1"])),
+                 draw(st.sampled_from(["0", "1", "1.0", "2"]))]
+        cells += [draw(_CELL) for _ in range(3)]
+        extra = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        cells = cells[:len(cells) + extra] if extra < 0 else cells + ["7"] * extra
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(rows) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_main_bodies(), chunk=st.integers(1, 80))
+def test_bulk_parse_matches_row_scan(body, chunk):
+    """On any body, the chunked bulk parse and the row scan give the same
+    arrays and ids, or the same ParseError."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_model, "_CHUNK_CHARS", chunk):
+        p = Path(tmp) / "m.csv"
+        p.write_bytes((MAIN_HEADER + body).encode())
+        bulk = _outcome(data_model.read_main_csv, p)
+        scanned = _outcome(data_model.read_main_csv, _quote_first_id(p))
+    if isinstance(bulk, str) or isinstance(scanned, str):
+        assert bulk == scanned
+    else:
+        for name in ("time", "event", "z", "w"):
+            x, y = getattr(bulk, name), getattr(scanned, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert list(bulk.ids) == list(scanned.ids)
+
+
+def test_read_main_peak_memory(tmp_path, rng):
+    """Reading holds one chunk of text, not the whole file: the traced peak
+    stays within 2.5 times what the returned dataset keeps live."""
+    n = 20_000
+    p = tmp_path / "m.csv"
+    data_model.write_main_csv(p, data_model.MainDataset(
+        ids=np.asarray([f"s{i}" for i in range(n)], dtype=object),
+        time=rng.exponential(1.0, n) + 1e-3, event=rng.integers(0, 2, n),
+        z=rng.normal(0.5, 0.1, (n, 9)), w=rng.normal(1.0, 2.0, (n, 1)),
+        radii=np.asarray(data_model.DEFAULT_RADII)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = data_model.read_main_csv(p)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    assert peak - base <= 2.5 * (live - base)

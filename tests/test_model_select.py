@@ -147,10 +147,6 @@ class TestCandidateGrid:
         assert "rcs5" in labels
         assert len(set(labels)) == len(labels)
 
-    def test_no_interactions_variant(self):
-        specs = model_select.candidate_grid(p_z=9, interactions=False)
-        assert all(not s.include_interactions for s in specs)
-
     def test_small_pz_filters(self):
         specs = model_select.candidate_grid(p_z=2)
         assert all(s.variant != "rcs" for s in specs)

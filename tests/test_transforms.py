@@ -1,5 +1,8 @@
 """Design-row construction: PCA, restricted cubic splines, assembly, serialization."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,35 @@ class TestBuildDesign:
             s = transforms.apply_pca(t, z[i])
             row = np.concatenate([[1.0], s, w[i], w[i, 0] * s, w[i, 1] * s])
             assert np.allclose(mat[i], row)
+
+    @pytest.mark.parametrize("spec", [
+        DesignSpec(), DesignSpec(radius_subset=(2,)),
+        DesignSpec(variant="pca", n_components=3), DesignSpec(variant="rcs", n_knots=4)])
+    @pytest.mark.parametrize("interactions", [False, True])
+    def test_matches_stacked_parts_bit_for_bit(self, rng, spec, interactions):
+        spec = dataclasses.replace(spec, include_interactions=interactions)
+        z, w = rng.normal(0.5, 0.1, size=(40, 9)), rng.normal(1.0, 2.0, size=(40, 2))
+        t = transforms.fit_transform(spec, z, RADII)
+        s = transforms.reduce_z(spec, t, z)
+        parts = [np.ones((40, 1)), s, w]
+        if interactions:
+            parts += [w[:, j:j + 1] * s for j in range(2)]
+        mat = transforms.build_design_matrix(spec, t, z, w)
+        assert mat.flags.c_contiguous
+        assert mat.tobytes() == np.hstack(parts).tobytes()
+
+    def test_standard_int_peak_memory(self, rng):
+        # The rows are written into the result: no stacked parts next to it.
+        spec = DesignSpec(include_interactions=True)
+        z, w = rng.normal(size=(20_000, 9)), rng.normal(size=(20_000, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = transforms.build_design_matrix(spec, None, z, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.1 * mat.nbytes
 
     def test_radius_subset(self, rng):
         spec = DesignSpec(variant="standard", radius_subset=(1,))
