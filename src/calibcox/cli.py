@@ -126,13 +126,22 @@ def _hr_at(args, confounder_names):
 
 
 def _check_out(out):
-    """Fail before any work if ``--out`` names a file, not a directory.
+    """Fail before any work if ``--out`` or the nearest of its ancestors
+    that exists is a file, not a directory.
 
     The directory itself is made only once the work has succeeded, so a
     failed run leaves none behind.
     """
-    if out is not None and Path(out).exists() and not Path(out).is_dir():
-        raise FileExistsError(f"--out {out}: exists and is not a directory")
+    if out is None:
+        return
+    path = Path(out)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                where = "" if p == path else f"{p} "
+                raise FileExistsError(f"--out {out}: {where}exists and is "
+                                      "not a directory")
+            return
 
 
 def _parse_cell(text):

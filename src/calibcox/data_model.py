@@ -10,8 +10,8 @@ Validation-study files carry one row per (subject, occasion)::
 
 Buffer radii are encoded in the ``z_<radius>`` header names and must be
 strictly increasing.  Files are UTF-8, comma-separated, ``.`` decimal point,
-header row mandatory, no quoting.  Missing cells are errors: the analyses
-this package supports are complete-case.
+header row mandatory; a cell is quoted only when it must be.  Missing cells
+are errors: the analyses this package supports are complete-case.
 
 The readers parse a file's rows in bulk (``np.loadtxt``), streaming the
 text in chunks of about a mebibyte, and read them one at a time, as
@@ -19,10 +19,16 @@ text in chunks of about a mebibyte, and read them one at a time, as
 or its values break the schema; either way a file reads to the same arrays
 or raises the same :class:`ParseError`.  A file that is not UTF-8 text is a
 :class:`ParseError` too.
+
+The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
+endings, an id or header name quoted only when it holds a comma, quote or
+line break) with numbers at 12 significant digits, formatting and writing
+a block of rows at a time.
 """
 
 import contextlib
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,34 +320,56 @@ def read_validation_csv(path):
     )
 
 
+# Rows the writers format and write at a time.
+_WRITE_ROWS = 1024
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _csv_text(value):
+    """``value`` as one cell of ``csv.writer``'s excel dialect.
+
+    The text is ``str(value)``, empty for None, as ``csv.writer`` makes
+    it; it is wrapped in quotes when it holds a comma, a quote or a line
+    break, with each inner quote doubled.
+    """
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_rows(path, dataset, leading, template, columns):
+    """Write the header ``leading``, z_<radius>..., confounder names, then
+    one CRLF-ended row per record: its id, ``columns`` formatted by the
+    ``%`` template ``template``, and the z and w cells at 12 significant
+    digits.
+
+    Rows go _WRITE_ROWS to a ``write``: each block takes every column to
+    Python scalars once (``tolist``) and formats its rows with the one
+    template, so only a block's values and text are held at once.  Header
+    names and ids are cells of :func:`_csv_text`.
+    """
+    header = [*leading, *(f"z_{_format_radius(r)}" for r in dataset.radii),
+              *dataset.confounder_names]
+    template += ",%.12g" * (dataset.z.shape[1] + dataset.w.shape[1]) + "\r\n"
+    columns = [*columns, *dataset.z.T, *dataset.w.T]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_csv_text, header)) + "\r\n")
+        for lo in range(0, len(dataset), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            block = [[_csv_text(v) for v in dataset.ids[lo:hi]]]
+            block += [c[lo:hi].tolist() for c in columns]
+            fh.write("".join(map(template.__mod__, zip(*block))))
+
+
 def write_main_csv(path, dataset):
     """Write a :class:`MainDataset` using the canonical schema, 12 significant digits."""
-    header = (["id", "time", "event"]
-              + [f"z_{_format_radius(r)}" for r in dataset.radii]
-              + list(dataset.confounder_names))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            writer.writerow(
-                [dataset.ids[i], f"{dataset.time[i]:.12g}", dataset.event[i]]
-                + [f"{v:.12g}" for v in dataset.z[i]]
-                + [f"{v:.12g}" for v in dataset.w[i]]
-            )
+    _write_rows(path, dataset, ("id", "time", "event"), "%s,%.12g,%s",
+                (dataset.time, dataset.event))
 
 
 def write_validation_csv(path, dataset):
     """Write a :class:`ValidationDataset` using the canonical schema."""
-    header = (["id", "occasion", "x"]
-              + [f"z_{_format_radius(r)}" for r in dataset.radii]
-              + list(dataset.confounder_names))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            writer.writerow(
-                [dataset.ids[i], dataset.occasion[i], f"{dataset.x[i]:.12g}"]
-                + [f"{v:.12g}" for v in dataset.z[i]]
-                + [f"{v:.12g}" for v in dataset.w[i]]
-            )
-
+    _write_rows(path, dataset, ("id", "occasion", "x"), "%s,%s,%.12g",
+                (dataset.occasion, dataset.x))

@@ -371,16 +371,19 @@ class TestExitCodes:
         taken = tmp_path / "taken"
         taken.write_text("")
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_gee ran before --out was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work began before --out was checked")
 
-        monkeypatch.setattr(mem, "fit_gee", no_fit)
+        for name in ("read_main_csv", "read_validation_csv"):
+            monkeypatch.setattr(data_model, name, no_work)
         argv = [a.format(main=main_csv, val=val_csv) for a in command]
-        assert main(argv + ["--out", str(taken)]) == cli.EXIT_DATA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"data error: --out {taken}: exists and is "
-                                "not a directory\n")
+        # --out is the file itself, or a path under it.
+        for out, where in [(taken, ""), (taken / "sub", f"{taken} ")]:
+            assert main(argv + ["--out", str(out)]) == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"data error: --out {out}: {where}exists "
+                                    "and is not a directory\n")
         assert taken.read_text() == ""
 
     def test_too_few_validation_rows_is_data_error(self, study_files, tmp_path,

@@ -7,12 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calibcox import data_model
 from calibcox.data_model import ParseError
 from conftest import risk_set_indices
+
+import seed_csv
 
 
 MAIN_HEADER = "id,time,event,z_90,z_150,w_1\n"
@@ -431,3 +433,94 @@ def test_read_main_peak_memory(tmp_path, rng):
         tracemalloc.stop()
     assert len(ds) == n
     assert peak - base <= 2.5 * (live - base)
+
+
+_ODD_TEXT = [",", '"', "\r", "\n", "\r\n", "", 'say "hi"', "a,b", "ünï", "名前"]
+_ODD_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1]
+
+
+def _study(kind, block, n, id_pool, float_pool, radii, names, seed):
+    """A main (``kind`` "main") or validation study of ``n`` rows whose ids
+    and float cells are drawn from the pools, and the block size to write
+    it with."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(id_pool), n)
+    if isinstance(id_pool, np.ndarray):  # ids of the pool's dtype
+        ids = id_pool[picks]
+    else:
+        ids = np.empty(n, dtype=object)
+        ids[:] = [id_pool[i] for i in picks]
+    cells = np.asarray(float_pool)[
+        rng.integers(0, len(float_pool), (n, 1 + len(radii) + len(names)))]
+    z, w = cells[:, 1:1 + len(radii)], cells[:, 1 + len(radii):]
+    common = dict(ids=ids, z=z, w=w, radii=np.asarray(radii),
+                  confounder_names=tuple(names))
+    if kind == "main":
+        ds = data_model.MainDataset(time=cells[:, 0],
+                                    event=rng.integers(0, 2, n), **common)
+    else:
+        ds = data_model.ValidationDataset(occasion=rng.integers(-3, 9, n),
+                                          x=cells[:, 0], **common)
+    return kind, block, ds
+
+
+_TEXT = st.one_of(st.sampled_from(_ODD_TEXT), st.text(max_size=5))
+
+
+@st.composite
+def _studies(draw):
+    block = draw(st.sampled_from([1, 3, data_model._WRITE_ROWS]))
+    p_z = draw(st.integers(1, 3))
+    return _study(
+        kind=draw(st.sampled_from(["main", "validation"])), block=block,
+        n=draw(st.sampled_from([0, 1, block, block + 1, 3 * block + 2])),
+        id_pool=draw(st.lists(st.one_of(_TEXT, st.integers(), st.floats(), st.none()),
+                              min_size=1, max_size=8)),
+        float_pool=draw(st.lists(st.one_of(st.sampled_from(_ODD_FLOATS), st.floats()),
+                                 min_size=1, max_size=8)),
+        radii=np.cumsum(draw(st.lists(st.sampled_from([90.0, 60.0, 0.5]),
+                                      min_size=p_z, max_size=p_z))),
+        names=draw(st.lists(_TEXT, min_size=1, max_size=3)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(study=_studies())
+@example(study=_study("main", data_model._WRITE_ROWS, 3 * data_model._WRITE_ROWS + 2,
+                      _ODD_TEXT + [7, -12], _ODD_FLOATS, [90.0, 150.5, 270.0],
+                      ["w_1", "a,b", 'q"'], seed=1))
+@example(study=_study("validation", 3, 11, _ODD_TEXT + [7], _ODD_FLOATS,
+                      [90.0], ["w_1"], seed=2))
+# NumPy float ids: csv.writer writes str(), which differs from repr().
+@example(study=_study("main", 3, 7, np.array([1.5, -0.0, np.nan]), [0.25],
+                      [90.0], ["w_1"], seed=3))
+def test_writers_match_seed_writers(study):
+    """At any block size the writers give the bytes of the per-row
+    ``csv.writer`` loops they replaced."""
+    kind, block, ds = study
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_model, "_WRITE_ROWS", block):
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        getattr(data_model, f"write_{kind}_csv")(new, ds)
+        getattr(seed_csv, f"write_{kind}_csv")(old, ds)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_main_peak_memory(tmp_path, rng):
+    """Writing holds one block of rows, not the whole file: four times the
+    rows raise the traced peak by at most a quarter."""
+    def peak(n):
+        ds = data_model.MainDataset(
+            ids=np.asarray([f"s{i}" for i in range(n)], dtype=object),
+            time=rng.exponential(1.0, n) + 1e-3, event=rng.integers(0, 2, n),
+            z=rng.normal(0.5, 0.1, (n, 9)), w=rng.normal(1.0, 2.0, (n, 1)),
+            radii=np.asarray(data_model.DEFAULT_RADII))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data_model.write_main_csv(tmp_path / f"m{n}.csv", ds)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16_384) <= 1.25 * peak(4_096)
