@@ -12,7 +12,9 @@ All commands accept --config pointing at an INI file whose [simulate],
 [select], [fit] sections provide defaults; explicit flags override the file.
 The effective configuration is echoed to a provenance file next to the
 outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure, 5 a worker process of ``simulate --threads N`` died.
+failure, 5 a worker process of ``simulate --threads N`` died.  An error's
+base class in :mod:`calibcox.errors` alone decides its code: UsageError 2,
+DataError (and OSError) 3, NumericalError 4.
 """
 
 import argparse
@@ -25,17 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, data_model, inference, linalg, mem, model_select,
-               simulate, transforms)
+from . import (__version__, data_model, inference, mem, model_select, simulate,
+               transforms)
+from .errors import DataError, NumericalError, UsageError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
-
-
-class UsageError(ValueError):
-    pass
 
 
 def parse_spec_token(token, radii):
@@ -71,7 +70,7 @@ def parse_spec_token(token, radii):
         try:
             return transforms.DesignSpec(variant=variant,
                                          include_interactions=interactions, **size)
-        except linalg.ContractViolationError as exc:
+        except DataError as exc:
             raise UsageError(f"spec token '{token}': {exc}") from None
     raise UsageError(f"unknown spec token '{token}'")
 
@@ -253,6 +252,11 @@ def cmd_select(args):
     rng = np.random.default_rng(seed)
     metrics = model_select.cv_evaluate(validation, specs, k=folds, rng=rng,
                                        working=args.working)
+    if all(m.failed for m in metrics):
+        # Nothing fitted: fail as the commonest failure's class does, with
+        # the message of its earliest candidate (which also wins a tie).
+        kinds = [type(m.error) for m in metrics]
+        raise metrics[kinds.index(max(kinds, key=kinds.count))].error
     rows = []
     for m in metrics:
         rows.append([
@@ -305,12 +309,19 @@ def cmd_fit(args):
     if not np.any(main.event == 1):
         raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
                                     "needs at least one")
+    for name, column in zip(main.confounder_names, main.w.T):
+        if np.all(column == column[0]):
+            # Its Cox coefficient is not estimable: the information is singular.
+            raise data_model.ParseError(
+                f"{args.main_csv}: confounder column '{name}' is constant")
     spec = parse_spec_token(spec_token, main.radii)
     try:
         memfit = mem.fit_gee(validation, spec, working=args.working)
-    except linalg.ContractViolationError as exc:
-        # The spec parsed, so the fit rejects the data (too few rows, say).
-        raise data_model.ParseError(f"{args.validation_csv}: {exc}") from None
+    except DataError as exc:
+        # The spec parsed, so the fit rejects the data (too few rows, say):
+        # name the file.
+        exc.args = (f"{args.validation_csv}: {exc}",)
+        raise
     cox = inference.fit_calibrated_cox(main, memfit,
                                        check_derivatives=args.check_derivatives)
     hr, hr_lo, hr_hi = inference.hazard_ratio(cox, args.hr_increment, w0)
@@ -436,10 +447,10 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data_model.ParseError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ArithmeticError as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except RuntimeError as exc:

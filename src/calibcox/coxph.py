@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, linalg
+from .errors import NumericalError
 
 
-class CoxConvergenceError(ArithmeticError):
+class CoxConvergenceError(NumericalError):
     """Newton-Raphson hit the iteration cap or a step no halving could make ascend."""
 
 
-class CoxDivergenceError(ArithmeticError):
+class CoxDivergenceError(NumericalError):
     """Monotone likelihood / separation: estimates ran away."""
 
 
@@ -60,7 +61,8 @@ class RiskSets:
     start   for each event, the first row tied with it: its risk set is
             every row from there on (ties share a risk set)
 
-    A cohort without events has no risk set and raises ``ValueError``.
+    A cohort without events has no risk set and raises
+    ``ContractViolationError``.
     """
 
     def __init__(self, time, event):
@@ -71,7 +73,7 @@ class RiskSets:
         self.time = time
         self.events = np.flatnonzero(np.asarray(event) == 1)
         if not self.events.size:
-            raise ValueError("need at least one event")
+            raise linalg.ContractViolationError("need at least one event")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
 
     def check_rows(self, *arrays):
@@ -148,12 +150,6 @@ def score(rs, u, beta):
     """Score vector sum_i D_i (u_i - S1/S0 at T_i)."""
     _, _, S0, S1 = rs.sums(u, beta)
     return rs.score(u, S0, S1)
-
-
-def information(rs, u, beta):
-    """Observed information sum_i D_i (S2/S0 - (S1/S0)(S1/S0)')."""
-    _, w, S0, S1 = rs.sums(u, beta)
-    return rs.information(u, w, S0, S1)
 
 
 def fit(rs, u):

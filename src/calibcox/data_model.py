@@ -11,7 +11,9 @@ Validation-study files carry one row per (subject, occasion)::
 Buffer radii are encoded in the ``z_<radius>`` header names and must be
 strictly increasing.  Files are UTF-8, comma-separated, ``.`` decimal point,
 header row mandatory; a cell is quoted only when it must be.  Missing cells
-are errors: the analyses this package supports are complete-case.
+are errors: the analyses this package supports are complete-case.  So are
+non-finite numbers (``nan``, ``inf``, ``1e999``); the error names the row
+and column.
 
 The readers parse a file's rows in bulk (``np.loadtxt``), streaming the
 text in chunks of about a mebibyte, and read them one at a time, as
@@ -28,13 +30,16 @@ a block of rows at a time.
 
 import contextlib
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 
-class ParseError(ValueError):
+
+class ParseError(DataError):
     """CSV content violates the schema; message carries row/column coordinates."""
 
 
@@ -129,14 +134,20 @@ def _parse_header(header, leading, path):
     return np.asarray(radii), z_cols, w_cols, w_names
 
 
-def _cell(row, col_idx, header, rownum, path):
+def _cell(row, col_idx, header, rownum, path, valid=math.isfinite,
+          rule="must be finite"):
+    """The cell as a float; a ParseError that names its row and column
+    when it is not a number or ``valid`` rejects it (saying ``rule``)."""
     try:
-        return float(row[col_idx])
+        value = float(row[col_idx])
     except (ValueError, IndexError) as exc:
         raise ParseError(
             f"{path}: row {rownum}, column '{header[col_idx]}': "
             f"non-numeric or missing cell"
         ) from exc
+    if not valid(value):
+        raise ParseError(f"{path}: row {rownum}, column '{header[col_idx]}': {rule}")
+    return value
 
 
 @contextlib.contextmanager
@@ -170,8 +181,8 @@ def _bulk_rows(fh, n_cols):
     ``csv.reader`` and ``float()`` would read them (NumPy's parser rounds
     as ``float()`` does).  Returns None when they might not agree or a cell
     does not parse: a quote character, a blank line, a row of the wrong
-    length, a cell NumPy does not take (a non-number, ``1_000``), an
-    undecodable byte, or no rows at all.
+    length, a cell NumPy does not take (a non-number, ``1_000``), a cell
+    that is not finite, an undecodable byte, or no rows at all.
 
     The text is read _CHUNK_CHARS characters at a time; each chunk's rows
     end at its last newline, and the partial row after it is carried into
@@ -206,7 +217,7 @@ def _bulk_rows(fh, n_cols):
                                usecols=range(1, n_cols), ndmin=2)
         except ValueError:
             return None
-        if len(cells) != len(lines):
+        if len(cells) != len(lines) or not np.isfinite(cells).all():
             return None
         ids += [line.partition(",")[0] for line in lines]
         chunks.append(cells)
@@ -235,7 +246,7 @@ def read_main_csv(path):
         if bulk is not None:
             ids, chunks = bulk
             t, d = _columns(chunks, 0), _columns(chunks, 1)
-            if np.all(np.isfinite(t) & (t > 0)) and np.all((d == 0) | (d == 1)):
+            if np.all(t > 0) and np.all((d == 0) | (d == 1)):
                 return MainDataset(
                     ids=np.asarray(ids, dtype=object), time=t,
                     event=d.astype(int),
@@ -249,12 +260,10 @@ def read_main_csv(path):
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            t = _cell(row, 1, header, rownum, path)
-            if not np.isfinite(t) or t <= 0:
-                raise ParseError(f"{path}: row {rownum}, column 'time': must be finite and > 0")
-            d = _cell(row, 2, header, rownum, path)
-            if d not in (0.0, 1.0):
-                raise ParseError(f"{path}: row {rownum}, column 'event': must be 0 or 1")
+            t = _cell(row, 1, header, rownum, path,
+                      lambda t: math.isfinite(t) and t > 0, "must be finite and > 0")
+            d = _cell(row, 2, header, rownum, path, (0.0, 1.0).__contains__,
+                      "must be 0 or 1")
             ids.append(row[0])
             times.append(t)
             events.append(int(d))
@@ -266,6 +275,12 @@ def read_main_csv(path):
         w=np.asarray(ws).reshape(len(ids), len(w_cols)),
         radii=radii, confounder_names=w_names,
     )
+
+
+def _fits_int64(o):
+    """Whether the finite ``o`` (a float or an array) is an integer that an
+    int64 holds."""
+    return (o == np.floor(o)) & (np.abs(o) < 2.0 ** 63)
 
 
 def read_validation_csv(path):
@@ -283,7 +298,7 @@ def read_validation_csv(path):
             o = _columns(chunks, 0)
             # Occasions must be integers that fit the int64 array, and the
             # (id, occasion) pairs distinct.
-            if np.all(np.isfinite(o) & (o == np.floor(o)) & (np.abs(o) < 2.0 ** 63)):
+            if np.all(_fits_int64(o)):
                 occ = o.astype(int)
                 if len(set(zip(ids, occ.tolist()))) == len(ids):
                     return ValidationDataset(
@@ -300,9 +315,8 @@ def read_validation_csv(path):
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            o = _cell(row, 1, header, rownum, path)
-            if not float(o).is_integer():
-                raise ParseError(f"{path}: row {rownum}, column 'occasion': must be an integer")
+            o = _cell(row, 1, header, rownum, path, _fits_int64,
+                      "must be an integer below 2**63 in magnitude")
             key = (row[0], int(o))
             if key in seen:
                 raise ParseError(f"{path}: row {rownum}: duplicate (id, occasion) pair {key}")

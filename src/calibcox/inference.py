@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, coxph, linalg, transforms
+from .errors import NumericalError
 
 
-class TooFewSubjectsError(ArithmeticError):
+class TooFewSubjectsError(NumericalError):
     """The validation study cannot give a full-rank V_a.
 
     The subjects' scores sum to zero at the fitted alpha, so the
@@ -161,7 +162,7 @@ def sandwich_covariance(components, n_main):
     enters here.  The result is symmetrized.
     """
     if n_main <= 0:
-        raise ValueError("main-study size must be positive")
+        raise linalg.ContractViolationError("main-study size must be positive")
     i_inv = linalg.inv_spd(components.i_beta)
     middle = components.g_beta + (
         components.u_alpha @ components.v_alpha @ components.u_alpha.T) / n_main
@@ -221,7 +222,7 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
         if err > constants.FD_TOL:
-            raise ArithmeticError(
+            raise NumericalError(
                 f"analytic alpha-derivative disagrees with finite differences "
                 f"(relative error {err:.3e})")
     comps = SandwichComponents(i_beta=i_beta, g_beta=g_beta,

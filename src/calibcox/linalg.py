@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
+from .errors import DataError, NumericalError
 
 
-class ContractViolationError(ValueError):
+class ContractViolationError(DataError):
     """Input violates a documented precondition."""
 
 
-class DecompositionError(ArithmeticError):
+class DecompositionError(NumericalError):
     """Matrix factorization failed (non-SPD input, singular system).
 
     ``pivot`` is the index of the Cholesky pivot that failed, when one did.

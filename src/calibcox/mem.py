@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, linalg, transforms
+from .errors import NumericalError
 from .linalg import ContractViolationError, DecompositionError
 
 
@@ -26,7 +27,7 @@ class SingularDesignError(DecompositionError):
     """Design matrix is rank deficient."""
 
 
-class ConvergenceError(ArithmeticError):
+class ConvergenceError(NumericalError):
     """Iterative fit hit its iteration cap."""
 
 
@@ -271,16 +272,6 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=len(clusters.sizes), n_obs=n)
-
-
-def predict_mu_matrix(fit, zmat, wmat):
-    """Calibrated exposures phi(z, w)' alpha-hat for row-aligned z and w matrices."""
-    phi = transforms.build_design_matrix(fit.spec, fit.transform, zmat, wmat)
-    if phi.shape[1] != fit.alpha.shape[0]:
-        raise ContractViolationError(
-            f"design width {phi.shape[1]} does not match coefficient "
-            f"length {fit.alpha.shape[0]}")
-    return phi @ fit.alpha
 
 
 def qic(fit, validation):

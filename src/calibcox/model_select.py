@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_model, mem, transforms
+from .linalg import ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,15 @@ class CvMetrics:
     mse_mean: float
     qic: float
     transform: object  # fitted on the full data; None if failed or not needed
-    failed: bool = False
-    failure_reason: str = ""
+    error: Exception = None  # what the candidate's fit raised, if it failed
+
+    @property
+    def failed(self):
+        return self.error is not None
+
+    @property
+    def failure_reason(self):
+        return "" if self.error is None else str(self.error)
 
 
 def kfold_split(validation, rng, k=5):
@@ -37,11 +45,11 @@ def kfold_split(validation, rng, k=5):
     arrays of row indices; all of a subject's rows share its fold.
     """
     if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+        raise ContractViolationError(f"need at least 2 folds, got {k}")
     codes = validation.subject_codes
     n_subjects = np.bincount(codes).size
     if n_subjects < k:
-        raise ValueError(f"need at least {k} subjects, got {n_subjects}")
+        raise ContractViolationError(f"need at least {k} subjects, got {n_subjects}")
     # The subject at position pos of a random permutation goes to fold pos % k.
     fold_of = np.empty(n_subjects, dtype=np.intp)
     fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k
@@ -87,18 +95,22 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
         try:
             for i, (train, test) in enumerate(splits):
                 fit = fit_gee(i, train, spec)
-                pred = mem.predict_mu_matrix(fit, test.z, test.w)
-                err = test.x - pred
+                err = test.x - transforms.build_design_matrix(
+                    fit.spec, fit.transform, test.z, test.w) @ fit.alpha
                 abs_errors.append(np.abs(err))
                 sq_errors.append(err ** 2)
                 fold_maes.append(float(np.mean(np.abs(err))))
             full = fit_gee("full", validation, spec)
             qic_value = mem.qic(full, validation)
         except (ValueError, ArithmeticError) as exc:
+            # Keep the error without its tracebacks and the errors chained
+            # to it: their frames link back to this call's and would keep
+            # all its data alive.
+            exc.__traceback__ = exc.__cause__ = exc.__context__ = None
             out.append(CvMetrics(spec=spec, mae_mean=np.nan, mae_q25=np.nan,
                                  mae_q50=np.nan, mae_q75=np.nan,
                                  mse_mean=np.nan, qic=np.nan, transform=None,
-                                 failed=True, failure_reason=str(exc)))
+                                 error=exc))
             continue
         abs_all = np.concatenate(abs_errors)
         sq_all = np.concatenate(sq_errors)

@@ -35,6 +35,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import constants, data_model, inference, linalg, mem, transforms
+from .errors import NumericalError
+from .linalg import ContractViolationError
 
 SETTING1_ALPHA = {
     "a0": 0.105,
@@ -89,11 +91,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("n1 and n2 must be at least 1")
+            raise ContractViolationError("n1 and n2 must be at least 1")
         if not 0.0 < self.event_rate < 1.0:
-            raise ValueError("event_rate must be in (0, 1)")
+            raise ContractViolationError("event_rate must be in (0, 1)")
         if self.sigma2_v <= 0.0:
-            raise ValueError("sigma2_v must be positive")
+            raise ContractViolationError("sigma2_v must be positive")
         p = len(self.alpha1)
         object.__setattr__(self, "alpha1", np.asarray(self.alpha1, dtype=float))
         object.__setattr__(self, "alpha2", np.asarray(self.alpha2, dtype=float))
@@ -163,7 +165,7 @@ def weibull_event_time(rng, eta, theta, nu):
     T = nu^-1 (-log U * exp(-eta))^(1/theta); eta may be a vector.
     """
     if theta <= 0 or nu <= 0:
-        raise ValueError("theta and nu must be positive")
+        raise ContractViolationError("theta and nu must be positive")
     eta = np.asarray(eta, dtype=float)
     u = rng.uniform(size=eta.shape)
     return (-np.log(u) * np.exp(-eta)) ** (1.0 / theta) / nu
@@ -202,7 +204,7 @@ def calibrate_cmax(cfg, rng, pilot_size=constants.CMAX_PILOT_SIZE):
             break
         hi *= 2.0
     else:
-        raise ArithmeticError("could not bracket the target event rate")
+        raise NumericalError("could not bracket the target event rate")
     for _ in range(constants.CMAX_MAX_ITER):
         mid = 0.5 * (lo + hi)
         r = rate(mid)
@@ -212,7 +214,7 @@ def calibrate_cmax(cfg, rng, pilot_size=constants.CMAX_PILOT_SIZE):
             lo = mid
         else:
             hi = mid
-    raise ArithmeticError(
+    raise NumericalError(
         f"event-rate bisection failed: achieved range "
         f"[{rate(lo):.4f}, {rate(hi):.4f}] around target {cfg.event_rate}")
 
@@ -320,8 +322,9 @@ def run_replicate(cfg, c_max, rep, cell_index=0):
             fit = mem.fit_gee(validation, spec)
             cox = inference.fit_calibrated_cox(main, fit)
         except (ArithmeticError, ValueError) as exc:
-            # The package's numerical errors derive from ArithmeticError, its
-            # input errors (ContractViolationError) from ValueError.
+            # The package's numerical errors (errors.NumericalError) derive
+            # from ArithmeticError, its data errors (errors.DataError) from
+            # ValueError.
             results.append(ReplicateResult(replicate=rep, model=name,
                                            converged=False, error=str(exc)))
             continue
@@ -376,7 +379,7 @@ def run_cell(cfg, cell_index=0, threads=1):
     fork start method, threads > 1 raises ValueError.
     """
     if cfg.replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise ContractViolationError("replicates must be >= 1")
     pilot_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cell_index, 0)))
     c_max = calibrate_cmax(cfg, pilot_rng)

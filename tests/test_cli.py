@@ -1,14 +1,21 @@
 """CLI surface: argument handling, outputs, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import multiprocessing
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from calibcox import cli, data_model, mem, simulate, transforms
+from calibcox import cli, data_model, errors, mem, model_select, simulate, transforms
 from calibcox.cli import main
 
 
@@ -218,7 +225,8 @@ class TestFitCommand:
         (lambda ds: {"event": np.zeros_like(ds.event)}, "no events"),
         (lambda ds: {"w": np.hstack([ds.w, ds.w]), "confounder_names": ("w_1", "w_2")},
          "disagree on confounder columns"),
-    ], ids=["no events", "confounders w_1,w_2 against w_1"])
+        (lambda ds: {"w": np.ones_like(ds.w)}, "confounder column 'w_1' is constant"),
+    ], ids=["no events", "confounders w_1,w_2 against w_1", "constant w_1"])
     def test_main_file_is_data_error(self, change, message, study_files, tmp_path,
                                      capsys):
         main_csv, val_csv = study_files
@@ -398,6 +406,148 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: {few}: need at least 4 rows, got 3\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("which, column", [
+        ("main", "z_90"), ("main", "w_1"), ("validation", "x"),
+        ("validation", "z_90")])
+    def test_non_finite_cell_is_data_error(self, which, column, value, study_files,
+                                           tmp_path, capsys):
+        main_csv, val_csv = study_files
+        files = {"main": main_csv, "validation": val_csv}
+        rows = _rows(files[which])
+        rows[5][rows[0].index(column)] = value
+        bad = files[which] = tmp_path / f"bad_{which}.csv"
+        _write_rows(bad, rows)
+        calls = [["fit", str(files["main"]), "--validation", str(files["validation"])]]
+        if which == "validation":
+            calls.append(["select", str(bad), "--seed", "1"])
+        for argv in calls:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.err == (f"data error: {bad}: row 6, column '{column}': "
+                                    "must be finite\n")
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_select_with_nothing_fitted_fails(self, study_files, tmp_path, capsys):
+        # A constant confounder makes every candidate's design rank deficient.
+        _, val_csv = study_files
+        ds = data_model.read_validation_csv(val_csv)
+        bad = tmp_path / "constant_w.csv"
+        data_model.write_validation_csv(bad,
+                                        dataclasses.replace(ds, w=np.ones_like(ds.w)))
+        out = tmp_path / "sel"
+        assert main(["select", str(bad), "--seed", "1", "--out", str(out)]) == \
+            cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1 and "rank deficient" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raised, code, message", [
+        ([errors.NumericalError("a"), errors.DataError("b"), errors.DataError("c")],
+         cli.EXIT_DATA, "data error: b"),
+        ([errors.DataError("a"), errors.NumericalError("b"), errors.NumericalError("c"),
+          errors.DataError("d")], cli.EXIT_DATA, "data error: a"),
+        ([errors.UsageError("a")], cli.EXIT_USAGE, "usage error: a"),
+    ], ids=["commonest", "tie goes to the earliest", "one"])
+    def test_select_with_nothing_fitted_exits_as_its_commonest_failure(
+            self, raised, code, message, study_files, monkeypatch, capsys):
+        def all_fail(validation, specs, **kwargs):
+            return [model_select.CvMetrics(
+                spec=transforms.DesignSpec(variant="standard"), mae_mean=np.nan,
+                mae_q25=np.nan, mae_q50=np.nan, mae_q75=np.nan, mse_mean=np.nan,
+                qic=np.nan, transform=None, error=exc) for exc in raised]
+
+        monkeypatch.setattr(model_select, "cv_evaluate", all_fail)
+        assert main(["select", str(study_files[1]), "--seed", "1"]) == code
+        assert capsys.readouterr().err == message + "\n"
+
+
+def _rows(path):
+    """The cells of a CSV file written without quotes, header first."""
+    return [line.split(",") for line in Path(path).read_text().splitlines()]
+
+
+def _write_rows(path, rows):
+    Path(path).write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_study():
+    """Rows of a generated main study (400 subjects) and validation study
+    (40 subjects, 3 occasions each), as the package writers write them."""
+    cfg = simulate.setting1(n1=400, n2=40, occasions=3, event_rate=0.3,
+                            sigma2_v=0.01, seed=37)
+    rng = np.random.default_rng(37)
+    cmax = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
+    val = simulate.gen_validation(cfg, rng)
+    main_ds, _ = simulate.gen_main(cfg, rng, cmax)
+    with tempfile.TemporaryDirectory() as tmp:
+        data_model.write_main_csv(Path(tmp) / "m.csv", main_ds)
+        data_model.write_validation_csv(Path(tmp) / "v.csv", val)
+        return _rows(Path(tmp) / "m.csv"), _rows(Path(tmp) / "v.csv")
+
+
+CORRUPTIONS = ["nan", "inf", "empty", "text", "constant", "duplicate",
+               "one subject", "no events", "all events"]
+
+
+def _corrupt(rows, kind, col, row):
+    """A copy of ``rows`` (header first) with one corruption applied:
+    cell (row, col) set to nan, inf, nothing or text; column col made
+    constant or appended again; only the first subject's rows kept; or the
+    event column (main files) set to all 0 or all 1."""
+    header, body = list(rows[0]), [list(r) for r in rows[1:]]
+    if kind in ("nan", "inf", "empty", "text"):
+        body[row][col] = {"empty": "", "text": "abc"}.get(kind, kind)
+    elif kind == "constant":
+        for r in body:
+            r[col] = body[0][col]
+    elif kind == "duplicate":
+        header.append(header[col])
+        for r in body:
+            r.append(r[col])
+    elif kind == "one subject":
+        body = [r for r in body if r[0] == body[0][0]]
+    else:
+        for r in body:
+            r[2] = "0" if kind == "no events" else "1"
+    return [header] + body
+
+
+@pytest.mark.filterwarnings(
+    "ignore:zero-variance surrogate column in PCA input:UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["main", "validation"]),
+       kind=st.sampled_from(CORRUPTIONS), col=st.integers(1, 12),
+       row=st.integers(0, 119))
+@example(which="main", kind="nan", col=3, row=5)
+def test_corrupted_inputs_reach_an_exit_code(which, kind, col, row):
+    """Every fit and select on a corrupted copy of a small study exits 0, 2,
+    3 or 4, never with a traceback; a failure prints exactly one line."""
+    if kind in ("no events", "all events"):
+        which = "main"
+    rows = dict(zip(("main", "validation"), _small_study()))
+    rows[which] = _corrupt(rows[which], kind, col, row)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in rows}
+        for name, path in paths.items():
+            _write_rows(path, rows[name])
+        for argv in (["fit", str(paths["main"]),
+                      "--validation", str(paths["validation"])],
+                     ["select", str(paths["validation"]),
+                      "--specs", "standard", "pca3+int"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), argv[0]
+            if code:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.getvalue().endswith("\n")
 
 
 class TestReportCommand:

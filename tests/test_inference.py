@@ -104,7 +104,7 @@ class TestGBetaHat:
             time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
             beta, *_ = coxph.fit(rs, u)
-            i_beta = coxph.information(rs, u, beta) / n
+            i_beta = rs.information(u, *rs.sums(u, beta)[1:]) / n
             g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
             i_inv = linalg.inv_spd(i_beta)
             vars_.append(float((i_inv @ g @ i_inv.T)[0, 0] / n))
@@ -165,7 +165,7 @@ class TestSandwichCovariance:
         rs = coxph.RiskSets(time, event)
         beta, *_ = coxph.fit(rs, u)
         n = len(time)
-        i_beta = coxph.information(rs, u, beta) / n
+        i_beta = rs.information(u, *rs.sums(u, beta)[1:]) / n
         g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
         comps = SandwichComponents(i_beta=i_beta, g_beta=g,
                                    u_alpha=np.zeros((2, 3)),

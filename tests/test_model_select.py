@@ -84,7 +84,8 @@ class TestCvEvaluate:
                 val, ids=val.ids[train_rows], occasion=val.occasion[train_rows],
                 x=val.x[train_rows], z=val.z[train_rows], w=val.w[train_rows])
             fit = mem.fit_ols(train, spec)
-            pred = mem.predict_mu_matrix(fit, val.z[f], val.w[f])
+            pred = transforms.build_design_matrix(fit.spec, fit.transform, val.z[f],
+                                                  val.w[f]) @ fit.alpha
             abs_errors.append(np.abs(val.x[f] - pred))
         expected_mae = float(np.concatenate(abs_errors).mean())
         assert out[0].mae_mean == pytest.approx(expected_mae, abs=1e-12)
@@ -105,6 +106,20 @@ class TestCvEvaluate:
         assert not out[0].failed
         assert out[-1].failed
         assert out[-1].failure_reason
+
+    def test_failed_spec_keeps_its_error_without_tracebacks(self, rng):
+        # A constant confounder makes the design rank deficient.  The error
+        # is kept, but not the tracebacks whose frames would keep the call's
+        # data alive.
+        val, _ = make_validation(rng, n_subjects=20)
+        val = dataclasses.replace(val, w=np.ones_like(val.w))
+        out = model_select.cv_evaluate(val, [DesignSpec(variant="standard")],
+                                       rng=np.random.default_rng(2))
+        err = out[0].error
+        assert isinstance(err, mem.SingularDesignError)
+        assert out[0].failure_reason == str(err) and "rank deficient" in str(err)
+        assert err.__traceback__ is None
+        assert err.__cause__ is None and err.__context__ is None
 
     def test_ordering_invariant_to_subject_shuffle(self, rng):
         val, _ = make_validation(rng, n_subjects=20)
