@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, data_model, inference, mem, model_select, simulate,
-               transforms)
+from . import (__version__, data_model, inference, linalg, mem, model_select,
+               simulate, transforms)
 from .errors import DataError, NumericalError, UsageError
 
 EXIT_USAGE = 2
@@ -291,6 +291,28 @@ def cmd_select(args):
     return 0
 
 
+def _check_confounders(path, main):
+    """Raise ParseError when a confounder's Cox coefficient is not estimable.
+
+    A constant column, or one collinear with the columns before it, leaves
+    the information singular.  Centred and scaled to unit length, the
+    columns' Gram matrix has a unit diagonal, so the pivot floor is
+    relative, as in mem's rank check.
+    """
+    for name, column in zip(main.confounder_names, main.w.T):
+        if np.all(column == column[0]):
+            raise data_model.ParseError(
+                f"{path}: confounder column '{name}' is constant")
+    wc = main.w - main.w.mean(axis=0)
+    wc /= np.linalg.norm(wc, axis=0)
+    try:
+        linalg.cholesky(wc.T @ wc, min_pivot=1e-10)
+    except linalg.DecompositionError as exc:
+        raise data_model.ParseError(
+            f"{path}: confounder column '{main.confounder_names[exc.pivot]}' "
+            "is collinear with the preceding ones") from None
+
+
 def cmd_fit(args):
     file_cfg = _load_config(args.config, "fit")
     spec_token = args.spec or file_cfg.get("spec", "pca3+int")
@@ -309,11 +331,7 @@ def cmd_fit(args):
     if not np.any(main.event == 1):
         raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
                                     "needs at least one")
-    for name, column in zip(main.confounder_names, main.w.T):
-        if np.all(column == column[0]):
-            # Its Cox coefficient is not estimable: the information is singular.
-            raise data_model.ParseError(
-                f"{args.main_csv}: confounder column '{name}' is constant")
+    _check_confounders(args.main_csv, main)
     spec = parse_spec_token(spec_token, main.radii)
     try:
         memfit = mem.fit_gee(validation, spec, working=args.working)

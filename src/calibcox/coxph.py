@@ -13,6 +13,13 @@ with the running total carried between blocks, so no n x d x d array is
 built and every element is still added in the order of one sweep over all
 rows.
 
+The Newton loop takes its score from the suffix sums S0 and S1, because
+its information needs S1 anyway and the fit's outputs are pinned to that
+summation order.  The standalone :func:`score`, which only the
+finite-difference check of U_alpha calls, needs no S1: it weights each row
+by the events whose risk sets hold it, one suffix sum of w in place of
+1 + d of them.
+
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
 """
@@ -60,6 +67,8 @@ class RiskSets:
     events  positions of the events
     start   for each event, the first row tied with it: its risk set is
             every row from there on (ties share a risk set)
+    upto    for each row, the number of events at or before its time: the
+            first upto[j] events are those whose risk sets hold row j
 
     A cohort without events has no risk set and raises
     ``ContractViolationError``.
@@ -75,6 +84,7 @@ class RiskSets:
         if not self.events.size:
             raise linalg.ContractViolationError("need at least one event")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
+        self.upto = np.searchsorted(self.time[self.events], self.time, side="right")
 
     def check_rows(self, *arrays):
         """Raise ``ContractViolationError`` unless each array has a row per subject."""
@@ -83,17 +93,21 @@ class RiskSets:
                 raise linalg.ContractViolationError(
                     f"{len(a)} rows for a cohort of {len(self.time)} subjects")
 
-    def sums(self, u, beta):
-        """(eta, w, S0, S1) for the cohort's rows ``u`` at ``beta``.
+    def weights(self, u, beta):
+        """(eta, w, S0) for the cohort's rows ``u`` at ``beta``.
 
-        w = exp(eta - max eta); S0 and S1 are the suffix sums of w and w*u,
-        so S0[start[e]] is event e's (scaled) risk-set total.  Every
-        evaluator of the cohort's rows reaches them through here.
+        w = exp(eta - max eta) and S0 is the suffix sum of w, so S0[start[e]]
+        is event e's (scaled) risk-set total.  Every evaluator of the
+        cohort's rows reaches them through here.
         """
         self.check_rows(u)
         eta = u @ np.asarray(beta, dtype=float)
         w = np.exp(eta - eta.max())
-        S0 = np.cumsum(w[::-1])[::-1]
+        return eta, w, np.cumsum(w[::-1])[::-1]
+
+    def sums(self, u, beta):
+        """(eta, w, S0, S1): :meth:`weights` and S1, the suffix sums of w*u."""
+        eta, w, S0 = self.weights(u, beta)
         S1 = np.cumsum((w[:, None] * u)[::-1], axis=0)[::-1]
         return eta, w, S0, S1
 
@@ -147,9 +161,18 @@ class RiskSets:
 
 
 def score(rs, u, beta):
-    """Score vector sum_i D_i (u_i - S1/S0 at T_i)."""
-    _, _, S0, S1 = rs.sums(u, beta)
-    return rs.score(u, S0, S1)
+    """Score vector sum_i D_i (u_i - S1/S0 at T_i), from per-row event weights.
+
+    Summed row by row instead of event by event, sum_e S1/S0 at T_e is
+    sum_j w_j H_j u_j, where H_j = sum of 1/S0 over the events at or before
+    T_j (Lin & Wei 1989), so no n x d suffix sum S1 is built.  This agrees
+    with :meth:`RiskSets.score` to rounding, not bit for bit; the fit and
+    every output use that one.
+    """
+    _, w, S0 = rs.weights(u, beta)
+    H = np.concatenate([[0.0], np.cumsum(1.0 / S0[rs.start])])[rs.upto]
+    H *= w
+    return u[rs.events].sum(axis=0) - H @ u
 
 
 def fit(rs, u):

@@ -17,6 +17,12 @@ d beta-hat / d alpha = (N I)^-1 U_a.
 
 U_a is computed analytically; a finite-difference verification mode recomputes
 it by central differences in alpha and reports the relative discrepancy.
+I, G and U_a reach the outputs, so they keep the suffix-sum form and the
+summation order of the Newton fit.  The check's 2 d_a scores reach no
+output but an error, so they take :func:`coxph.score`, which weights each
+row by the events whose risk sets hold it and builds no n x d suffix sum,
+and each perturbed exposure is phi alpha +- h_k phi[:, k] rather than a new
+n x d_a product.
 
 :func:`fit_calibrated_cox` sorts the main study by time once, at entry, so
 every per-row array is built in risk-set order and the study enters each
@@ -87,10 +93,8 @@ def g_beta_hat(rs, u, sums):
     # Prefix sums over events in time order.
     inv_s0 = np.concatenate([[0.0], np.cumsum(1.0 / s0_e)])
     ubar_over_s0 = np.vstack([np.zeros(d), np.cumsum(ubar_e / s0_e[:, None], axis=0)])
-    # Number of event times <= each subject's follow-up (ties stay in the risk set).
-    cnt = np.searchsorted(rs.time[ev], rs.time, side="right")
-    resid = u * inv_s0[cnt, None]
-    resid -= ubar_over_s0[cnt]
+    resid = u * inv_s0[rs.upto, None]
+    resid -= ubar_over_s0[rs.upto]
     resid *= -w[:, None]
     resid[ev] += u[ev] - ubar_e
     return (resid.T @ resid) / n
@@ -133,23 +137,22 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     return out
 
 
-def u_alpha_fd(rs, u_builder, beta, alpha):
+def u_alpha_fd(rs, phi, w, beta, alpha):
     """Central finite-difference derivative of the score in alpha.
 
-    ``u_builder(alpha)`` must return the covariate rows implied by a
-    coefficient vector; used to verify :func:`u_alpha_hat`.  Coefficient k
-    moves by FD_STEP * max(1, |alpha_k|) either way.
+    Used to verify :func:`u_alpha_hat`.  Coefficient k moves by
+    h_k = FD_STEP * max(1, |alpha_k|) either way, which moves the calibrated
+    exposure phi alpha by +-h_k phi[:, k]; the rows are then
+    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``.
     """
     alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    xhat = phi @ alpha
     cols = []
     for k in range(alpha.size):
-        hi, lo = alpha.copy(), alpha.copy()
         h = constants.FD_STEP * max(1.0, abs(alpha[k]))
-        hi[k] += h
-        lo[k] -= h
-        s_hi = coxph.score(rs, u_builder(hi), beta)
-        s_lo = coxph.score(rs, u_builder(lo), beta)
+        step = h * phi[:, k]
+        s_hi = coxph.score(rs, coxph.build_cox_rows(xhat + step, w), beta)
+        s_lo = coxph.score(rs, coxph.build_cox_rows(xhat - step, w), beta)
         cols.append((s_hi - s_lo) / (2.0 * h))
     return np.column_stack(cols)
 
@@ -217,8 +220,7 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
     c, b = calibration_jacobians(beta, w)
     u_alpha = u_alpha_hat(rs, u, sums, phi, c, b)
     if check_derivatives:
-        fd = u_alpha_fd(rs, lambda a: coxph.build_cox_rows(phi @ a, w),
-                        beta, memfit.alpha)
+        fd = u_alpha_fd(rs, phi, w, beta, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
         if err > constants.FD_TOL:

@@ -94,8 +94,8 @@ class SimulationConfig:
             raise ContractViolationError("n1 and n2 must be at least 1")
         if not 0.0 < self.event_rate < 1.0:
             raise ContractViolationError("event_rate must be in (0, 1)")
-        if self.sigma2_v <= 0.0:
-            raise ContractViolationError("sigma2_v must be positive")
+        if not 0.0 < self.sigma2_v < math.inf:
+            raise ContractViolationError("sigma2_v must be positive and finite")
         p = len(self.alpha1)
         object.__setattr__(self, "alpha1", np.asarray(self.alpha1, dtype=float))
         object.__setattr__(self, "alpha2", np.asarray(self.alpha2, dtype=float))

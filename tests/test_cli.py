@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from calibcox import cli, data_model, errors, mem, model_select, simulate, transforms
+from calibcox import (cli, data_model, errors, inference, mem, model_select, simulate,
+                      transforms)
 from calibcox.cli import main
 
 
@@ -260,6 +261,54 @@ class TestFitCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("w_2", [lambda w_1: w_1, lambda w_1: 2.0 * w_1 + 3.0],
+                             ids=["w_2 = w_1", "w_2 = 2 w_1 + 3"])
+    def test_collinear_confounders_are_data_error(self, w_2, two_confounder_files,
+                                                  tmp_path, capsys):
+        main2, val2 = two_confounder_files
+        ds = data_model.read_main_csv(main2)
+        w_1 = ds.w[:, 0]
+        bad = tmp_path / "collinear.csv"
+        data_model.write_main_csv(
+            bad, dataclasses.replace(ds, w=np.column_stack([w_1, w_2(w_1)])))
+        code = main(["fit", str(bad), "--validation", str(val2),
+                     "--spec", "standard", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: confounder column 'w_2' is collinear with the "
+            "preceding ones\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_derivative_check_catches_a_wrong_derivative(self, study_files,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+        # One entry of U_alpha off by a relative 1e-3, ten times FD_TOL.
+        right = inference.u_alpha_hat
+
+        def wrong(*args, **kwargs):
+            u_alpha = right(*args, **kwargs)
+            u_alpha.flat[np.argmax(np.abs(u_alpha))] *= 1.0 + 1e-3
+            return u_alpha
+
+        monkeypatch.setattr(inference, "u_alpha_hat", wrong)
+        main_csv, val_csv = study_files
+        main_ds = data_model.read_main_csv(main_csv)
+        spec = cli.parse_spec_token("pca3+int", main_ds.radii)
+        memfit = mem.fit_gee(data_model.read_validation_csv(val_csv), spec)
+        with pytest.raises(errors.NumericalError,
+                           match="disagrees with finite differences"):
+            inference.fit_calibrated_cox(main_ds, memfit, check_derivatives=True)
+        out = tmp_path / "fit"
+        code = main(["fit", str(main_csv), "--validation", str(val_csv),
+                     "--spec", "pca3+int", "--check-derivatives",
+                     "--out", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: analytic alpha-derivative "
+                              "disagrees with finite differences")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_hr_at_modifier(self, study_files, tmp_path, capsys):
         main_csv, val_csv = study_files
         code = main(["fit", str(main_csv), "--validation", str(val_csv),
@@ -297,6 +346,8 @@ class TestExitCodes:
          "--seed", "1", "--out", "{out}"],
         ["simulate", "--cell", "0.035,500,30,-1", "--replicates", "1",
          "--seed", "1", "--out", "{out}"],
+        *(["simulate", "--cell", f"0.1,600,60,{s2}", "--replicates", "1",
+           "--seed", "1", "--out", "{out}"] for s2 in ("nan", "inf", "-inf")),
         ["simulate", "--cell", "0.1,0,60,0.01", "--replicates", "1",
          "--seed", "1", "--out", "{out}"],
         # An argument starting with "[" is the text of a config file.

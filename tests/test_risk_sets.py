@@ -10,6 +10,8 @@ carry a running total across blocks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibcox import coxph, inference, linalg, mem, simulate, transforms
 from conftest import loglik, make_survival, risk_set_indices, time_ordered
@@ -104,7 +106,8 @@ class TestSeedEquality:
         t_s, e_s, u_s, phi_s, c_s, b_s = time_ordered(time, event, u, phi, c, b)
         rs = coxph.RiskSets(t_s, e_s)
         sums = rs.sums(u_s, beta)
-        assert np.array_equal(coxph.score(rs, u_s, beta),
+        # The Newton loop's score; coxph.score is held to rounding below.
+        assert np.array_equal(rs.score(u_s, *sums[2:]),
                               seed_cox.score(u, time, event, beta))
         assert np.array_equal(rs.information(u_s, *rs.sums(u_s, beta)[1:]),
                               seed_cox.information(u, time, event, beta))
@@ -156,16 +159,56 @@ class TestSeedEquality:
         assert np.array_equal(fit.components.g_beta, g_beta)
         assert np.array_equal(fit.components.u_alpha, u_alpha)
 
+        # The check forms its differences in other arithmetic than the seed
+        # (phi alpha +- h phi_k, per-row event weights), so it agrees to
+        # rounding, far inside FD_TOL.
         def builder(a):
             return coxph.build_cox_rows(phi @ a, main.w)
         time, event, phi_s, w_s = time_ordered(main.time, main.event, phi, main.w)
-
-        def sorted_builder(a):
-            return coxph.build_cox_rows(phi_s @ a, w_s)
         rs = coxph.RiskSets(time, event)
-        assert np.array_equal(
-            inference.u_alpha_fd(rs, sorted_builder, beta, memfit.alpha),
-            seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha))
+        fd = inference.u_alpha_fd(rs, phi_s, w_s, beta, memfit.alpha)
+        want = seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha)
+        assert np.max(np.abs(fd - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+
+
+def _score_gap(time, event, seed, d=3, scale=1.0):
+    """|coxph.score - RiskSets.score| over sum_e |u_e| on sorted rows."""
+    rng = np.random.default_rng(seed)
+    time, event = np.asarray(time, dtype=float), np.asarray(event)
+    u = rng.normal(size=(len(time), d))
+    beta = rng.normal(0.0, scale, size=d)
+    rs = coxph.RiskSets(time, event)
+    want = rs.score(u, *rs.sums(u, beta)[2:])
+    got = coxph.score(rs, u, beta)
+    return np.max(np.abs(got - want)) / np.sum(np.abs(u[rs.events]))
+
+
+class TestEventWeightScore:
+    """coxph.score, summed row by row with per-row event weights, equals the
+    Newton loop's suffix-sum score to rounding."""
+
+    @pytest.mark.parametrize("time, event", [
+        ([1, 1, 1, 2, 2, 3, 3, 3], [1, 1, 1, 1, 1, 0, 1, 1]),
+        ([1, 1, 2, 2, 2, 4, 4, 5], [1, 0, 0, 1, 0, 1, 0, 0]),
+        ([1, 2, 2, 3, 5, 5, 8, 9], [0, 0, 0, 0, 1, 0, 0, 0]),
+        ([1, 2, 2, 3, 5, 5, 8, 9], [1, 1, 1, 1, 1, 1, 1, 1]),
+        ([4], [1]),
+    ], ids=["events tied with events", "events tied with censorings",
+            "one event", "all events", "one row"])
+    def test_named_cases(self, time, event):
+        for seed in range(20):
+            assert _score_gap(time, event, seed) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1,
+                    max_size=60),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 1.0, 5.0]))
+    def test_tie_heavy_cohorts(self, rows, seed, scale):
+        rows = sorted(rows)
+        time = [t for t, _ in rows]
+        event = [int(e) for _, e in rows]
+        event[seed % len(event)] = 1
+        assert _score_gap(time, event, seed, scale=scale) <= 1e-12
 
 
 def test_rows_of_another_cohort_rejected(rng):
@@ -200,7 +243,7 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
             return result
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in [(np, "argsort"), (coxph, "fit"),
+    for owner, name in [(np, "argsort"), (coxph, "fit"), (coxph, "score"),
                         (coxph.RiskSets, "sums"), (coxph.RiskSets, "information")]:
         count(owner, name)
     cox = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
@@ -213,7 +256,8 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     # One information per Newton iterate, beta = 0 included.
     assert names[:done].count("information") == cox.report.iterations + 1
     # After the fit, only the finite-difference scores evaluate the risk
-    # sets, each on rows built from a perturbed alpha.
+    # sets, each on rows built from a perturbed alpha, and none of them
+    # takes the suffix sums S1.
     after = calls[done + 1:]
-    assert [name for name, _ in after] == ["sums"] * (2 * len(memfit.alpha))
+    assert [name for name, _ in after] == ["score"] * (2 * len(memfit.alpha))
     assert not any(np.array_equal(args[1], fitted_rows) for _, args in after)
