@@ -93,16 +93,28 @@ def _write_provenance(outdir, command, effective):
     (outdir / "provenance.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
-def _int_setting(flag, file_cfg, key, default=None):
+def _int_setting(flag, file_cfg, key, default=None, minimum=None):
     """The flag's value, else the config file's ``key``, else ``default``.
 
-    A config value that is not an integer is a usage error.
+    A config value that is not an integer, or a value below ``minimum``, is
+    a usage error.
     """
     value = flag if flag is not None else file_cfg.get(key, default)
     try:
-        return None if value is None else int(value)
+        value = None if value is None else int(value)
     except ValueError:
         raise UsageError(f"{key} must be an integer, got '{value}'") from None
+    if None not in (value, minimum) and value < minimum:
+        raise UsageError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _read_validation(path):
+    """The validation file, which must hold at least one data row."""
+    validation = data_model.read_validation_csv(path)
+    if not len(validation):
+        raise data_model.ParseError(f"{path}: no data rows")
+    return validation
 
 
 def _hr_at(args, confounder_names):
@@ -154,14 +166,14 @@ def _parse_cell(text):
 def cmd_simulate(args):
     file_cfg = _load_config(args.config, "simulate")
     setting = _int_setting(args.setting, file_cfg, "setting", 1)
-    replicates = _int_setting(args.replicates, file_cfg, "replicates", 1000)
-    seed = _int_setting(args.seed, file_cfg, "seed")
+    replicates = _int_setting(args.replicates, file_cfg, "replicates", 1000,
+                              minimum=1)
+    # NumPy's seeding takes no negative seed.
+    seed = _int_setting(args.seed, file_cfg, "seed", minimum=0)
     if seed is None:
         raise UsageError("simulate requires --seed (or seed in the config file)")
     if setting not in (1, 2):
         raise UsageError(f"setting must be 1 or 2, got {setting}")
-    if replicates < 1:
-        raise UsageError("--replicates must be >= 1")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     if args.threads > 1:
@@ -170,15 +182,15 @@ def cmd_simulate(args):
             raise UsageError("--threads above 1 starts forked worker processes, "
                              "and this platform cannot fork")
     interactions = not args.no_interactions
-    make = simulate.setting1 if setting == 1 else simulate.setting2
     if args.cell:
         cells = []
         for text in args.cell:
             p, n1, n2, s2 = _parse_cell(text)
             try:
-                cells.append(make(n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
-                                  replicates=replicates, seed=seed,
-                                  mem_interactions=interactions))
+                cells.append(simulate.cell_config(
+                    setting, n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
+                    replicates=replicates, seed=seed,
+                    mem_interactions=interactions))
             except ValueError as exc:
                 raise UsageError(f"--cell '{text}': {exc}") from None
     else:
@@ -237,10 +249,10 @@ def cmd_simulate(args):
 
 def cmd_select(args):
     file_cfg = _load_config(args.config, "select")
-    seed = _int_setting(args.seed, file_cfg, "seed", 0)
+    seed = _int_setting(args.seed, file_cfg, "seed", 0, minimum=0)
     folds = _int_setting(args.folds, file_cfg, "folds", 5)
     _check_out(args.out)
-    validation = data_model.read_validation_csv(args.validation_csv)
+    validation = _read_validation(args.validation_csv)
     n_subjects = np.bincount(validation.subject_codes).size
     if not 2 <= folds <= n_subjects:
         raise UsageError(f"--folds must be between 2 and the {n_subjects} "
@@ -318,7 +330,7 @@ def cmd_fit(args):
     spec_token = args.spec or file_cfg.get("spec", "pca3+int")
     _check_out(args.out)
     main = data_model.read_main_csv(args.main_csv)
-    validation = data_model.read_validation_csv(args.validation_csv)
+    validation = _read_validation(args.validation_csv)
     if not np.array_equal(main.radii, validation.radii):
         raise data_model.ParseError(
             "main and validation files disagree on buffer radii: "
@@ -382,7 +394,7 @@ def cmd_report(args):
         raise FileNotFoundError(
             f"no summary.csv in {indir}; expected files: summary.csv "
             f"(from `calibcox simulate`)")
-    with open(summary, newline="") as fh:
+    with data_model._open_text(summary) as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise data_model.ParseError(f"{summary}: empty file")

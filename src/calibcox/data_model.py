@@ -15,12 +15,16 @@ are errors: the analyses this package supports are complete-case.  So are
 non-finite numbers (``nan``, ``inf``, ``1e999``); the error names the row
 and column.
 
-The readers parse a file's rows in bulk (``np.loadtxt``), streaming the
-text in chunks of about a mebibyte, and read them one at a time, as
-``csv.reader`` and ``float()`` do, only when the bulk parse rejects the file
-or its values break the schema; either way a file reads to the same arrays
-or raises the same :class:`ParseError`.  A file that is not UTF-8 text is a
-:class:`ParseError` too.
+Both readers are one reader, ``_read_study``, given the file's two leading
+columns and a rule for each (time finite and > 0, event 0 or 1; occasion an
+integer that int64 holds, x finite).  It parses a file's rows in bulk
+(``np.loadtxt``), streaming the text in chunks of about a mebibyte, and
+reads them one at a time, as ``csv.reader`` and ``float()`` do, only when
+the bulk parse rejects the file or its values break the schema; either way
+a file reads to the same arrays or raises the same :class:`ParseError`,
+which names the first bad cell in file order.  A file that is not UTF-8
+text is a :class:`ParseError` too.  The validation reader then rejects a
+duplicate (id, occasion) pair, naming the row of its second occurrence.
 
 The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
 endings, an id or header name quoted only when it holds a comma, quote or
@@ -50,6 +54,13 @@ def _format_radius(r):
     return str(int(r)) if float(r).is_integer() else repr(float(r))
 
 
+def _check_radii(dataset):
+    if np.any(np.diff(dataset.radii) <= 0):
+        raise ParseError("buffer radii must be strictly increasing")
+    if dataset.z.shape[1] != len(dataset.radii):
+        raise ParseError("z width does not match radii count")
+
+
 @dataclass(frozen=True)
 class MainDataset:
     """Immutable, array-backed main-study cohort.
@@ -67,10 +78,7 @@ class MainDataset:
     confounder_names: tuple = field(default=("w_1",))
 
     def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0):
-            raise ParseError("buffer radii must be strictly increasing")
-        if self.z.shape[1] != len(self.radii):
-            raise ParseError("z width does not match radii count")
+        _check_radii(self)
 
     def __len__(self):
         return len(self.time)
@@ -93,10 +101,7 @@ class ValidationDataset:
     confounder_names: tuple = field(default=("w_1",))
 
     def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0):
-            raise ParseError("buffer radii must be strictly increasing")
-        if self.z.shape[1] != len(self.radii):
-            raise ParseError("z width does not match radii count")
+        _check_radii(self)
         codes = {}
         object.__setattr__(self, "subject_codes", np.fromiter(
             (codes.setdefault(sid, len(codes)) for sid in self.ids),
@@ -230,51 +235,61 @@ def _columns(chunks, lo, hi=None):
                            for c in chunks])
 
 
+def _scan_rows(fh, header, rules, path):
+    """Ids and numeric cells of the rows after the header, read one at a
+    time as ``csv.reader`` and ``float()`` read them, in the form
+    :func:`_bulk_rows` returns; the first cell that breaks the schema, in
+    file order, raises a ParseError that names its row and column."""
+    checks = [*rules,
+              *[(math.isfinite, "must be finite")] * (len(header) - 1 - len(rules))]
+    reader = csv.reader(fh)
+    next(reader)
+    ids, cells = [], []
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+        cells.append([_cell(row, k, header, rownum, path, valid, rule)
+                      for k, (valid, rule) in enumerate(checks, start=1)])
+        ids.append(row[0])
+    return ids, [np.array(cells, dtype=float).reshape(len(ids), len(header) - 1)]
+
+
+def _read_study(path, leading, rules):
+    """The one reader of both study files: the ids (an object array), the
+    two numeric columns that ``leading`` names after the id, z, w, the radii
+    and the confounder names.
+
+    ``rules`` holds, for each of the two columns, a test that takes a float
+    or an array, and the message for a cell that fails it.  The rows are
+    parsed in bulk; a file the bulk parse does not take, or whose leading
+    columns fail a rule, is read again row by row, which names the offending
+    row and column.
+    """
+    with _open_text(path) as fh:
+        header, (radii, z_cols, w_cols, w_names) = _read_header(fh, leading, path)
+        parsed = _bulk_rows(fh, len(header))
+        if parsed is None or not all(np.all(valid(c[:, k])) for c in parsed[1]
+                                     for k, (valid, _) in enumerate(rules)):
+            fh.seek(0)
+            parsed = _scan_rows(fh, header, rules, path)
+    ids, chunks = parsed
+    return (np.asarray(ids, dtype=object), _columns(chunks, 0), _columns(chunks, 1),
+            _columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
+            _columns(chunks, w_cols[0] - 1, len(header) - 1), radii, w_names)
+
+
 def read_main_csv(path):
     """Parse a main-study CSV into a :class:`MainDataset`.
 
     Subjects with time <= 0 are rejected: a zero follow-up time would place
     nobody meaningfully at risk and the convention for it is undefined.
-    The rows are parsed in bulk; a file the bulk parse does not take, or
-    whose values break the schema, is read again row by row, which names
-    the offending row and column.
     """
-    with _open_text(path) as fh:
-        header, (radii, z_cols, w_cols, w_names) = _read_header(
-            fh, ("id", "time", "event"), path)
-        bulk = _bulk_rows(fh, len(header))
-        if bulk is not None:
-            ids, chunks = bulk
-            t, d = _columns(chunks, 0), _columns(chunks, 1)
-            if np.all(t > 0) and np.all((d == 0) | (d == 1)):
-                return MainDataset(
-                    ids=np.asarray(ids, dtype=object), time=t,
-                    event=d.astype(int),
-                    z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
-                    w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
-                    radii=radii, confounder_names=w_names)
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        ids, times, events, zs, ws = [], [], [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            t = _cell(row, 1, header, rownum, path,
-                      lambda t: math.isfinite(t) and t > 0, "must be finite and > 0")
-            d = _cell(row, 2, header, rownum, path, (0.0, 1.0).__contains__,
-                      "must be 0 or 1")
-            ids.append(row[0])
-            times.append(t)
-            events.append(int(d))
-            zs.append([_cell(row, k, header, rownum, path) for k in z_cols])
-            ws.append([_cell(row, k, header, rownum, path) for k in w_cols])
-    return MainDataset(
-        ids=np.asarray(ids, dtype=object), time=np.asarray(times),
-        event=np.asarray(events, dtype=int), z=np.asarray(zs).reshape(len(ids), len(z_cols)),
-        w=np.asarray(ws).reshape(len(ids), len(w_cols)),
-        radii=radii, confounder_names=w_names,
-    )
+    ids, time, event, z, w, radii, w_names = _read_study(
+        path, ("id", "time", "event"),
+        ((lambda t: (t > 0) & (t < math.inf), "must be finite and > 0"),
+         (lambda d: (d == 0) | (d == 1), "must be 0 or 1")))
+    return MainDataset(ids=ids, time=time, event=event.astype(int), z=z, w=w,
+                       radii=radii, confounder_names=w_names)
 
 
 def _fits_int64(o):
@@ -287,51 +302,22 @@ def read_validation_csv(path):
     """Parse a validation-study CSV into a :class:`ValidationDataset`.
 
     Confounders may vary across occasions within a subject; only duplicate
-    (id, occasion) pairs are rejected.  Parsed like :func:`read_main_csv`.
+    (id, occasion) pairs are rejected, after every cell has parsed.
     """
-    with _open_text(path) as fh:
-        header, (radii, z_cols, w_cols, w_names) = _read_header(
-            fh, ("id", "occasion", "x"), path)
-        bulk = _bulk_rows(fh, len(header))
-        if bulk is not None:
-            ids, chunks = bulk
-            o = _columns(chunks, 0)
-            # Occasions must be integers that fit the int64 array, and the
-            # (id, occasion) pairs distinct.
-            if np.all(_fits_int64(o)):
-                occ = o.astype(int)
-                if len(set(zip(ids, occ.tolist()))) == len(ids):
-                    return ValidationDataset(
-                        ids=np.asarray(ids, dtype=object), occasion=occ,
-                        x=_columns(chunks, 1),
-                        z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
-                        w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
-                        radii=radii, confounder_names=w_names)
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        ids, occ, xs, zs, ws = [], [], [], [], []
+    ids, occasion, x, z, w, radii, w_names = _read_study(
+        path, ("id", "occasion", "x"),
+        ((_fits_int64, "must be an integer below 2**63 in magnitude"),
+         (lambda x: abs(x) < math.inf, "must be finite")))
+    occasion = occasion.astype(int)
+    pairs = list(zip(ids.tolist(), occasion.tolist()))
+    if len(set(pairs)) != len(pairs):
         seen = set()
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
-            o = _cell(row, 1, header, rownum, path, _fits_int64,
-                      "must be an integer below 2**63 in magnitude")
-            key = (row[0], int(o))
+        for rownum, key in enumerate(pairs, start=2):
             if key in seen:
                 raise ParseError(f"{path}: row {rownum}: duplicate (id, occasion) pair {key}")
             seen.add(key)
-            ids.append(row[0])
-            occ.append(int(o))
-            xs.append(_cell(row, 2, header, rownum, path))
-            zs.append([_cell(row, k, header, rownum, path) for k in z_cols])
-            ws.append([_cell(row, k, header, rownum, path) for k in w_cols])
-    return ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=np.asarray(occ, dtype=int),
-        x=np.asarray(xs), z=np.asarray(zs).reshape(len(ids), len(z_cols)),
-        w=np.asarray(ws).reshape(len(ids), len(w_cols)),
-        radii=radii, confounder_names=w_names,
-    )
+    return ValidationDataset(ids=ids, occasion=occasion, x=x, z=z, w=w,
+                             radii=radii, confounder_names=w_names)
 
 
 # Rows the writers format and write at a time.

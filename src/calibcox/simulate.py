@@ -8,11 +8,11 @@ exposure with fresh noise, and feeds it through a Weibull proportional-hazards
 outcome model with uniform censoring calibrated to a target event rate.
 
 Two parameter settings are shipped, one mimicking the motivating cohort and
-one with alternating-sign coefficients.  The surrogate mean and covariance of
-the motivating data are not public; the shipped default uses mean 0.45, SD
-0.10 per radius, and correlation 0.99^|i-j| across the nine radii, all
-config-overridable.  The confounder is Normal(1, variance 10); the second
-parameter is a variance.
+one with alternating-sign coefficients.  Every cell shares fixed design
+constants: the motivating data's surrogate mean and covariance are not
+public, so surrogates have mean 0.45, SD 0.10 and correlation 0.99^|i-j|
+across the nine default radii; the confounder is Normal(1, variance 10); the
+Weibull baseline has shape 10 and scale 1.
 
 Determinism: every replicate's random stream is derived only from
 (seed, cell_index, replicate index) via SeedSequence spawn keys, so results
@@ -56,17 +56,27 @@ SETTING2_BETA = (1.0, 0.1, 0.1)
 DEFAULT_Z_MEAN = 0.45
 DEFAULT_Z_SD = 0.10
 DEFAULT_Z_CORR = 0.99
+W_MEAN = 1.0
+W_VAR = 10.0
+WEIBULL_THETA = 10.0
+WEIBULL_NU = 1.0
 
 
-def default_z_cov(p_z=9, sd=DEFAULT_Z_SD, corr=DEFAULT_Z_CORR):
-    """Surrogate covariance: equal SDs, correlation corr^|i-j|."""
+def default_z_cov(p_z=9):
+    """Surrogate covariance: equal SDs, correlation DEFAULT_Z_CORR^|i-j|."""
     idx = np.arange(p_z)
-    return sd * sd * corr ** np.abs(np.subtract.outer(idx, idx))
+    return DEFAULT_Z_SD * DEFAULT_Z_SD * DEFAULT_Z_CORR ** np.abs(
+        np.subtract.outer(idx, idx))
+
+
+# The surrogate distribution over the default radii, factored once.
+_Z_MEAN = np.full(len(data_model.DEFAULT_RADII), DEFAULT_Z_MEAN)
+_Z_CHOLESKY = linalg.cholesky(default_z_cov(len(data_model.DEFAULT_RADII)))
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything one simulation cell needs; see module docstring for defaults."""
+    """What one simulation cell sets; the design it shares is constant."""
 
     n1: int
     n2: int
@@ -78,16 +88,9 @@ class SimulationConfig:
     alpha3: np.ndarray
     beta: np.ndarray            # (beta1, beta2, beta3), scalar confounder
     occasions: int = 8
-    theta: float = 10.0
-    nu: float = 1.0
-    z_mean: np.ndarray = None
-    z_cov: np.ndarray = None
-    w_mean: float = 1.0
-    w_var: float = 10.0
     replicates: int = 1000
     seed: int = 0
     mem_interactions: bool = True
-    radii: tuple = data_model.DEFAULT_RADII
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -96,36 +99,32 @@ class SimulationConfig:
             raise ContractViolationError("event_rate must be in (0, 1)")
         if not 0.0 < self.sigma2_v < math.inf:
             raise ContractViolationError("sigma2_v must be positive and finite")
-        p = len(self.alpha1)
-        object.__setattr__(self, "alpha1", np.asarray(self.alpha1, dtype=float))
-        object.__setattr__(self, "alpha2", np.asarray(self.alpha2, dtype=float))
-        object.__setattr__(self, "alpha3", np.asarray(self.alpha3, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        zm = self.z_mean if self.z_mean is not None else DEFAULT_Z_MEAN * np.ones(p)
-        zc = self.z_cov if self.z_cov is not None else default_z_cov(p)
-        object.__setattr__(self, "z_mean", np.asarray(zm, dtype=float))
-        object.__setattr__(self, "z_cov", np.asarray(zc, dtype=float))
-        linalg.cholesky(self.z_cov)  # SPD contract check
+        for name in ("alpha1", "alpha2", "alpha3", "beta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+
+_SETTINGS = {1: (SETTING1_ALPHA, SETTING1_BETA), 2: (SETTING2_ALPHA, SETTING2_BETA)}
+
+
+def cell_config(setting, **overrides):
+    """Parameter setting 1 or 2 at n1 5000, n2 300, event rate 0.035 and
+    noise variance 0.01, with any field replaced by ``overrides``."""
+    alpha, beta = _SETTINGS[setting]
+    base = dict(n1=5000, n2=300, event_rate=0.035, sigma2_v=0.01,
+                alpha0=alpha["a0"], alpha1=alpha["a1"], alpha2=alpha["a2"],
+                alpha3=alpha["a3"], beta=beta)
+    base.update(overrides)
+    return SimulationConfig(**base)
 
 
 def setting1(**overrides):
     """Cell config mimicking the motivating-cohort coefficients."""
-    base = dict(n1=5000, n2=300, event_rate=0.035, sigma2_v=0.01,
-                alpha0=SETTING1_ALPHA["a0"], alpha1=SETTING1_ALPHA["a1"],
-                alpha2=SETTING1_ALPHA["a2"], alpha3=SETTING1_ALPHA["a3"],
-                beta=SETTING1_BETA)
-    base.update(overrides)
-    return SimulationConfig(**base)
+    return cell_config(1, **overrides)
 
 
 def setting2(**overrides):
     """Cell config with alternating-sign coefficients."""
-    base = dict(n1=5000, n2=300, event_rate=0.035, sigma2_v=0.01,
-                alpha0=SETTING2_ALPHA["a0"], alpha1=SETTING2_ALPHA["a1"],
-                alpha2=SETTING2_ALPHA["a2"], alpha3=SETTING2_ALPHA["a3"],
-                beta=SETTING2_BETA)
-    base.update(overrides)
-    return SimulationConfig(**base)
+    return cell_config(2, **overrides)
 
 
 def mvn_sample(rng, mean, cov_cholesky, n):
@@ -140,23 +139,22 @@ def _true_exposure_mean(cfg, z, w):
             + (w[:, 0:1] * z) @ cfg.alpha3)
 
 
-def _draw_covariates(cfg, rng, n, z_chol):
-    z = mvn_sample(rng, cfg.z_mean, z_chol, n)
-    w = (cfg.w_mean + math.sqrt(cfg.w_var) * rng.standard_normal(n))[:, None]
-    return z, w
+def _draw(cfg, rng, n):
+    """n fresh subjects: surrogates z, confounder w and true exposure x."""
+    z = mvn_sample(rng, _Z_MEAN, _Z_CHOLESKY, n)
+    w = (W_MEAN + math.sqrt(W_VAR) * rng.standard_normal(n))[:, None]
+    x = _true_exposure_mean(cfg, z, w) + math.sqrt(cfg.sigma2_v) * rng.standard_normal(n)
+    return z, w, x
 
 
 def gen_validation(cfg, rng):
     """Validation cohort: n2 subjects x occasions, fresh covariates per row."""
-    z_chol = linalg.cholesky(cfg.z_cov)
-    n = cfg.n2 * cfg.occasions
-    z, w = _draw_covariates(cfg, rng, n, z_chol)
-    x = _true_exposure_mean(cfg, z, w) + math.sqrt(cfg.sigma2_v) * rng.standard_normal(n)
+    z, w, x = _draw(cfg, rng, cfg.n2 * cfg.occasions)
     ids = np.repeat([f"v{i + 1}" for i in range(cfg.n2)], cfg.occasions)
     occ = np.tile(np.arange(1, cfg.occasions + 1), cfg.n2)
     return data_model.ValidationDataset(
         ids=np.asarray(ids, dtype=object), occasion=occ, x=x, z=z, w=w,
-        radii=np.asarray(cfg.radii), confounder_names=("w_1",))
+        radii=np.asarray(data_model.DEFAULT_RADII), confounder_names=("w_1",))
 
 
 def weibull_event_time(rng, eta, theta, nu):
@@ -176,14 +174,17 @@ def _linear_predictor(cfg, x, w):
     return b1 * x + b2 * w[:, 0] + b3 * x * w[:, 0]
 
 
+def _draw_main(cfg, rng, n):
+    """n fresh main-study subjects: z, w, x, the event time and the
+    censoring time as a fraction of c_max."""
+    z, w, x = _draw(cfg, rng, n)
+    t0 = weibull_event_time(rng, _linear_predictor(cfg, x, w),
+                            WEIBULL_THETA, WEIBULL_NU)
+    return z, w, x, t0, rng.uniform(size=n)
+
+
 def _pilot(cfg, rng, n):
-    z_chol = linalg.cholesky(cfg.z_cov)
-    z, w = _draw_covariates(cfg, rng, n, z_chol)
-    x = _true_exposure_mean(cfg, z, w) + math.sqrt(cfg.sigma2_v) * rng.standard_normal(n)
-    eta = _linear_predictor(cfg, x, w)
-    t0 = weibull_event_time(rng, eta, cfg.theta, cfg.nu)
-    u_cens = rng.uniform(size=n)
-    return t0, u_cens
+    return _draw_main(cfg, rng, n)[3:]
 
 
 def calibrate_cmax(cfg, rng, pilot_size=constants.CMAX_PILOT_SIZE):
@@ -221,17 +222,15 @@ def calibrate_cmax(cfg, rng, pilot_size=constants.CMAX_PILOT_SIZE):
 
 def gen_main(cfg, rng, c_max):
     """Main-study cohort plus the latent true exposure (for diagnostics only)."""
-    z_chol = linalg.cholesky(cfg.z_cov)
-    z, w = _draw_covariates(cfg, rng, cfg.n1, z_chol)
-    x = _true_exposure_mean(cfg, z, w) + math.sqrt(cfg.sigma2_v) * rng.standard_normal(cfg.n1)
-    eta = _linear_predictor(cfg, x, w)
-    t0 = weibull_event_time(rng, eta, cfg.theta, cfg.nu)
-    t_star = rng.uniform(0.0, c_max, size=cfg.n1)
+    z, w, x, t0, u_cens = _draw_main(cfg, rng, cfg.n1)
+    # Censoring times are uniform on [0, c_max): u * c_max, as in the
+    # event rate calibrate_cmax bisects on.
+    t_star = c_max * u_cens
     time = np.minimum(t0, t_star)
     event = (t0 <= t_star).astype(int)
     ids = np.asarray([f"m{i + 1}" for i in range(cfg.n1)], dtype=object)
     ds = data_model.MainDataset(ids=ids, time=time, event=event, z=z, w=w,
-                                radii=np.asarray(cfg.radii),
+                                radii=np.asarray(data_model.DEFAULT_RADII),
                                 confounder_names=("w_1",))
     return ds, x
 
@@ -401,13 +400,13 @@ def run_cell(cfg, cell_index=0, threads=1):
 
 def full_grid(setting=1, replicates=1000, seed=0, mem_interactions=True):
     """The 24-cell grid: 2 event rates x 2 main sizes x 2 validation sizes x 3 noise levels."""
-    make = setting1 if setting == 1 else setting2
     cells = []
     for p in (0.035, 0.10):
         for n1 in (5000, 10000):
             for n2 in (150, 300):
                 for s2 in (0.01, 0.05, 0.10):
-                    cells.append(make(n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
-                                      replicates=replicates, seed=seed,
-                                      mem_interactions=mem_interactions))
+                    cells.append(cell_config(
+                        setting, n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
+                        replicates=replicates, seed=seed,
+                        mem_interactions=mem_interactions))
     return cells

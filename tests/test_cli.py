@@ -357,6 +357,13 @@ class TestExitCodes:
          "--cell", "0.1,600,60,0.01", "--replicates", "1", "--seed", "1",
          "--out", "{out}"],
         ["select", "{val}", "--config", "[select]\nfolds = x", "--out", "{out}"],
+        # NumPy's seeding takes no negative seed.
+        ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "2",
+         "--seed", "-1", "--out", "{out}"],
+        ["simulate", "--config", "[simulate]\nseed = -3",
+         "--cell", "0.1,600,60,0.01", "--replicates", "1", "--out", "{out}"],
+        ["select", "{val}", "--seed", "-1", "--out", "{out}"],
+        ["select", "{val}", "--config", "[select]\nseed = -3", "--out", "{out}"],
     ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
     def test_usage_error(self, argv, study_files, two_confounder_files, tmp_path,
                          capsys):
@@ -456,6 +463,25 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err == f"data error: {few}: need at least 4 rows, got 3\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        FIT + ["--spec", "standard"], FIT + ["--spec", "pca3+int"],
+        ["select", "{val}"],
+    ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_header_only_validation_is_data_error(self, command, study_files,
+                                                  tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the measurement error model was fitted")
+
+        monkeypatch.setattr(mem, "fit_gee", no_fit)
+        monkeypatch.setattr(model_select, "cv_evaluate", no_fit)
+        main_csv, val_csv = study_files
+        empty = tmp_path / "header_only.csv"
+        empty.write_text(val_csv.read_text().splitlines()[0] + "\n")
+        argv = [a.format(main=main_csv, val=empty) for a in command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -620,6 +646,14 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {summary}: row 3 has 2 fields where the header has 3\n")
+
+    def test_non_utf8_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_bytes(b"p,n1,model\n0.1,600,M\xe9\n")
+        assert main(["report", str(tmp_path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {summary}: not UTF-8 text: byte 0xe9 "
+            "(invalid continuation byte)\n")
 
     def test_empty_dir_data_error(self, tmp_path, capsys):
         code = main(["report", str(tmp_path)])

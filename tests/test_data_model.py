@@ -207,9 +207,16 @@ class TestBulkParse:
         ds = data_model.read_main_csv(p)
         assert ds.z.tolist() == [[value, 0.6]] and ds.z.flags.c_contiguous
 
-    def test_duplicate_pair_names_row(self, tmp_path):
+    def test_duplicate_pair_names_row(self, tmp_path, monkeypatch):
         p = write(tmp_path, "v.csv", VAL_HEADER + "a,1,0.5,0.1,0.2,1.0\n"
                   + "b,1,0.5,0.1,0.2,1.0\n" + "a,1.0,0.6,0.1,0.2,1.0\n")
+
+        def no_scan(*args):
+            raise AssertionError("a duplicate pair read the file again")
+
+        # The pairs are checked on the parsed arrays, so the bulk parse's
+        # rows name the duplicate without a row scan.
+        monkeypatch.setattr(data_model, "_scan_rows", no_scan)
         with pytest.raises(ParseError) as err:
             data_model.read_validation_csv(p)
         assert str(err.value) == f"{p}: row 4: duplicate (id, occasion) pair ('a', 1)"
@@ -412,6 +419,114 @@ def test_bulk_parse_matches_row_scan(body, chunk):
             x, y = getattr(bulk, name), getattr(scanned, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         assert list(bulk.ids) == list(scanned.ids)
+
+
+_LEAD = {"main": (["1.5", "0.25", "3", "2e-3"], ["0", "1", "1.0"]),
+         "validation": (["1", "2.0", "3"], ["0.5", "-1.25", "7"])}
+_BAD_LEAD = {"main": (["0", "-1", "nan", "inf", "x", ""],
+                      ["2", "0.5", "-1", "nan", "x", ""]),
+             "validation": (["1.5", "1e19", "nan", "-inf", "x", ""],
+                            ["nan", "inf", "1e999", "x", ""])}
+_CELL_DEFECTS = ["nan", "inf", "-inf", "", "x", "1_0", " 2.5", "1e999"]
+_DEFECTS = ["none", "quote", "lead", "cell", "short row", "long row",
+            "blank line", "byte", "duplicate"]
+
+
+def _study_file(kind, body):
+    """A study file's bytes: the header of ``kind``, then ``body``."""
+    header = MAIN_HEADER if kind == "main" else VAL_HEADER
+    return kind, (header + body).encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def _one_defect_files(draw):
+    """A study file of either kind, well formed or with one defect; a quoted
+    cell is no defect, but the bulk parse leaves it to the row scan."""
+    kind = draw(st.sampled_from(["main", "validation"]))
+    rows = []
+    for i in range(draw(st.integers(0, 7))):
+        sid, occasion = (f"s{i}", draw(st.sampled_from(_LEAD["main"][0]))) \
+            if kind == "main" else (f"s{i // 3}", str(i % 3 + 1))
+        rows.append([sid, occasion, draw(st.sampled_from(_LEAD[kind][1])),
+                     *(draw(_CELL.filter(lambda c: c not in _CELL_DEFECTS))
+                       for _ in range(3))])
+    defect = draw(st.sampled_from(_DEFECTS)) if len(rows) > 1 else "none"
+    i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+    col = draw(st.integers(1, 5))
+    if defect == "quote":
+        rows[i][col] = f'"{rows[i][col]}"'
+    elif defect == "lead":
+        k = draw(st.integers(1, 2))
+        rows[i][k] = draw(st.sampled_from(_BAD_LEAD[kind][k - 1]))
+    elif defect == "cell":
+        rows[i][draw(st.integers(3, 5))] = draw(st.sampled_from(_CELL_DEFECTS))
+    elif defect == "short row":
+        rows[i].pop()
+    elif defect == "long row":
+        rows[i].append("7")
+    elif defect == "blank line":
+        rows.insert(i, [])
+    elif defect == "byte":
+        rows[i][col] += "\udcff"  # an undecodable byte, once encoded below
+    elif defect == "duplicate":
+        j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        if kind == "validation":
+            rows[j][:2] = rows[i][:2]
+        else:  # a main study takes repeated ids
+            rows[j][0] = rows[i][0]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    body = eol.join(",".join(r) for r in rows)
+    if rows and draw(st.booleans()):
+        body += eol
+    return _study_file(kind, body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(study=_one_defect_files(), chunk=st.sampled_from([1, 7, 64, None]))
+# One example per rule, so that each is checked on every run.
+@example(study=_study_file("main", "a,1.0,1,0.5,0.6,2.0\nb,0,0,0.4,0.5,1.0\n"),
+         chunk=None)
+@example(study=_study_file("main", "a,1.0,1,0.5,0.6,2.0\nb,2.0,2,0.4,0.5,1.0\n"),
+         chunk=None)
+@example(study=_study_file("validation",
+                           "a,1,0.5,0.1,0.2,1.0\na,2.5,0.5,0.1,0.2,1.0\n"),
+         chunk=None)
+@example(study=_study_file("validation",
+                           "a,1,0.5,0.1,0.2,1.0\na,2,nan,0.1,0.2,1.0\n"),
+         chunk=None)
+@example(study=_study_file("validation", "a,1,0.5,0.1,0.2,1.0\n"
+                           "b,1,0.5,0.1,0.2,1.0\na,1.0,0.6,0.1,0.2,1.0\n"),
+         chunk=None)
+def test_readers_match_seed_readers(study, chunk):
+    """On a file with at most one defect, the one reader gives the arrays,
+    dtypes and ids of the two readers it replaced, or their ParseError."""
+    kind, data = study
+    read = f"read_{kind}_csv"
+    fields = (("time", "event") if kind == "main" else ("occasion", "x")) \
+        + ("z", "w", "radii")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_model, "_CHUNK_CHARS",
+                              chunk or data_model._CHUNK_CHARS):
+        p = Path(tmp) / "study.csv"
+        p.write_bytes(data)
+        new = _outcome(getattr(data_model, read), p)
+        old = _outcome(getattr(seed_csv, read), p)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+    else:
+        _assert_same_arrays(new, old, fields)
+        assert new.ids.dtype == old.ids.dtype == object
+
+
+def test_bad_cell_outranks_an_earlier_duplicate(tmp_path):
+    """Every cell parses before the duplicate check, so a file with both
+    defects names the bad cell, wherever the duplicate falls."""
+    p = write(tmp_path, "v.csv", VAL_HEADER + "a,1,0.5,0.1,0.2,1.0\n"
+              + "a,1,0.6,0.1,0.2,1.0\n" + "b,1,0.5,x,0.2,1.0\n")
+    with pytest.raises(ParseError) as err:
+        data_model.read_validation_csv(p)
+    assert str(err.value) == (f"{p}: row 4, column 'z_90': "
+                              "non-numeric or missing cell")
 
 
 def test_read_main_peak_memory(tmp_path, rng):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from calibcox import coxph, linalg, mem, simulate, transforms
 
 from conftest import time_ordered
+
+import seed_simulate
 
 
 class TestConfig:
@@ -23,16 +26,62 @@ class TestConfig:
         with pytest.raises(ValueError):
             simulate.setting1(sigma2_v=-0.01)
 
-    def test_z_cov_spd_checked(self):
-        bad = np.ones((9, 9))  # singular
-        with pytest.raises(linalg.DecompositionError):
-            simulate.setting1(z_cov=bad)
-
     def test_grid_has_24_cells(self):
-        cells = simulate.full_grid(setting=1, replicates=2, seed=0)
-        assert len(cells) == 24
-        keys = {(c.event_rate, c.n1, c.n2, c.sigma2_v) for c in cells}
-        assert len(keys) == 24
+        for setting, alpha, beta in (
+                (1, simulate.SETTING1_ALPHA, simulate.SETTING1_BETA),
+                (2, simulate.SETTING2_ALPHA, simulate.SETTING2_BETA)):
+            cells = simulate.full_grid(setting=setting, replicates=2, seed=0)
+            assert len(cells) == 24
+            keys = {(c.event_rate, c.n1, c.n2, c.sigma2_v) for c in cells}
+            assert len(keys) == 24
+            assert all(c.alpha1.tolist() == list(alpha["a1"])
+                       and c.beta.tolist() == list(beta) for c in cells)
+
+
+def _assert_same_dataset(new, old, fields):
+    for name in fields:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert new.ids.tolist() == old.ids.tolist()
+    assert new.confounder_names == old.confounder_names
+
+
+class TestSeedEquality:
+    """The generators draw bit for bit what the three separate generators
+    of ``seed_simulate`` drew, leaving the stream in the same state."""
+
+    @pytest.mark.parametrize("setting", [1, 2])
+    @pytest.mark.parametrize("seed, n1, n2, occasions, sigma2_v", [
+        (0, 300, 20, 8, 0.01), (7, 1000, 3, 1, 0.10), (12345, 57, 40, 3, 1e-10),
+    ])
+    def test_generators_match_seed(self, setting, seed, n1, n2, occasions,
+                                   sigma2_v):
+        cfg = simulate.cell_config(setting, n1=n1, n2=n2, occasions=occasions,
+                                   sigma2_v=sigma2_v, event_rate=0.1, seed=seed)
+        old_cfg = seed_simulate.config(cfg)
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new_t0, new_u = simulate._pilot(cfg, new_rng, 500)
+        old_t0, old_u = seed_simulate._pilot(old_cfg, old_rng, 500)
+        assert new_t0.tobytes() == old_t0.tobytes()
+        assert new_u.tobytes() == old_u.tobytes()
+        new_val = simulate.gen_validation(cfg, new_rng)
+        _assert_same_dataset(new_val, seed_simulate.gen_validation(old_cfg, old_rng),
+                             ("occasion", "x", "z", "w", "radii"))
+        c_max = simulate.calibrate_cmax(cfg, np.random.default_rng(seed + 1),
+                                        pilot_size=2000)
+        new_main, new_x = simulate.gen_main(cfg, new_rng, c_max)
+        old_main, old_x = seed_simulate.gen_main(old_cfg, old_rng, c_max)
+        _assert_same_dataset(new_main, old_main,
+                             ("time", "event", "z", "w", "radii"))
+        assert new_x.tobytes() == old_x.tobytes()
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        # Each dataset holds a radii array of its own.
+        radii = [new_val.radii, new_main.radii,
+                 simulate.gen_validation(cfg, new_rng).radii,
+                 simulate.gen_main(cfg, new_rng, c_max)[0].radii]
+        assert not any(np.shares_memory(a, b)
+                       for a, b in itertools.combinations(radii, 2))
 
 
 class TestMvnSample:
