@@ -8,8 +8,10 @@ fit       calibrate a main-study CSV with a validation CSV and report
           estimates, sandwich SEs, CIs, and hazard ratios per increment
 report    render previously written summary CSVs as text tables
 
-All commands accept --config pointing at an INI file whose [simulate],
-[select], [fit] sections provide defaults; explicit flags override the file.
+simulate, select and fit accept --config pointing at an INI file whose
+[simulate], [select], [fit] sections provide defaults; explicit flags
+override the file, and a key that the command does not read is a usage
+error.
 The effective configuration is echoed to a provenance file next to the
 outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
 failure, 5 a worker process of ``simulate --threads N`` died.  An error's
@@ -75,7 +77,13 @@ def parse_spec_token(token, radii):
     raise UsageError(f"unknown spec token '{token}'")
 
 
-def _load_config(path, section):
+def _load_config(path, section, keys):
+    """The ``[section]`` of the config file at ``path``.
+
+    A key of the section outside ``keys`` would be ignored, so it is a
+    usage error.  ``[DEFAULT]`` keys, which configparser copies into every
+    section, are exempt.
+    """
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -85,7 +93,13 @@ def _load_config(path, section):
         raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    return dict(parser[section]) if parser.has_section(section) else {}
+    if not parser.has_section(section):
+        return {}
+    unread = sorted(set(parser[section]) - set(parser.defaults()) - set(keys))
+    if unread:
+        raise UsageError(f"{path}: [{section}] does not read "
+                         f"{', '.join(unread)}; its keys are {', '.join(keys)}")
+    return dict(parser[section])
 
 
 def _write_provenance(outdir, command, effective):
@@ -164,7 +178,8 @@ def _parse_cell(text):
 
 
 def cmd_simulate(args):
-    file_cfg = _load_config(args.config, "simulate")
+    file_cfg = _load_config(args.config, "simulate",
+                            ("setting", "replicates", "seed"))
     setting = _int_setting(args.setting, file_cfg, "setting", 1)
     replicates = _int_setting(args.replicates, file_cfg, "replicates", 1000,
                               minimum=1)
@@ -248,7 +263,7 @@ def cmd_simulate(args):
 
 
 def cmd_select(args):
-    file_cfg = _load_config(args.config, "select")
+    file_cfg = _load_config(args.config, "select", ("seed", "folds"))
     seed = _int_setting(args.seed, file_cfg, "seed", 0, minimum=0)
     folds = _int_setting(args.folds, file_cfg, "folds", 5)
     _check_out(args.out)
@@ -326,7 +341,7 @@ def _check_confounders(path, main):
 
 
 def cmd_fit(args):
-    file_cfg = _load_config(args.config, "fit")
+    file_cfg = _load_config(args.config, "fit", ("spec",))
     spec_token = args.spec or file_cfg.get("spec", "pca3+int")
     _check_out(args.out)
     main = data_model.read_main_csv(args.main_csv)

@@ -1,9 +1,10 @@
 """Measurement error model: E[X | Z, W] fitted on validation data.
 
 The model is linear in the design row from :mod:`calibcox.transforms`.
-Coefficients come from OLS (estimating-equation form) or from a GEE with an
-independence or exchangeable working correlation across a subject's repeated
-occasions.  The reported coefficient covariance is always the cluster-robust
+Coefficients come from a GEE with an independence or exchangeable working
+correlation across a subject's repeated occasions; the independence GEE is
+OLS (Liang & Zeger 1986), the start from which the exchangeable IRLS
+iterates.  The reported coefficient covariance is always the cluster-robust
 sandwich with one cluster per subject, which is what the downstream Cox
 variance propagation consumes.
 
@@ -11,7 +12,8 @@ QIC follows Pan's quasi-likelihood criterion specialized to the Gaussian
 identity-link case: QIC = -2 Q / phi + 2 trace(Omega_I V_R), with
 Q = -(1/2) sum (x - mu)^2, phi the Pearson dispersion, Omega_I the
 independence-model information scaled by 1/phi, and V_R the robust
-coefficient covariance.
+coefficient covariance.  As Pan (2001) defines it, it is taken at the fit,
+on the data the model was fitted to, and the fit reports it.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,10 @@ class ConvergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class MemFit:
-    """A fitted measurement error model plus everything inference needs."""
+    """A fitted measurement error model plus everything inference needs.
+
+    ``qic`` is the fit's QIC, taken on the fit's own (validation) data.
+    """
 
     alpha: np.ndarray  # ordered as the design row: (a0, a1', a2', a3')
     psi: float
@@ -43,6 +48,7 @@ class MemFit:
     transform: object
     n_subjects: int
     n_obs: int
+    qic: float
 
 
 # Values per stack of per-subject terms (see _subject_sums): subjects are
@@ -98,19 +104,9 @@ def _subject_sums(clusters, terms, shapes):
     return totals
 
 
-def _design_and_groups(validation, spec, transform=None):
-    if transform is None:
-        transform = transforms.fit_transform(spec, validation.z, validation.radii)
-    phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
-    codes = validation.subject_codes
-    p = phi.shape[1]
-    clusters = _Clusters(np.argsort(codes, kind="stable"), np.bincount(codes),
-                         max(1, _BLOCK_VALUES // (p * p)))
-    return phi, clusters, transform
-
-
 def _check_rank(phi):
-    """Cholesky factor of the Gram matrix phi' phi, which the OLS solve reuses.
+    """The Gram matrix phi' phi and its Cholesky factor, which the OLS solve,
+    the independence bread and QIC reuse.
 
     Raises SingularDesignError when the design is numerically rank deficient.
     """
@@ -119,7 +115,7 @@ def _check_rank(phi):
     # in floating point, which must still count as rank deficiency.
     floor = 1e-10 * float(np.max(np.diag(gram)))
     try:
-        return linalg.cholesky(gram, min_pivot=floor)
+        return gram, linalg.cholesky(gram, min_pivot=floor)
     except DecompositionError as exc:
         raise SingularDesignError(
             f"design matrix is rank deficient: column {exc.pivot} is collinear "
@@ -149,25 +145,6 @@ def _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=None):
     B, = _subject_sums(clusters, outer_scores, ((p, p),))
     V = bread_inv @ B @ bread_inv.T
     return 0.5 * (V + V.T)
-
-
-def fit_ols(validation, spec, transform=None):
-    """Solve the unweighted estimating equation sum phi_i (x_i - phi_i'a) = 0.
-
-    Equivalent to least squares via the normal equations; the coefficient
-    covariance is the cluster-robust sandwich grouped by subject id.
-    """
-    phi, clusters, transform = _design_and_groups(validation, spec, transform)
-    L = _check_rank(phi)
-    alpha = linalg.cho_solve(L, phi.T @ validation.x)
-    resid = validation.x - phi @ alpha
-    n, p = phi.shape
-    sigma2 = float(resid @ resid) / max(n - p, 1)
-    bread_inv = linalg.cho_solve(L, np.eye(p))
-    v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv)
-    return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
-                  v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(clusters.sizes), n_obs=n)
 
 
 def estimate_psi(resid, clusters, sigma2):
@@ -229,72 +206,57 @@ def _gee_normal_equations(phi, x, clusters, vinv):
 def fit_gee(validation, spec, working="exchangeable", transform=None):
     """GEE fit with identity link and Gaussian variance.
 
-    Independence working correlation reproduces OLS exactly; exchangeable
-    alternates IRLS coefficient updates with moment re-estimation of psi.
-    The sigma^2 scale of the working covariance cancels in the coefficient
-    update and is folded into the reported dispersion.
+    Both working correlations start from the OLS solution.  Independence
+    stops there: its estimating equation is OLS's and its bread the Gram
+    matrix.  Exchangeable alternates IRLS coefficient updates with moment
+    re-estimation of psi.  The sigma^2 scale of the working covariance
+    cancels in the coefficient update and is folded into the reported
+    dispersion.
     """
     if working not in ("independence", "exchangeable"):
         raise ContractViolationError(f"unknown working correlation '{working}'")
-    if working == "independence":
-        return fit_ols(validation, spec, transform=transform)
-
-    phi, clusters, transform = _design_and_groups(validation, spec, transform)
+    if transform is None:
+        transform = transforms.fit_transform(spec, validation.z, validation.radii)
+    phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     x = validation.x
     n, p = phi.shape
-    # IRLS from the OLS solution.
-    alpha = linalg.cho_solve(_check_rank(phi), phi.T @ x)
-    psi = 0.0
-    last_delta = np.inf
-    for _ in range(constants.GEE_MAX_ITER):
-        resid = x - phi @ alpha
-        sigma2 = float(resid @ resid) / max(n - p, 1)
-        psi = estimate_psi(resid, clusters, sigma2)
-        vinv = _exchangeable_inverses(clusters.sizes, psi)
-        A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
-        L = linalg.cholesky(A)
-        new_alpha = linalg.cho_solve(L, rhs)
-        last_delta = float(np.max(np.abs(new_alpha - alpha)))
-        alpha = new_alpha
-        if last_delta < constants.GEE_PARAM_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"GEE did not converge in {constants.GEE_MAX_ITER} iterations "
-            f"(last max |delta| = {last_delta:.3e})")
+    codes = validation.subject_codes
+    clusters = _Clusters(np.argsort(codes, kind="stable"), np.bincount(codes),
+                         max(1, _BLOCK_VALUES // (p * p)))
+    gram, L = _check_rank(phi)
+    alpha = linalg.cho_solve(L, phi.T @ x)
+    psi, vinv = 0.0, None
+    if working == "exchangeable":
+        last_delta = np.inf
+        for _ in range(constants.GEE_MAX_ITER):
+            resid = x - phi @ alpha
+            sigma2 = float(resid @ resid) / max(n - p, 1)
+            psi = estimate_psi(resid, clusters, sigma2)
+            vinv = _exchangeable_inverses(clusters.sizes, psi)
+            A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
+            L = linalg.cholesky(A)
+            new_alpha = linalg.cho_solve(L, rhs)
+            last_delta = float(np.max(np.abs(new_alpha - alpha)))
+            alpha = new_alpha
+            if last_delta < constants.GEE_PARAM_TOL:
+                break
+        else:
+            raise ConvergenceError(
+                f"GEE did not converge in {constants.GEE_MAX_ITER} iterations "
+                f"(last max |delta| = {last_delta:.3e})")
 
     resid = x - phi @ alpha
-    sigma2 = float(resid @ resid) / max(n - p, 1)
-    # The bread depends on psi alone, so the last iteration's A, factored as
-    # L, is the bread.
+    rss = float(resid @ resid)
+    sigma2 = rss / max(n - p, 1)
+    # The bread depends on psi alone: L factors the Gram matrix, or the last
+    # iteration's A.
     bread_inv = linalg.cho_solve(L, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=vinv)
+    # QIC: the quasi-likelihood term -2 Q / sigma2 = rss / sigma2, plus twice
+    # the trace of the independence information times v_alpha.
+    trace = float(np.trace(gram @ v_alpha))
+    quasi, scaled = (0.0, trace) if sigma2 == 0.0 else (rss / sigma2, trace / sigma2)
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(clusters.sizes), n_obs=n)
-
-
-def qic(fit, validation):
-    """Quasi-likelihood under the independence model criterion.
-
-    Uses the fitted coefficients; the quasi-likelihood, dispersion, and
-    independence information are all evaluated on ``validation``.
-    """
-    phi = transforms.build_design_matrix(fit.spec, fit.transform,
-                                         validation.z, validation.w)
-    resid = validation.x - phi @ fit.alpha
-    n, p = phi.shape
-    rss = float(resid @ resid)
-    disp = rss / max(n - p, 1)
-    gram = phi.T @ phi
-    try:
-        linalg.cholesky(gram)
-    except DecompositionError as exc:
-        raise SingularDesignError("independence information is singular") from exc
-    if disp == 0.0:
-        quasi_term = 0.0
-        trace_term = float(np.trace(gram @ fit.v_alpha))
-    else:
-        quasi_term = rss / disp  # -2 * (-(1/2) sum r^2) / phi-hat
-        trace_term = float(np.trace(gram @ fit.v_alpha)) / disp
-    return quasi_term + 2.0 * trace_term
+                  n_subjects=len(clusters.sizes), n_obs=n,
+                  qic=quasi + 2.0 * scaled)

@@ -4,8 +4,8 @@ Folds are formed over subjects, not rows: every occasion of a subject shares
 a fold, so no subject leaks between train and test.  Transforms (PCA axes,
 spline bases) are refit inside each training fold; the pooled held-out
 absolute errors give the MAE, the per-fold MAEs give its quantiles, and QIC
-comes from a fit on the full data.  Candidates are ranked by MAE with QIC as
-the tiebreaker.
+is the full-data fit's, taken on the data it was fitted to.  Candidates are
+ranked by MAE with QIC as the tiebreaker.
 """
 
 import dataclasses
@@ -73,12 +73,12 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     first needs it, and handed to the fits of every candidate that differs
     only in interactions; a candidate whose transform cannot be fitted
     fails with the message it did when it fitted its own.  Failed
-    candidates are kept in the output, marked and sorted last.
+    candidates are kept in the output, marked and sorted last.  A held-out
+    fold is scored from its rows of ``validation``.
     """
     folds = kfold_split(validation, rng, k=k)
     all_rows = np.arange(len(validation))
-    splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
-              for f in folds]
+    splits = [(_subset(validation, np.setdiff1d(all_rows, f)), f) for f in folds]
     fitted = {}
 
     def fit_gee(key, data, spec):
@@ -93,15 +93,15 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     for spec in specs:
         abs_errors, sq_errors, fold_maes = [], [], []
         try:
-            for i, (train, test) in enumerate(splits):
+            for i, (train, f) in enumerate(splits):
                 fit = fit_gee(i, train, spec)
-                err = test.x - transforms.build_design_matrix(
-                    fit.spec, fit.transform, test.z, test.w) @ fit.alpha
+                phi = transforms.build_design_matrix(
+                    fit.spec, fit.transform, validation.z[f], validation.w[f])
+                err = validation.x[f] - phi @ fit.alpha
                 abs_errors.append(np.abs(err))
                 sq_errors.append(err ** 2)
                 fold_maes.append(float(np.mean(np.abs(err))))
             full = fit_gee("full", validation, spec)
-            qic_value = mem.qic(full, validation)
         except (ValueError, ArithmeticError) as exc:
             # Keep the error without its tracebacks and the errors chained
             # to it: their frames link back to this call's and would keep
@@ -118,7 +118,7 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
         out.append(CvMetrics(spec=spec, mae_mean=float(abs_all.mean()),
                              mae_q25=float(q25), mae_q50=float(q50),
                              mae_q75=float(q75), mse_mean=float(sq_all.mean()),
-                             qic=float(qic_value), transform=full.transform))
+                             qic=full.qic, transform=full.transform))
     ok = sorted((m for m in out if not m.failed),
                 key=lambda m: (m.mae_mean, m.qic))
     return ok + [m for m in out if m.failed]

@@ -99,8 +99,15 @@ class SimulationConfig:
             raise ContractViolationError("event_rate must be in (0, 1)")
         if not 0.0 < self.sigma2_v < math.inf:
             raise ContractViolationError("sigma2_v must be positive and finite")
-        for name in ("alpha1", "alpha2", "alpha3", "beta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # One alpha1 and alpha3 value per default radius, one confounder.
+        p_z = len(data_model.DEFAULT_RADII)
+        for name, size in (("alpha1", p_z), ("alpha2", 1), ("alpha3", p_z),
+                           ("beta", 3)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (size,):
+                raise ContractViolationError(
+                    f"{name} must hold {size} values, got shape {value.shape}")
+            object.__setattr__(self, name, value)
 
 
 _SETTINGS = {1: (SETTING1_ALPHA, SETTING1_BETA), 2: (SETTING2_ALPHA, SETTING2_BETA)}
@@ -120,11 +127,6 @@ def cell_config(setting, **overrides):
 def setting1(**overrides):
     """Cell config mimicking the motivating-cohort coefficients."""
     return cell_config(1, **overrides)
-
-
-def setting2(**overrides):
-    """Cell config with alternating-sign coefficients."""
-    return cell_config(2, **overrides)
 
 
 def mvn_sample(rng, mean, cov_cholesky, n):

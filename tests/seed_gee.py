@@ -4,20 +4,28 @@ A verbatim copy of the per-subject loop versions of ``fit_gee``,
 ``fit_ols``, ``estimate_psi``, ``_exchangeable_inverses`` and
 ``_cluster_sandwich`` (one working inverse, one score and one outer product
 per subject, added into a running total), kept as the reference that
-``test_gee_buckets`` requires the bucketed fits to match bit for bit.  Three
+``test_gee_buckets`` requires the bucketed fits to match bit for bit.  Four
 things differ: the imports; ``_design_and_groups`` builds the subject groups
-from ``subject_groups()`` here, as the loop versions did; and ``fit_ols``
-forms the Gram matrix itself, because ``mem._check_rank`` now returns its
-Cholesky factor.
+from ``subject_groups()`` here, as the loop versions did; ``fit_ols`` forms
+the Gram matrix itself rather than take it from ``mem._check_rank``; and
+the fits set ``MemFit.qic`` to nan, because QIC came from a separate call.
+
+That call, ``qic``, is copied verbatim as well, and so is the
+cross-validation that scored each held-out fold as a dataset of its own and
+took QIC from that call: ``_subset`` and ``cv_evaluate``, where only
+``mem.qic`` became ``qic``.  ``test_cv_evaluate_matches_seed`` requires
+``model_select.cv_evaluate`` to match it.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 
-from calibcox import constants, linalg, transforms
-from calibcox.linalg import ContractViolationError
-from calibcox.mem import ConvergenceError, MemFit, _check_rank
+from calibcox import constants, data_model, linalg, mem, transforms
+from calibcox.linalg import ContractViolationError, DecompositionError
+from calibcox.mem import ConvergenceError, MemFit, SingularDesignError, _check_rank
+from calibcox.model_select import CvMetrics, kfold_split
 
 
 def _design_and_groups(validation, spec, transform=None):
@@ -59,7 +67,7 @@ def fit_ols(validation, spec, transform=None):
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv)
     return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n)
+                  n_subjects=len(groups), n_obs=n, qic=np.nan)
 
 
 def estimate_psi(residuals_by_subject, sigma2=None):
@@ -161,4 +169,98 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=vinv)
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n)
+                  n_subjects=len(groups), n_obs=n, qic=np.nan)
+
+
+def qic(fit, validation):
+    """Quasi-likelihood under the independence model criterion.
+
+    Uses the fitted coefficients; the quasi-likelihood, dispersion, and
+    independence information are all evaluated on ``validation``.
+    """
+    phi = transforms.build_design_matrix(fit.spec, fit.transform,
+                                         validation.z, validation.w)
+    resid = validation.x - phi @ fit.alpha
+    n, p = phi.shape
+    rss = float(resid @ resid)
+    disp = rss / max(n - p, 1)
+    gram = phi.T @ phi
+    try:
+        linalg.cholesky(gram)
+    except DecompositionError as exc:
+        raise SingularDesignError("independence information is singular") from exc
+    if disp == 0.0:
+        quasi_term = 0.0
+        trace_term = float(np.trace(gram @ fit.v_alpha))
+    else:
+        quasi_term = rss / disp  # -2 * (-(1/2) sum r^2) / phi-hat
+        trace_term = float(np.trace(gram @ fit.v_alpha)) / disp
+    return quasi_term + 2.0 * trace_term
+
+
+def _subset(validation, rows):
+    return data_model.ValidationDataset(
+        ids=validation.ids[rows], occasion=validation.occasion[rows],
+        x=validation.x[rows], z=validation.z[rows], w=validation.w[rows],
+        radii=validation.radii, confounder_names=validation.confounder_names)
+
+
+def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
+    """Fit every candidate on k-1 folds, score on the held-out fold, rank.
+
+    A transform depends on the data it is fitted on and on the spec's
+    reduction, not on its interactions.  So each training set's (and the
+    full data's) transform is fitted once per reduction, when a candidate
+    first needs it, and handed to the fits of every candidate that differs
+    only in interactions; a candidate whose transform cannot be fitted
+    fails with the message it did when it fitted its own.  Failed
+    candidates are kept in the output, marked and sorted last.
+    """
+    folds = kfold_split(validation, rng, k=k)
+    all_rows = np.arange(len(validation))
+    splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
+              for f in folds]
+    fitted = {}
+
+    def fit_gee(key, data, spec):
+        reduction = dataclasses.replace(spec, include_interactions=False)
+        if (key, reduction) not in fitted:
+            fitted[key, reduction] = transforms.fit_transform(
+                reduction, data.z, data.radii)
+        return mem.fit_gee(data, spec, working=working,
+                           transform=fitted[key, reduction])
+
+    out = []
+    for spec in specs:
+        abs_errors, sq_errors, fold_maes = [], [], []
+        try:
+            for i, (train, test) in enumerate(splits):
+                fit = fit_gee(i, train, spec)
+                err = test.x - transforms.build_design_matrix(
+                    fit.spec, fit.transform, test.z, test.w) @ fit.alpha
+                abs_errors.append(np.abs(err))
+                sq_errors.append(err ** 2)
+                fold_maes.append(float(np.mean(np.abs(err))))
+            full = fit_gee("full", validation, spec)
+            qic_value = qic(full, validation)
+        except (ValueError, ArithmeticError) as exc:
+            # Keep the error without its tracebacks and the errors chained
+            # to it: their frames link back to this call's and would keep
+            # all its data alive.
+            exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+            out.append(CvMetrics(spec=spec, mae_mean=np.nan, mae_q25=np.nan,
+                                 mae_q50=np.nan, mae_q75=np.nan,
+                                 mse_mean=np.nan, qic=np.nan, transform=None,
+                                 error=exc))
+            continue
+        abs_all = np.concatenate(abs_errors)
+        sq_all = np.concatenate(sq_errors)
+        q25, q50, q75 = np.quantile(fold_maes, [0.25, 0.50, 0.75])
+        out.append(CvMetrics(spec=spec, mae_mean=float(abs_all.mean()),
+                             mae_q25=float(q25), mae_q50=float(q50),
+                             mae_q75=float(q75), mse_mean=float(sq_all.mean()),
+                             qic=float(qic_value), transform=full.transform))
+    ok = sorted((m for m in out if not m.failed),
+                key=lambda m: (m.mae_mean, m.qic))
+    return ok + [m for m in out if m.failed]
+

@@ -119,7 +119,8 @@ def test_criterion_3_gee_ols_identity():
         val, _ = make_validation(rng, n_subjects=int(rng.integers(10, 40)),
                                  occasions=int(rng.integers(2, 6)),
                                  rho=float(rng.uniform(0.0, 0.6)))
-        a_ols = mem.fit_ols(val, spec).alpha
+        phi = transforms.build_design_matrix(spec, None, val.z, val.w)
+        a_ols = np.linalg.lstsq(phi, val.x, rcond=None)[0]
         a_gee = mem.fit_gee(val, spec, working="independence").alpha
         worst = max(worst, float(np.max(np.abs(a_ols - a_gee))))
     ok = worst < 1e-10
@@ -179,7 +180,7 @@ def test_criterion_5_model_comparison_pattern():
             pred = transforms.build_design_matrix(fit.spec, fit.transform, test.z,
                                                   test.w) @ fit.alpha
             mae[name].append(float(np.mean(np.abs(test.x - pred))))
-            qic[name].append(mem.qic(fit, train))
+            qic[name].append(fit.qic)
     mae_m = {k: float(np.mean(v)) for k, v in mae.items()}
     qic_m = {k: float(np.mean(v)) for k, v in qic.items()}
     elapsed = _time.monotonic() - t0

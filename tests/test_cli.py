@@ -417,6 +417,42 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {ini}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text, key", [
+        (["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
+          "--seed", "1", "--out", "{out}"], "[simulate]\nthreads = 4", "threads"),
+        (["select", "{val}", "--out", "{out}"],
+         "[select]\nseed = 1\nworking = independence", "working"),
+        (["select", "{val}"], "[select]\nspecs = pca3", "specs"),
+        (FIT + ["--spec", "standard", "--out", "{out}"],
+         "[fit]\nworking = independence", "working"),
+        (FIT + ["--spec", "standard"], "[fit]\nhr_increment = 1", "hr_increment"),
+    ], ids=["simulate-threads", "select-working", "select-specs", "fit-working",
+            "fit-hr_increment"])
+    def test_unread_config_key_usage_error(self, command, text, key, study_files,
+                                           tmp_path, capsys):
+        # A key the command does not read would be dropped without notice:
+        # the fit would run exchangeable, or simulate on one thread.
+        main_csv, val_csv = study_files
+        ini = tmp_path / "run.ini"
+        ini.write_text(text + "\n")
+        argv = [a.format(main=main_csv, val=val_csv, out=tmp_path / "out")
+                for a in command] + ["--config", str(ini)]
+        assert main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {ini}: ") and err.count("\n") == 1
+        assert f" {key};" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_default_section_keys_exempt(self, tmp_path):
+        # configparser copies [DEFAULT] into every section, so a key there
+        # may be meant for another command.
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\nspec = standard\n[simulate]\nseed = 3\n")
+        code = main(["simulate", "--config", str(ini), "--cell", "0.1,600,60,0.01",
+                     "--replicates", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
+
     def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

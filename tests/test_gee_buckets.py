@@ -4,15 +4,19 @@
 match it bit for bit (``tobytes`` equality of alpha, v_alpha, psi, sigma2
 and QIC), on equal and ragged cluster sizes, with subjects whose rows
 interleave, and with the per-subject sums cut into blocks of one or a few
-subjects, so that the running total is carried across blocks.
+subjects, so that the running total is carried across blocks.  The
+cross-validation, which scores held-out folds by row index and reads QIC
+from the full-data fit, must match the seed's, which made a dataset of each
+held-out fold and computed QIC in a separate pass.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from calibcox import data_model, mem, model_select, simulate
+from calibcox import data_model, mem, model_select, simulate, transforms
 from calibcox.transforms import DesignSpec
 import seed_gee
 from conftest import residual_clusters
@@ -56,8 +60,8 @@ def _assert_same_fit(val, spec, working="exchangeable"):
     for name in ("psi", "sigma2"):
         assert np.float64(getattr(new, name)).tobytes() == \
             np.float64(getattr(old, name)).tobytes(), name
-    assert np.float64(mem.qic(new, val)).tobytes() == \
-        np.float64(mem.qic(old, val)).tobytes()
+    assert np.float64(new.qic).tobytes() == \
+        np.float64(seed_gee.qic(old, val)).tobytes()
     assert (new.n_subjects, new.n_obs) == (old.n_subjects, old.n_obs)
     return new
 
@@ -92,6 +96,16 @@ def test_independence(spec, block, rng):
     _assert_same_fit(val, spec, working="independence")
 
 
+@pytest.mark.parametrize("working", ["independence", "exchangeable"])
+def test_zero_residuals(working, rng):
+    # x = 0 is fitted exactly, so the dispersion is 0 and QIC takes its
+    # zero-dispersion branch.
+    val = _ragged_validation(rng, rng.choice([1, 2, 3], size=30))
+    val = dataclasses.replace(val, x=np.zeros(len(val)))
+    fit = _assert_same_fit(val, SPECS[1], working=working)
+    assert fit.sigma2 == 0.0 and fit.qic == 0.0
+
+
 def test_cv_folds(block, rng):
     val = _ragged_validation(rng, rng.choice([2, 3, 8], size=60))
     folds = model_select.kfold_split(val, k=5, rng=np.random.default_rng(5))
@@ -123,3 +137,38 @@ def test_estimate_psi(rng):
                 got = mem.estimate_psi(resid, clusters, s2)
             assert caught == []
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), block
+
+
+def _cv_dataset(name):
+    """The setting-1 generator, whose grid has ten failing ``rcs*``
+    candidates, or ragged interleaved clusters."""
+    if name == "setting1":
+        return simulate.gen_validation(simulate.setting1(n2=40, seed=8),
+                                       np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    return _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("working", ["independence", "exchangeable"])
+@pytest.mark.parametrize("name", ["setting1", "ragged"])
+def test_cv_evaluate_matches_seed(name, working, k):
+    val = _cv_dataset(name)
+    specs = model_select.candidate_grid(p_z=val.z.shape[1])
+    new = model_select.cv_evaluate(val, specs, np.random.default_rng(4), k=k,
+                                   working=working)
+    old = seed_gee.cv_evaluate(val, specs, np.random.default_rng(4), k=k,
+                               working=working)
+    assert [m.spec for m in new] == [m.spec for m in old]
+    for a, b in zip(new, old):
+        label = a.spec.label()
+        for field in ("mae_mean", "mae_q25", "mae_q50", "mae_q75", "mse_mean", "qic"):
+            assert np.float64(getattr(a, field)).tobytes() == \
+                np.float64(getattr(b, field)).tobytes(), (label, field)
+        assert (type(a.error), str(a.error)) == (type(b.error), str(b.error)), label
+        assert transforms.transform_to_json(a.spec, a.transform) == \
+            transforms.transform_to_json(b.spec, b.transform), label
+    failed = [m.spec.label() for m in new if m.failed]
+    if name == "setting1":
+        assert failed == [s.label() for s in specs if s.variant == "rcs"]
+    assert len(failed) < len(new)

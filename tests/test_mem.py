@@ -21,13 +21,13 @@ class TestFitOls:
     def test_noiseless_recovery(self, rng):
         alpha = np.array([0.4, 1.0, -2.0, 0.5, 0.25])
         val, _ = make_validation(rng, alpha=alpha, sigma2=1e-24)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         assert np.max(np.abs(fit.alpha - alpha)) < 1e-9
         assert fit.psi == 0.0
 
     def test_matches_normal_equations(self, rng):
         val, _ = make_validation(rng, n_subjects=4, occasions=3)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         phi = transforms.build_design_matrix(STD, None, val.z, val.w)
         direct = linalg.solve_spd(phi.T @ phi, phi.T @ val.x)
         assert np.max(np.abs(fit.alpha - direct)) < 1e-12
@@ -39,7 +39,7 @@ class TestFitOls:
         rng = np.random.default_rng(11)
         val = simulate.gen_validation(cfg, rng)
         spec = DesignSpec(variant="standard", include_interactions=True)
-        fit = mem.fit_ols(val, spec)
+        fit = mem.fit_gee(val, spec, working="independence")
         truth = np.concatenate([[cfg.alpha0], cfg.alpha1, cfg.alpha2, cfg.alpha3])
         se = np.sqrt(np.diag(fit.v_alpha))
         assert np.all(np.abs(fit.alpha - truth) < 3.0 * se)
@@ -50,11 +50,11 @@ class TestFitOls:
         z[:, 2] = z[:, 0] + z[:, 1]  # collinear column
         bad = dataclasses.replace(val, z=z)
         with pytest.raises(mem.SingularDesignError, match="column 3"):
-            mem.fit_ols(bad, STD)
+            mem.fit_gee(bad, STD, working="independence")
 
     def test_v_alpha_symmetric_psd(self, rng):
         val, _ = make_validation(rng)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         assert np.max(np.abs(fit.v_alpha - fit.v_alpha.T)) < 1e-10
         eig = linalg.sym_eigen(fit.v_alpha)
         assert eig.eigenvalues[-1] > -1e-12
@@ -76,9 +76,11 @@ class TestFitOls:
 
 class TestFitGee:
     def test_independence_equals_ols(self, rng):
+        # The independence GEE is least squares on the design.
         for _ in range(5):
             val, _ = make_validation(rng, rho=0.4)
-            a_ols = mem.fit_ols(val, STD).alpha
+            phi = transforms.build_design_matrix(STD, None, val.z, val.w)
+            a_ols = np.linalg.lstsq(phi, val.x, rcond=None)[0]
             a_gee = mem.fit_gee(val, STD, working="independence").alpha
             assert np.max(np.abs(a_ols - a_gee)) < 1e-10
 
@@ -179,7 +181,7 @@ class TestPredictMu:
         spec = DesignSpec(variant="standard", include_interactions=True)
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.01,
                          v_alpha=np.eye(len(alpha)), spec=spec, transform=None,
-                         n_subjects=1, n_obs=1)
+                         n_subjects=1, n_obs=1, qic=np.nan)
         assert predict(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
             pytest.approx([0.05])
 
@@ -188,13 +190,13 @@ class TestPredictMu:
         spec = DesignSpec(variant="standard")
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.0,
                          v_alpha=np.eye(3), spec=spec, transform=None,
-                         n_subjects=1, n_obs=1)
+                         n_subjects=1, n_obs=1, qic=np.nan)
         assert predict(fit, np.array([[7.0]]), np.array([[-3.0]])) == \
             pytest.approx([1.0])
 
     def test_matches_dot_product(self, rng):
         val, _ = make_validation(rng)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         z, w = rng.normal(size=3), rng.normal(size=1)
         phi = np.concatenate([[1.0], z, w])
         assert predict(fit, z[None], w[None]) == \
@@ -202,7 +204,7 @@ class TestPredictMu:
 
     def test_affine_in_z(self, rng):
         val, _ = make_validation(rng)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         w = np.array([[0.8]])
         z1, z2 = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
         for a in (0.0, 0.3, 1.0):
@@ -215,8 +217,8 @@ class TestQic:
     def test_zero_residuals(self, rng):
         alpha = np.array([0.4, 1.0, -2.0, 0.5, 0.25])
         val, _ = make_validation(rng, alpha=alpha, sigma2=1e-30)
-        fit = mem.fit_ols(val, STD)
-        q = mem.qic(fit, val)
+        fit = mem.fit_gee(val, STD, working="independence")
+        q = fit.qic
         phi = transforms.build_design_matrix(STD, None, val.z, val.w)
         resid = val.x - phi @ fit.alpha
         n, p = phi.shape
@@ -231,7 +233,7 @@ class TestQic:
 
     def test_trace_term_elementwise_oracle(self, rng):
         val, _ = make_validation(rng)
-        fit = mem.fit_ols(val, STD)
+        fit = mem.fit_gee(val, STD, working="independence")
         phi = transforms.build_design_matrix(STD, None, val.z, val.w)
         resid = val.x - phi @ fit.alpha
         n, p = phi.shape
@@ -241,4 +243,4 @@ class TestQic:
         tr = sum(gram[i, j] * fit.v_alpha[j, i]
                  for i in range(p) for j in range(p))
         expected = float(resid @ resid) / disp + 2.0 * tr / disp
-        assert mem.qic(fit, val) == pytest.approx(expected, abs=1e-10)
+        assert fit.qic == pytest.approx(expected, abs=1e-10)

@@ -83,7 +83,7 @@ class TestCvEvaluate:
             train = dataclasses.replace(
                 val, ids=val.ids[train_rows], occasion=val.occasion[train_rows],
                 x=val.x[train_rows], z=val.z[train_rows], w=val.w[train_rows])
-            fit = mem.fit_ols(train, spec)
+            fit = mem.fit_gee(train, spec, working="independence")
             pred = transforms.build_design_matrix(fit.spec, fit.transform, val.z[f],
                                                   val.w[f]) @ fit.alpha
             abs_errors.append(np.abs(val.x[f] - pred))
@@ -148,7 +148,7 @@ class TestCvEvaluate:
         qics = {}
         for spec in specs:
             fit = mem.fit_gee(val, spec)
-            qics[spec.label()] = mem.qic(fit, val)
+            qics[spec.label()] = fit.qic
         assert qics["pca3+int"] < qics["standard+int"]
 
 

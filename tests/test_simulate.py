@@ -26,6 +26,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             simulate.setting1(sigma2_v=-0.01)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha1", (0.1,) * 5), ("alpha1", (0.1,) * 10), ("alpha3", (0.1,) * 8),
+        ("alpha2", (0.1, 0.2)), ("alpha2", ()), ("beta", (0.1, 0.2)),
+        ("beta", (0.1,) * 4), ("alpha1", np.full((9, 1), 0.1)),
+    ], ids=lambda v: v if isinstance(v, str) else str(np.shape(v)))
+    def test_coefficient_lengths_checked_at_construction(self, field, value):
+        # alpha1 and alpha3 hold one value per default radius, alpha2 one
+        # per confounder, and beta the exposure, confounder and interaction.
+        with pytest.raises(linalg.ContractViolationError, match=field):
+            simulate.setting1(n1=100, n2=5, **{field: value})
+
     def test_grid_has_24_cells(self):
         for setting, alpha, beta in (
                 (1, simulate.SETTING1_ALPHA, simulate.SETTING1_BETA),
@@ -115,7 +126,7 @@ class TestGenValidation:
         cfg = simulate.setting1(n2=100, sigma2_v=1e-12)
         val = simulate.gen_validation(cfg, np.random.default_rng(2))
         spec = transforms.DesignSpec(variant="standard", include_interactions=True)
-        fit = mem.fit_ols(val, spec)
+        fit = mem.fit_gee(val, spec, working="independence")
         phi = transforms.build_design_matrix(spec, None, val.z, val.w)
         resid = val.x - phi @ fit.alpha
         assert np.max(np.abs(resid)) < 1e-5
@@ -124,7 +135,7 @@ class TestGenValidation:
         cfg = simulate.setting1(n2=300, sigma2_v=0.01)
         val = simulate.gen_validation(cfg, np.random.default_rng(3))
         spec = transforms.DesignSpec(variant="standard", include_interactions=True)
-        fit = mem.fit_ols(val, spec)
+        fit = mem.fit_gee(val, spec, working="independence")
         truth = np.concatenate([[cfg.alpha0], cfg.alpha1, cfg.alpha2, cfg.alpha3])
         se = np.sqrt(np.diag(fit.v_alpha))
         assert np.all(np.abs(fit.alpha - truth) < 4.0 * se)
