@@ -14,7 +14,8 @@ override the file, and a key that the command does not read is a usage
 error.
 The effective configuration is echoed to a provenance file next to the
 outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure, 5 a worker process of ``simulate --threads N`` died.  An error's
+failure, 5 a worker process of ``simulate --threads N`` died, 141 stdout
+was closed before the command's output was written.  An error's
 base class in :mod:`calibcox.errors` alone decides its code: UsageError 2,
 DataError (and OSError) 3, NumericalError 4.
 """
@@ -24,6 +25,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +39,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_WORKER = 5
+# 128 + SIGPIPE: what a shell reports for a process that a closed pipe ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_spec_token(token, radii):
@@ -273,7 +277,12 @@ def cmd_select(args):
         raise UsageError(f"--folds must be between 2 and the {n_subjects} "
                          f"validation subjects, got {folds}")
     if args.specs:
-        specs = [parse_spec_token(t, validation.radii) for t in args.specs]
+        specs = []
+        for token in args.specs:
+            spec = parse_spec_token(token, validation.radii)
+            if spec in specs:
+                raise UsageError(f"--specs gives {spec.label()} twice")
+            specs.append(spec)
     else:
         specs = model_select.candidate_grid(p_z=validation.z.shape[1])
     rng = np.random.default_rng(seed)
@@ -488,7 +497,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Output still in the buffer meets a closed pipe here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (``calibcox report DIR | head``),
+        # which is no fault in the data.  stdout now points at the null
+        # device, so that the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

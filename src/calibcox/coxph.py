@@ -6,19 +6,19 @@ handled by the Breslow convention, which is exact for the continuous
 simulated times and the simplest correct choice otherwise.  A cohort enters
 this module, and :mod:`calibcox.inference`, only as a :class:`RiskSets`
 over rows that already arrive in time order: the caller sorts its cohort
-once, before it builds any per-row array, and every evaluation is then a
-few reverse cumulative sweeps, O(n d^2), with no gather of rows.  The S2
-sums of the information are taken in blocks of rows from the last row down,
-with the running total carried between blocks, so no n x d x d array is
-built and every element is still added in the order of one sweep over all
-rows.
+once, before it builds any per-row array, and every evaluation is then
+O(n d^2), with no gather of rows.  Every risk-set sum, S0, S1 and S2 here
+and U_alpha's in :mod:`calibcox.inference`, is one suffix sum
+(:meth:`RiskSets.suffix_at_starts`): blocks of rows from the last row down,
+with the running total carried between blocks, kept only at the risk-set
+starts.  So no n-length S0, n x d S1 or n x d x d S2 is built, and every
+element is still added in the order of one sweep over all rows.
 
-The Newton loop takes its score from the suffix sums S0 and S1, because
-its information needs S1 anyway and the fit's outputs are pinned to that
-summation order.  The standalone :func:`score`, which only the
-finite-difference check of U_alpha calls, needs no S1: it weights each row
-by the events whose risk sets hold it, one suffix sum of w in place of
-1 + d of them.
+The Newton loop takes its score from S0 and S1, because its information
+needs S1 anyway and the fit's outputs are pinned to that summation order.
+The standalone :func:`score`, which only the finite-difference check of
+U_alpha calls, needs no S1: it weights each row by the events whose risk
+sets hold it.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
@@ -49,8 +49,8 @@ class ConvergenceReport:
     loglik: float
 
 
-# Values per block of a suffix sum over per-row matrices: the block stays in
-# cache, and no n x d x d (or n x d x d_alpha) array is built.
+# Values per block of a risk-set sum: the block stays in cache, and no n x d
+# (or n x d x d, or n x d x d_alpha) array is built.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -69,6 +69,11 @@ class RiskSets:
             every row from there on (ties share a risk set)
     upto    for each row, the number of events at or before its time: the
             first upto[j] events are those whose risk sets hold row j
+
+    Risk-set sums are kept only at the starts: S0 and S1 hold one value and
+    one row per event, in the order of ``events``.  Only this class reads
+    ``start`` and ``upto``; :meth:`suffix_at_starts` sums rows into events
+    and :meth:`prefix_at_rows` sums events back onto rows.
 
     A cohort without events has no risk set and raises
     ``ContractViolationError``.
@@ -96,51 +101,56 @@ class RiskSets:
     def weights(self, u, beta):
         """(eta, w, S0) for the cohort's rows ``u`` at ``beta``.
 
-        w = exp(eta - max eta) and S0 is the suffix sum of w, so S0[start[e]]
-        is event e's (scaled) risk-set total.  Every evaluator of the
-        cohort's rows reaches them through here.
+        w = exp(eta - max eta) and S0[e] is event e's (scaled) risk-set
+        total.  Every evaluator of the cohort's rows reaches them through
+        here.
         """
         self.check_rows(u)
         eta = u @ np.asarray(beta, dtype=float)
         w = np.exp(eta - eta.max())
-        return eta, w, np.cumsum(w[::-1])[::-1]
+        # The kernel adds its carry into the terms, so they copy w.
+        return eta, w, self.suffix_at_starts(lambda lo, hi: w[lo:hi].copy(), ())
 
     def sums(self, u, beta):
-        """(eta, w, S0, S1): :meth:`weights` and S1, the suffix sums of w*u."""
+        """(eta, w, S0, S1): :meth:`weights` and S1[e], the risk-set sum of w*u."""
         eta, w, S0 = self.weights(u, beta)
-        S1 = np.cumsum((w[:, None] * u)[::-1], axis=0)[::-1]
+        S1 = self.suffix_at_starts(lambda lo, hi: w[lo:hi] * u[lo:hi].T.copy(),
+                                   (u.shape[1],))
         return eta, w, S0, S1
 
     def loglik(self, eta, S0):
         """Breslow log partial likelihood from :meth:`sums` (constant dropped)."""
-        return float(np.sum(eta[self.events]
-                            - (np.log(S0[self.start]) + eta.max())))
+        return float(np.sum(eta[self.events] - (np.log(S0) + eta.max())))
 
     def score(self, u, S0, S1):
         """sum over events of u_i - S1/S0, from :meth:`sums`."""
-        ubar = S1[self.start] / S0[self.start, None]
-        return np.sum(u[self.events] - ubar, axis=0)
+        return np.sum(u[self.events] - S1 / S0[:, None], axis=0)
 
     def information(self, u, w, S0, S1):
         """sum over events of S2/S0 - (S1/S0)(S1/S0)', from :meth:`sums`."""
-        d = u.shape[1]
-        wu = w[:, None] * u
-        S2 = self.suffix_at_starts(
-            lambda lo, hi: wu[lo:hi, :, None] * u[lo:hi, None, :], (d, d))
-        ubar = S1[self.start] / S0[self.start, None]
-        info = (S2 / S0[self.start, None, None]).sum(axis=0)
+        def terms(lo, hi):
+            ut = u[lo:hi].T.copy()
+            return (w[lo:hi] * ut)[:, None, :] * ut
+
+        S2 = self.suffix_at_starts(terms, (u.shape[1],) * 2)
+        ubar = S1 / S0[:, None]
+        info = (S2 / S0[:, None, None]).sum(axis=0)
         info -= np.einsum("ij,ik->jk", ubar, ubar)
         return 0.5 * (info + info.T)
 
     def suffix_at_starts(self, terms, shape):
         """Suffix sums of per-row terms at each event's risk-set start.
 
-        ``terms(lo, hi)`` returns a new array of shape ``(hi - lo,) + shape``
-        holding the terms of rows lo..hi-1.  Row blocks run from the
-        last row down; the running total is added into each block's first
-        reversed row before ``np.cumsum``, so every element is added in the
-        order of one cumsum over all n rows, while only one block is held.
-        Returns an array of shape ``(len(events),) + shape``.
+        ``terms(lo, hi)`` returns a new C-contiguous array of shape
+        ``shape + (hi - lo,)`` holding the terms of rows lo..hi-1, rows last,
+        so that ``np.cumsum`` runs along contiguous rows; callers build it
+        from each block's transposed row slice.  Row blocks run from the
+        last row down; the running total is added into each block's last
+        row before the cumsum, so every element is added in the order of one
+        cumsum over all n rows, while only one block is held.  Returns a
+        C-contiguous array of shape ``(len(events),) + shape``: a sum over
+        its events reduces in memory order, which another layout would
+        change in the last bits.
         """
         out = np.empty((len(self.start),) + shape)
         rows = max(1, _BLOCK_VALUES // math.prod(shape))
@@ -149,15 +159,24 @@ class RiskSets:
         # Rows before the first risk-set start feed no output.
         while hi > self.start[0]:
             lo = max(0, hi - rows)
-            block = terms(lo, hi)[::-1]
+            block = terms(lo, hi)[..., ::-1]
             if carry is not None:
-                block[0] += carry
-            csum = np.cumsum(block, axis=0)
+                block[..., 0] += carry
+            csum = np.cumsum(block, axis=-1)
             a, b = np.searchsorted(self.start, (lo, hi))
-            out[a:b] = csum[hi - 1 - self.start[a:b]]
-            carry = csum[-1]
+            out[a:b] = np.moveaxis(csum[..., hi - 1 - self.start[a:b]], -1, 0)
+            carry = csum[..., -1]
             hi = lo
         return out
+
+    def prefix_at_rows(self, x):
+        """For each row, the sum of ``x`` over the events whose risk sets hold it.
+
+        ``x`` holds one value, or one row, per event in the order of
+        ``events``; row j gets the sum of its first upto[j] entries.
+        """
+        zero = np.zeros((1,) + x.shape[1:])
+        return np.concatenate([zero, np.cumsum(x, axis=0)])[self.upto]
 
 
 def score(rs, u, beta):
@@ -165,12 +184,12 @@ def score(rs, u, beta):
 
     Summed row by row instead of event by event, sum_e S1/S0 at T_e is
     sum_j w_j H_j u_j, where H_j = sum of 1/S0 over the events at or before
-    T_j (Lin & Wei 1989), so no n x d suffix sum S1 is built.  This agrees
-    with :meth:`RiskSets.score` to rounding, not bit for bit; the fit and
-    every output use that one.
+    T_j (Lin & Wei 1989), so no S1 is taken.  This agrees with
+    :meth:`RiskSets.score` to rounding, not bit for bit; the fit and every
+    output use that one.
     """
     _, w, S0 = rs.weights(u, beta)
-    H = np.concatenate([[0.0], np.cumsum(1.0 / S0[rs.start])])[rs.upto]
+    H = rs.prefix_at_rows(1.0 / S0)
     H *= w
     return u[rs.events].sum(axis=0) - H @ u
 

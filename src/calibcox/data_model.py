@@ -157,9 +157,13 @@ def _cell(row, col_idx, header, rownum, path, valid=math.isfinite,
 
 @contextlib.contextmanager
 def _open_text(path):
-    """The file as UTF-8 text; a byte that does not decode is a ParseError."""
+    """The file as UTF-8 text; a byte that does not decode is a ParseError.
+
+    A leading byte-order mark, which spreadsheet programs write to
+    "CSV UTF-8" files, is dropped, also when the reader seeks back to 0.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: byte "

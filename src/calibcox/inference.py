@@ -20,17 +20,20 @@ it by central differences in alpha and reports the relative discrepancy.
 I, G and U_a reach the outputs, so they keep the suffix-sum form and the
 summation order of the Newton fit.  The check's 2 d_a scores reach no
 output but an error, so they take :func:`coxph.score`, which weights each
-row by the events whose risk sets hold it and builds no n x d suffix sum,
-and each perturbed exposure is phi alpha +- h_k phi[:, k] rather than a new
-n x d_a product.
+row by the events whose risk sets hold it and takes no S1, and each
+perturbed exposure is phi alpha +- h_k phi[:, k] rather than a new n x d_a
+product.
 
 :func:`fit_calibrated_cox` sorts the main study by time once, at entry, so
 every per-row array is built in risk-set order and the study enters each
 function here as one :class:`coxph.RiskSets` over those rows.  I, G and U_a
-reuse the risk-set sums the Newton fit holds at beta-hat.  The risk-set
-sums of U_a and of the information's S2 are taken in blocks of rows from
-the last row down, carrying the running total, so their n x d x d_alpha and
-n x d x d arrays are never built.
+reuse the risk-set sums the Newton fit holds at beta-hat, S0 and S1 kept
+one per event.  U_a's own risk-set sums go through the same
+:meth:`coxph.RiskSets.suffix_at_starts`, which takes them in blocks of rows
+and keeps them only at the events, so its n x d x d_alpha array is never
+built; G's sums over the events before each row come from
+:meth:`coxph.RiskSets.prefix_at_rows`.  Nothing here reads the risk-set
+layout itself.
 """
 
 from dataclasses import dataclass
@@ -85,16 +88,12 @@ def g_beta_hat(rs, u, sums):
 
     and G = (1/N) sum_i W_i W_i'.
     """
-    n, d = u.shape
+    n = len(u)
     _, w, S0, S1 = sums
     ev = rs.events
-    s0_e = S0[rs.start]
-    ubar_e = S1[rs.start] / s0_e[:, None]
-    # Prefix sums over events in time order.
-    inv_s0 = np.concatenate([[0.0], np.cumsum(1.0 / s0_e)])
-    ubar_over_s0 = np.vstack([np.zeros(d), np.cumsum(ubar_e / s0_e[:, None], axis=0)])
-    resid = u * inv_s0[rs.upto, None]
-    resid -= ubar_over_s0[rs.upto]
+    ubar_e = S1 / S0[:, None]
+    resid = u * rs.prefix_at_rows(1.0 / S0)[:, None]
+    resid -= rs.prefix_at_rows(ubar_e / S0[:, None])
     resid *= -w[:, None]
     resid[ev] += u[ev] - ubar_e
     return (resid.T @ resid) / n
@@ -121,18 +120,20 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     d, da = u.shape[1], phi.shape[1]
     _, w, S0, S1 = sums
     ev = rs.events
-    # Suffix sums of w (c + b u) phi' and of w b phi at each risk-set start.
-    SM = rs.suffix_at_starts(
-        lambda lo, hi: (w[lo:hi, None, None]
-                        * (c[lo:hi] + b[lo:hi, None] * u[lo:hi])[:, :, None]
-                        * phi[lo:hi, None, :]), (d, da))
+
+    # Risk-set sums of w (c + b u) phi' and of w b phi, each block's rows
+    # laid out last.
+    def m_terms(lo, hi):
+        cbu = (c[lo:hi] + b[lo:hi, None] * u[lo:hi]).T.copy()
+        return (w[lo:hi] * cbu)[:, None, :] * phi[lo:hi].T.copy()
+
+    SM = rs.suffix_at_starts(m_terms, (d, da))
     Sq = rs.suffix_at_starts(
-        lambda lo, hi: (w[lo:hi] * b[lo:hi])[:, None] * phi[lo:hi], (da,))
-    s0_e = S0[rs.start]
+        lambda lo, hi: (w[lo:hi] * b[lo:hi]) * phi[lo:hi].T.copy(), (da,))
     out = np.einsum("ij,ik->jk", c[ev], phi[ev])
-    SM /= s0_e[:, None, None]
+    SM /= S0[:, None, None]
     out -= SM.sum(axis=0)
-    ratio = S1[rs.start] / (s0_e ** 2)[:, None]
+    ratio = S1 / (S0 ** 2)[:, None]
     out += np.einsum("ij,ik->jk", ratio, Sq)
     return out
 

@@ -7,6 +7,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -192,6 +194,26 @@ class TestSelectCommand:
         assert spec.variant == "pca"
         assert ((out / "best_transform.json").read_text()
                 == transforms.transform_to_json(spec, refit.transform))
+
+    @pytest.mark.parametrize("specs, label", [
+        (["pca3", "pca3"], "pca3"),
+        (["standard", "pca3+int", " pca3+int"], "pca3+int"),
+        (["only150", "pca2", "only150.0"], "standard[1]"),
+    ])
+    def test_repeated_spec_usage_error(self, study_files, tmp_path, capsys,
+                                       monkeypatch, specs, label):
+        """A candidate given twice is refused before any fit."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a candidate was fitted")
+
+        monkeypatch.setattr(model_select, "cv_evaluate", no_fit)
+        _, val_csv = study_files
+        out = tmp_path / "sel"
+        assert main(["select", str(val_csv), "--specs", *specs,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --specs gives {label} twice\n")
+        assert not out.exists()
 
     def test_missing_file_data_error(self, tmp_path, capsys):
         code = main(["select", str(tmp_path / "nope.csv"), "--seed", "1"])
@@ -663,6 +685,31 @@ def test_corrupted_inputs_reach_an_exit_code(which, kind, col, row):
                 assert err.getvalue().endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["report", "select"])
+def test_closed_stdout_exits_141_silently(study_files, tmp_path, command):
+    """A reader that has gone before the output is written (``| head``,
+    ``| true``) is no data error: the command exits 128 + SIGPIPE and
+    prints nothing."""
+    if command == "report":
+        assert main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates",
+                     "2", "--seed", "2", "--out", str(tmp_path)]) == 0
+        argv = ["report", str(tmp_path)]
+    else:
+        argv = ["select", str(study_files[1]), "--specs", "pca3", "--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # stdout buffered, as by default: the write then fails at a flush.
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "calibcox.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
 class TestReportCommand:
     def test_renders_and_idempotent(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -690,6 +737,17 @@ class TestReportCommand:
         assert capsys.readouterr().err == (
             f"data error: {summary}: not UTF-8 text: byte 0xe9 "
             "(invalid continuation byte)\n")
+
+    def test_byte_order_mark_renders_as_plain(self, tmp_path, capsys):
+        text = b"p,n1,model\n0.1,600,M1\n"
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "plain" / "summary.csv").write_bytes(text)
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "bom" / "summary.csv").write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["report", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["report", str(tmp_path / "bom")]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_empty_dir_data_error(self, tmp_path, capsys):
         code = main(["report", str(tmp_path)])

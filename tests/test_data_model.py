@@ -222,6 +222,54 @@ class TestBulkParse:
         assert str(err.value) == f"{p}: row 4: duplicate (id, occasion) pair ('a', 1)"
 
 
+def _bom_copy(path):
+    """A copy of ``path`` behind a UTF-8 byte-order mark, as spreadsheets
+    write "CSV UTF-8" files."""
+    out = path.with_name("bom-" + path.name)
+    out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return out
+
+
+class TestByteOrderMark:
+    """A file behind a byte-order mark reads to the arrays of the plain
+    file, on the bulk parse and on the row scan (a quoted id forces it)."""
+
+    @pytest.mark.parametrize("parse", ["bulk", "row scan"])
+    def test_main(self, tmp_path, rng, monkeypatch, parse):
+        p = tmp_path / "m.csv"
+        data_model.write_main_csv(p, _main_dataset(rng))
+        if parse == "row scan":
+            p = _quote_first_id(p)
+        taken = _spy_bulk(monkeypatch)
+        plain = data_model.read_main_csv(p)
+        bom = data_model.read_main_csv(_bom_copy(p))
+        assert taken == [parse == "bulk"] * 2
+        _assert_same_arrays(plain, bom, ("time", "event", "z", "w", "radii"))
+
+    @pytest.mark.parametrize("parse", ["bulk", "row scan"])
+    def test_validation(self, tmp_path, rng, monkeypatch, parse):
+        n = 40
+        ds = data_model.ValidationDataset(
+            ids=np.asarray([f"s{i // 4}" for i in range(n)], dtype=object),
+            occasion=np.tile([1, 2, 3, 4], n // 4), x=rng.normal(0.5, 0.3, n),
+            z=rng.normal(0.5, 0.1, (n, 2)), w=rng.normal(1.0, 2.0, (n, 1)),
+            radii=np.array([90.0, 150.0]))
+        p = tmp_path / "v.csv"
+        data_model.write_validation_csv(p, ds)
+        if parse == "row scan":
+            p = _quote_first_id(p)
+        taken = _spy_bulk(monkeypatch)
+        plain = data_model.read_validation_csv(p)
+        bom = data_model.read_validation_csv(_bom_copy(p))
+        assert taken == [parse == "bulk"] * 2
+        _assert_same_arrays(plain, bom, ("occasion", "x", "z", "w", "radii"))
+
+    def test_writers_write_no_mark(self, tmp_path, rng):
+        p = tmp_path / "m.csv"
+        data_model.write_main_csv(p, _main_dataset(rng))
+        assert p.read_bytes().startswith(b"id,")
+
+
 class TestDatasetInvariants:
     def test_radii_must_increase(self, rng):
         with pytest.raises(ParseError, match="increasing"):

@@ -18,12 +18,13 @@ from conftest import loglik, make_survival, risk_set_indices, time_ordered
 import seed_cox
 
 
-@pytest.fixture(params=["default", "tiny"])
+@pytest.fixture(params=["default", "tiny", "one row"])
 def block(request, monkeypatch):
-    """Run once with the package's block size and once with blocks of a few
-    rows, so that every suffix sum crosses block boundaries."""
-    if request.param == "tiny":
-        monkeypatch.setattr(coxph, "_BLOCK_VALUES", 24)
+    """Run with the package's block size, with blocks of a few rows, and
+    with blocks of one row, so that every risk-set sum crosses block
+    boundaries and, in the last, the carry crosses every row."""
+    values = {"default": coxph._BLOCK_VALUES, "tiny": 24, "one row": 1}
+    monkeypatch.setattr(coxph, "_BLOCK_VALUES", values[request.param])
     return request.param
 
 
@@ -93,6 +94,35 @@ class TestOracleSums:
             expected += np.outer(c[i], phi[i]) - m / s0 + np.outer(s1 / s0 ** 2, q)
         got = inference.u_alpha_hat(rs, u, rs.sums(u, beta), phi, c, b)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestKernel:
+    """The one risk-set kernel against whole-cohort sums."""
+
+    def test_sums_at_starts_match_whole_cohort_sums(self, rng, block):
+        """S0 and S1 are the whole-cohort suffix sums, read at each event's
+        first tied row, bit for bit."""
+        u, time, event, beta = _tied_survival(rng, n=300)
+        t_s, e_s, u_s = time_ordered(time, event, u)
+        rs = coxph.RiskSets(t_s, e_s)
+        assert len(np.unique(t_s[rs.events])) < len(rs.events)
+        got = rs.sums(u_s, beta)
+        eta, w, S0, S1, first = seed_cox._risk_quantities(u_s, t_s, beta)
+        starts = first[rs.events]
+        assert len(got[2]) == len(got[3]) == len(rs.events)
+        assert got[3].flags.c_contiguous
+        for g, want in zip(got, (eta, w, S0[starts], S1[starts])):
+            assert g.shape == want.shape and np.array_equal(g, want)
+
+    def test_prefix_at_rows(self, rng):
+        _, time, event, _ = _tied_survival(rng)
+        rs = coxph.RiskSets(*time_ordered(time, event))
+        x = rng.normal(size=(len(rs.events), 2))
+        t_ev = rs.time[rs.events]
+        want = np.array([x[t_ev <= t].sum(axis=0) for t in rs.time])
+        assert np.allclose(rs.prefix_at_rows(x), want, rtol=1e-13, atol=1e-13)
+        assert np.allclose(rs.prefix_at_rows(x[:, 0]), want[:, 0],
+                           rtol=1e-13, atol=1e-13)
 
 
 class TestSeedEquality:
