@@ -267,6 +267,8 @@ def cmd_simulate(args):
 
 
 def cmd_select(args):
+    if args.specs == []:
+        raise UsageError("--specs needs at least one candidate")
     file_cfg = _load_config(args.config, "select", ("seed", "folds"))
     seed = _int_setting(args.seed, file_cfg, "seed", 0, minimum=0)
     folds = _int_setting(args.folds, file_cfg, "folds", 5)
@@ -276,7 +278,7 @@ def cmd_select(args):
     if not 2 <= folds <= n_subjects:
         raise UsageError(f"--folds must be between 2 and the {n_subjects} "
                          f"validation subjects, got {folds}")
-    if args.specs:
+    if args.specs is not None:
         specs = []
         for token in args.specs:
             spec = parse_spec_token(token, validation.radii)
@@ -321,9 +323,9 @@ def cmd_select(args):
         })
         print(f"wrote {len(rows)} ranked rows to {outdir / 'selection.csv'}")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 

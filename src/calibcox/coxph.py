@@ -14,11 +14,14 @@ with the running total carried between blocks, kept only at the risk-set
 starts.  So no n-length S0, n x d S1 or n x d x d S2 is built, and every
 element is still added in the order of one sweep over all rows.
 
-The Newton loop takes its score from S0 and S1, because its information
-needs S1 anyway and the fit's outputs are pinned to that summation order.
-The standalone :func:`score`, which only the finite-difference check of
-U_alpha calls, needs no S1: it weights each row by the events whose risk
-sets hold it.
+Each stage of the Newton loop takes one sweep over the rows.  A
+step-halving candidate needs only the log-likelihood, so it takes S0 alone
+(:meth:`RiskSets.weights`).  The accepted step takes S1 and S2 together
+from one sweep of stacked terms (:meth:`RiskSets.moments`), and its score
+and information are then sums over events with no further sweep; the fit's
+outputs are pinned to that summation order.  The standalone :func:`score`,
+which only the finite-difference check of U_alpha calls, needs no S1: it
+weights each row by the events whose risk sets hold it.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
@@ -70,8 +73,10 @@ class RiskSets:
     upto    for each row, the number of events at or before its time: the
             first upto[j] events are those whose risk sets hold row j
 
-    Risk-set sums are kept only at the starts: S0 and S1 hold one value and
-    one row per event, in the order of ``events``.  Only this class reads
+    Risk-set sums are kept only at the starts: S0, S1 and S2 hold one value,
+    row or matrix per event, in the order of ``events``.  A Newton
+    candidate takes S0 from :meth:`weights`; an accepted step takes S1 and
+    S2 from :meth:`moments`, one sweep for both.  Only this class reads
     ``start`` and ``upto``; :meth:`suffix_at_starts` sums rows into events
     and :meth:`prefix_at_rows` sums events back onto rows.
 
@@ -111,28 +116,34 @@ class RiskSets:
         # The kernel adds its carry into the terms, so they copy w.
         return eta, w, self.suffix_at_starts(lambda lo, hi: w[lo:hi].copy(), ())
 
-    def sums(self, u, beta):
-        """(eta, w, S0, S1): :meth:`weights` and S1[e], the risk-set sum of w*u."""
-        eta, w, S0 = self.weights(u, beta)
-        S1 = self.suffix_at_starts(lambda lo, hi: w[lo:hi] * u[lo:hi].T.copy(),
-                                   (u.shape[1],))
-        return eta, w, S0, S1
+    def moments(self, u, w):
+        """(S1, S2), the risk-set sums of w*u and w*u*u', one E x d and one
+        E x d x d C-contiguous array (E events), from one sweep whose blocks
+        stack the terms w*u_j and (w*u_j)*u_k."""
+        self.check_rows(u, w)
+        d = u.shape[1]
+
+        def terms(lo, hi):
+            block = np.empty((1 + d, d, hi - lo))
+            ut = u[lo:hi].T.copy()
+            np.multiply(w[lo:hi], ut, out=block[0])
+            np.multiply(block[0][:, None, :], ut, out=block[1:])
+            return block
+
+        both = self.suffix_at_starts(terms, (1 + d, d))
+        return np.ascontiguousarray(both[:, 0]), np.ascontiguousarray(both[:, 1:])
 
     def loglik(self, eta, S0):
-        """Breslow log partial likelihood from :meth:`sums` (constant dropped)."""
+        """Breslow log partial likelihood from :meth:`weights` (constant dropped)."""
         return float(np.sum(eta[self.events] - (np.log(S0) + eta.max())))
 
     def score(self, u, S0, S1):
-        """sum over events of u_i - S1/S0, from :meth:`sums`."""
+        """sum over events of u_i - S1/S0, from :meth:`weights` and :meth:`moments`."""
         return np.sum(u[self.events] - S1 / S0[:, None], axis=0)
 
-    def information(self, u, w, S0, S1):
-        """sum over events of S2/S0 - (S1/S0)(S1/S0)', from :meth:`sums`."""
-        def terms(lo, hi):
-            ut = u[lo:hi].T.copy()
-            return (w[lo:hi] * ut)[:, None, :] * ut
-
-        S2 = self.suffix_at_starts(terms, (u.shape[1],) * 2)
+    def information(self, S0, S1, S2):
+        """sum over events of S2/S0 - (S1/S0)(S1/S0)', from :meth:`weights`
+        and :meth:`moments`; it makes no sweep over the rows."""
         ubar = S1 / S0[:, None]
         info = (S2 / S0[:, None, None]).sum(axis=0)
         info -= np.einsum("ij,ik->jk", ubar, ubar)
@@ -143,8 +154,8 @@ class RiskSets:
 
         ``terms(lo, hi)`` returns a new C-contiguous array of shape
         ``shape + (hi - lo,)`` holding the terms of rows lo..hi-1, rows last,
-        so that ``np.cumsum`` runs along contiguous rows; callers build it
-        from each block's transposed row slice.  Row blocks run from the
+        so that ``np.cumsum`` runs along contiguous rows; callers write
+        their stacked terms into one new block.  Row blocks run from the
         last row down; the running total is added into each block's last
         row before the cumsum, so every element is added in the order of one
         cumsum over all n rows, while only one block is held.  Returns a
@@ -194,6 +205,12 @@ def score(rs, u, beta):
     return u[rs.events].sum(axis=0) - H @ u
 
 
+def _step_derivatives(rs, u, w, S0):
+    """(S1, score, information) at an accepted Newton iterate: one sweep."""
+    S1, S2 = rs.moments(u, w)
+    return S1, rs.score(u, S0, S1), rs.information(S0, S1, S2)
+
+
 def fit(rs, u):
     """Newton-Raphson with step-halving from beta = 0.
 
@@ -204,14 +221,14 @@ def fit(rs, u):
     monotone-likelihood separation; a Newton step that no halving makes
     ascend raises :class:`CoxConvergenceError`.
 
-    Returns (beta, ConvergenceReport, sums, information), with the
-    :meth:`RiskSets.sums` and the information the last step computed at
-    beta, so the variance needs no second evaluation there.
+    Returns (beta, ConvergenceReport, (eta, w, S0, S1), information), with
+    the risk-set sums and the information the last step computed at beta, so
+    the variance needs no second evaluation there.
     """
     beta = np.zeros(u.shape[1])
-    eta, w, S0, S1 = rs.sums(u, beta)
+    eta, w, S0 = rs.weights(u, beta)
     ll = rs.loglik(eta, S0)
-    sc, info = rs.score(u, S0, S1), rs.information(u, w, S0, S1)
+    S1, sc, info = _step_derivatives(rs, u, w, S0)
     # Scale-aware tolerances: the score is a sum over events, so its floating
     # point noise floor grows with the data; anchor both tests to the size of
     # the problem at the starting point.
@@ -223,9 +240,9 @@ def fit(rs, u):
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            # Free the last sums before the candidate's are built.
-            del eta, w, S0, S1
-            eta, w, S0, S1 = rs.sums(u, cand)
+            # Free the last n-length arrays before the candidate's are built.
+            del eta, w, S0
+            eta, w, S0 = rs.weights(u, cand)
             ll_new = rs.loglik(eta, S0)
             if ll_new >= ll - 1e-13:
                 break
@@ -236,7 +253,7 @@ def fit(rs, u):
                 f"raise the log-likelihood (grad norm {np.max(np.abs(sc)):.3e})")
         delta_ll = ll_new - ll
         beta, ll = cand, ll_new
-        sc, info = rs.score(u, S0, S1), rs.information(u, w, S0, S1)
+        S1, sc, info = _step_derivatives(rs, u, w, S0)
         if np.max(np.abs(beta)) > constants.COX_DIVERGENCE_BOUND:
             raise CoxDivergenceError(
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "

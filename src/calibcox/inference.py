@@ -28,12 +28,12 @@ product.
 every per-row array is built in risk-set order and the study enters each
 function here as one :class:`coxph.RiskSets` over those rows.  I, G and U_a
 reuse the risk-set sums the Newton fit holds at beta-hat, S0 and S1 kept
-one per event.  U_a's own risk-set sums go through the same
-:meth:`coxph.RiskSets.suffix_at_starts`, which takes them in blocks of rows
-and keeps them only at the events, so its n x d x d_alpha array is never
-built; G's sums over the events before each row come from
-:meth:`coxph.RiskSets.prefix_at_rows`.  Nothing here reads the risk-set
-layout itself.
+one per event.  U_a's own two risk-set sums take one sweep of
+:meth:`coxph.RiskSets.suffix_at_starts` over their stacked terms, which
+goes in blocks of rows and keeps the sums only at the events, so its
+n x d x d_alpha array is never built.  G's two sums over the events before
+each row take one :meth:`coxph.RiskSets.prefix_at_rows` call on their
+stacked columns.  Nothing here reads the risk-set layout itself.
 """
 
 from dataclasses import dataclass
@@ -79,9 +79,9 @@ class CoxFit:
 def g_beta_hat(rs, u, sums):
     """Robust score-residual outer-product mean.
 
-    ``sums`` is :meth:`coxph.RiskSets.sums` of ``u`` at beta.  Each
-    subject's residual is its own score contribution minus its weighted
-    appearances in every earlier event's risk set:
+    ``sums`` is (eta, w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
+    returns them.  Each subject's residual is its own score contribution
+    minus its weighted appearances in every earlier event's risk set:
 
         W_i = D_i (u_i - ubar(T_i))
               - sum_{events e: T_e <= T_i} [exp(eta_i) / S0_raw(T_e)] (u_i - ubar(T_e))
@@ -92,8 +92,10 @@ def g_beta_hat(rs, u, sums):
     _, w, S0, S1 = sums
     ev = rs.events
     ubar_e = S1 / S0[:, None]
-    resid = u * rs.prefix_at_rows(1.0 / S0)[:, None]
-    resid -= rs.prefix_at_rows(ubar_e / S0[:, None])
+    # One prefix over the stacked columns [1/S0, ubar/S0].
+    at_rows = rs.prefix_at_rows(np.column_stack([1.0 / S0, ubar_e / S0[:, None]]))
+    resid = u * at_rows[:, :1]
+    resid -= at_rows[:, 1:]
     resid *= -w[:, None]
     resid[ev] += u[ev] - ubar_e
     return (resid.T @ resid) / n
@@ -102,35 +104,41 @@ def g_beta_hat(rs, u, sums):
 def u_alpha_hat(rs, u, sums, phi, c, b):
     """Analytic derivative of the Cox score with respect to alpha.
 
-    ``sums`` is :meth:`coxph.RiskSets.sums` of ``u`` at beta.  The
-    calibrated exposure enters each covariate row as mu_i = phi_i' alpha,
-    so d u_i / d alpha = c_i phi_i' and d eta_i / d alpha = b_i phi_i', with
-    c_i = d u_i / d mu_i and b_i = beta' c_i supplied by the caller.  The
-    chain rule through both the event terms and the risk-set sums gives
+    ``sums`` is (eta, w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
+    returns them.  The calibrated exposure enters each covariate row as
+    mu_i = phi_i' alpha, so d u_i / d alpha = c_i phi_i' and
+    d eta_i / d alpha = b_i phi_i', with c_i = d u_i / d mu_i and
+    b_i = beta' c_i supplied by the caller.  The chain rule through both the
+    event terms and the risk-set sums gives
 
         U_a = sum_events [ c_i phi_i'
                            - (1/S0) sum_R w_j (c_j + b_j u_j) phi_j'
                            + (S1 / S0^2) (x) sum_R w_j b_j phi_j' ].
 
-    The risk-set sums over R are suffix sums in time order, taken block by
-    block (:meth:`coxph.RiskSets.suffix_at_starts`), so the n x d x d_alpha
-    array of per-row terms is never built.
+    Both risk-set sums over R come from one suffix sum in time order, taken
+    block by block (:meth:`coxph.RiskSets.suffix_at_starts`), so the
+    n x d x d_alpha array of per-row terms is never built.
     """
     rs.check_rows(u, phi, c, b)
     d, da = u.shape[1], phi.shape[1]
     _, w, S0, S1 = sums
     ev = rs.events
-
-    # Risk-set sums of w (c + b u) phi' and of w b phi, each block's rows
-    # laid out last.
-    def m_terms(lo, hi):
-        cbu = (c[lo:hi] + b[lo:hi, None] * u[lo:hi]).T.copy()
-        return (w[lo:hi] * cbu)[:, None, :] * phi[lo:hi].T.copy()
-
-    SM = rs.suffix_at_starts(m_terms, (d, da))
-    Sq = rs.suffix_at_starts(
-        lambda lo, hi: (w[lo:hi] * b[lo:hi]) * phi[lo:hi].T.copy(), (da,))
+    # Before the sweep, so that phi[ev] is freed before its sums are held.
     out = np.einsum("ij,ik->jk", c[ev], phi[ev])
+
+    # Risk-set sums of w (c + b u) phi' and of w b phi in one sweep: each
+    # block stacks w [c + b u ; b] (x) phi, rows laid out last.
+    def terms(lo, hi):
+        block = np.empty((d + 1, da, hi - lo))
+        wcb = np.empty((d + 1, hi - lo))
+        cbu = c[lo:hi] + b[lo:hi, None] * u[lo:hi]
+        np.multiply(w[lo:hi], cbu.T, out=wcb[:d])
+        np.multiply(w[lo:hi], b[lo:hi], out=wcb[d])
+        np.multiply(wcb[:, None, :], phi[lo:hi].T, out=block)
+        return block
+
+    both = rs.suffix_at_starts(terms, (d + 1, da))
+    SM, Sq = both[:, :d], np.ascontiguousarray(both[:, d])
     SM /= S0[:, None, None]
     out -= SM.sum(axis=0)
     ratio = S1 / (S0 ** 2)[:, None]

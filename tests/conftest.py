@@ -71,8 +71,21 @@ def time_ordered(time, event, *rows):
 
 def loglik(rs, u, beta):
     """Breslow log partial likelihood of the time-ordered rows ``u`` at ``beta``."""
-    eta, _, S0, _ = rs.sums(np.asarray(u, dtype=float), beta)
+    eta, _, S0 = rs.weights(np.asarray(u, dtype=float), beta)
     return rs.loglik(eta, S0)
+
+
+def risk_sums(rs, u, beta):
+    """(eta, w, S0, S1) of the time-ordered rows ``u`` at ``beta``: the
+    risk-set sums ``coxph.fit`` returns, which G and U_alpha take."""
+    eta, w, S0 = rs.weights(u, beta)
+    return eta, w, S0, rs.moments(u, w)[0]
+
+
+def information(rs, u, beta):
+    """The information of the time-ordered rows ``u`` at ``beta``."""
+    _, w, S0 = rs.weights(u, beta)
+    return rs.information(S0, *rs.moments(u, w))
 
 
 def risk_set_indices(time, event):

@@ -1,6 +1,7 @@
 """CLI surface: argument handling, outputs, determinism, exit codes."""
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import io
@@ -219,6 +220,31 @@ class TestSelectCommand:
         code = main(["select", str(tmp_path / "nope.csv"), "--seed", "1"])
         assert code == cli.EXIT_DATA
 
+    def test_empty_specs_usage_error(self, tmp_path, capsys):
+        """``--specs`` with no candidate is refused before the file is read."""
+        code = main(["select", str(tmp_path / "nope.csv"), "--specs"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --specs needs at least one candidate\n")
+
+    def test_stdout_is_csv(self, study_files, tmp_path, capsys):
+        """Without --out the rows go to stdout as CSV: a note holding a
+        comma is one quoted field, and plain rows keep their bytes."""
+        ds = data_model.read_validation_csv(study_files[1])
+        val3 = tmp_path / "val3.csv"
+        data_model.write_validation_csv(val3, dataclasses.replace(
+            ds, z=ds.z[:, :3], radii=ds.radii[:3]))
+        assert main(["select", str(val3), "--specs", "standard", "rcs5",
+                     "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert len(header) == 10 and header[-1] == "note"
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert [row[-1] for row in rows] == [
+            "", "need at least 5 radii for 5 knots, got 3"]
+        lines = out.splitlines()
+        assert lines[0] == ",".join(header) and lines[1] == ",".join(rows[0])
+
 
 class TestFitCommand:
     def test_fit_outputs(self, study_files, tmp_path, capsys):
@@ -357,6 +383,7 @@ class TestExitCodes:
         FIT + ["--spec", "standard", "--hr-increment", "nan"],
         FIT2 + ["--spec", "standard", "--at", "1.0"],
         ["select", "{val}", "--specs", "pcax"],
+        ["select", "{val}", "--specs", "--out", "{out}"],
         ["select", "{val}", "--folds", "0"],
         ["select", "{val}", "--folds", "1"],
         ["select", "{val}", "--folds", "81"],  # the study has 80 subjects

@@ -5,7 +5,7 @@ import pytest
 
 from calibcox import coxph, linalg
 
-from conftest import loglik, make_survival, time_ordered
+from conftest import information, loglik, make_survival, time_ordered
 
 
 def direct_loglik(u, time, event, beta):
@@ -103,14 +103,14 @@ class TestInformation:
         w = np.exp(u[:, 0] * 0.4)
         p = w[0] / w.sum()
         expected = p * (1 - p) * (u[0, 0] - u[1, 0]) ** 2
-        info = rs.information(u, *rs.sums(u, beta)[1:])
+        info = information(rs, u, beta)
         assert info[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_jacobian_finite_difference(self, rng):
         u, time, event, beta = make_survival(rng, n=35, d=3)
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        info = rs.information(u, *rs.sums(u, beta)[1:])
+        info = information(rs, u, beta)
         h = 1e-5
         for k in range(3):
             e = np.zeros(3)
@@ -126,7 +126,7 @@ class TestInformation:
             u, time, event, beta = make_survival(rng, n=n, d=d)
             time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
-            info = rs.information(u, *rs.sums(u, beta)[1:])
+            info = information(rs, u, beta)
             assert np.min(np.linalg.eigvalsh(info)) > -1e-9 * (1.0 + np.max(np.abs(info)))
 
 
@@ -140,7 +140,7 @@ class TestFit:
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         beta, *_ = coxph.fit(rs, u)
-        info = rs.information(u, *rs.sums(u, beta)[1:])
+        info = information(rs, u, beta)
         se = 1.0 / np.sqrt(info[0, 0])
         assert abs(beta[0]) < 3.0 * se
 

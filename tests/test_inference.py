@@ -6,7 +6,7 @@ import pytest
 from calibcox import coxph, inference, linalg, mem, simulate, transforms
 from calibcox.inference import SandwichComponents
 
-from conftest import make_survival, time_ordered
+from conftest import information, make_survival, risk_sums, time_ordered
 
 
 def reference_g_beta(u, time, event, beta):
@@ -78,7 +78,7 @@ class TestGBetaHat:
         event = np.array([0, 1, 0])
         rs = coxph.RiskSets(time, event)
         beta = rng.normal(size=2)
-        g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
+        g = inference.g_beta_hat(rs, u, risk_sums(rs, u, beta))
         assert np.allclose(g, reference_g_beta(u, time, event, beta), atol=1e-12)
 
     def test_matches_reference_random(self, rng):
@@ -86,7 +86,7 @@ class TestGBetaHat:
             u, time, event, beta = make_survival(rng, n=30, d=2)
             time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
-            g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
+            g = inference.g_beta_hat(rs, u, risk_sums(rs, u, beta))
             ref = reference_g_beta(u, time, event, beta)
             assert np.max(np.abs(g - ref)) < 1e-10 * (1.0 + np.max(np.abs(ref)))
 
@@ -104,8 +104,8 @@ class TestGBetaHat:
             time, event, u = time_ordered(time, event, u)
             rs = coxph.RiskSets(time, event)
             beta, *_ = coxph.fit(rs, u)
-            i_beta = rs.information(u, *rs.sums(u, beta)[1:]) / n
-            g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
+            i_beta = information(rs, u, beta) / n
+            g = inference.g_beta_hat(rs, u, risk_sums(rs, u, beta))
             i_inv = linalg.inv_spd(i_beta)
             vars_.append(float((i_inv @ g @ i_inv.T)[0, 0] / n))
             betas.append(beta[0])
@@ -117,7 +117,7 @@ class TestUAlphaHat:
     def test_zero_design(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
         rs = coxph.RiskSets(time, event)
-        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta),
+        ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta),
                                    np.zeros_like(phi), c, b)
         assert np.allclose(ua, 0.0)
 
@@ -134,7 +134,7 @@ class TestUAlphaHat:
         beta = np.zeros(3)
         c, b = inference.calibration_jacobians(beta, w)
         assert np.allclose(b, 0.0)
-        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
+        ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta), phi, c, b)
         ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
         assert np.allclose(ua, ref, atol=1e-12)
 
@@ -142,14 +142,14 @@ class TestUAlphaHat:
         for _ in range(10):
             rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
             rs = coxph.RiskSets(time, event)
-            ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
+            ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta), phi, c, b)
             ref = reference_u_alpha(rows, time, event, beta, phi, c, b)
             assert np.max(np.abs(ua - ref)) < 1e-9 * (1.0 + np.max(np.abs(ref)))
 
     def test_matches_finite_differences(self, rng):
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
         rs = coxph.RiskSets(time, event)
-        ua = inference.u_alpha_hat(rs, rows, rs.sums(rows, beta), phi, c, b)
+        ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta), phi, c, b)
         fd = inference.u_alpha_fd(rs, phi, w, beta, alpha)
         assert np.max(np.abs(ua - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
@@ -161,8 +161,8 @@ class TestSandwichCovariance:
         rs = coxph.RiskSets(time, event)
         beta, *_ = coxph.fit(rs, u)
         n = len(time)
-        i_beta = rs.information(u, *rs.sums(u, beta)[1:]) / n
-        g = inference.g_beta_hat(rs, u, rs.sums(u, beta))
+        i_beta = information(rs, u, beta) / n
+        g = inference.g_beta_hat(rs, u, risk_sums(rs, u, beta))
         comps = SandwichComponents(i_beta=i_beta, g_beta=g,
                                    u_alpha=np.zeros((2, 3)),
                                    v_alpha=np.zeros((3, 3)))

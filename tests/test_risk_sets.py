@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibcox import coxph, inference, linalg, mem, simulate, transforms
-from conftest import loglik, make_survival, risk_set_indices, time_ordered
+from conftest import (information, loglik, make_survival, risk_set_indices, risk_sums,
+                      time_ordered)
 import seed_cox
 
 
@@ -33,6 +34,19 @@ def _tied_survival(rng, n=40, d=3):
     u, time, event, beta = make_survival(rng, n=n, d=d)
     # Coarse times: events tie with events and with censorings.
     return u, np.ceil(time * 4.0) / 4.0 + 0.25, event, beta
+
+
+def _halving_survival(rng, n=60):
+    """File-order rows whose Newton steps from beta = 0 overshoot.
+
+    A rare binary covariate with a large effect: its information at zero
+    is small, so the first steps go past the maximum and halve.
+    """
+    u = np.column_stack([(rng.random(n) < 0.08).astype(float),
+                         rng.normal(size=n)])
+    t0 = rng.exponential(np.exp(-(u @ np.array([4.0, 0.5]))))
+    cens = rng.exponential(2.0 * np.median(t0), size=n)
+    return u, np.minimum(t0, cens), (t0 <= cens).astype(int)
 
 
 def _calibration_terms(rng, n, d, da):
@@ -60,7 +74,7 @@ class TestOracleSums:
             info = info + s2 / s0 - np.outer(ubar, ubar)
         assert np.isclose(loglik(rs, u, beta), ll, rtol=1e-12)
         assert np.allclose(coxph.score(rs, u, beta), sc, rtol=1e-12, atol=1e-12)
-        assert np.allclose(rs.information(u, *rs.sums(u, beta)[1:]), info,
+        assert np.allclose(information(rs, u, beta), info,
                            rtol=1e-12, atol=1e-12)
 
     def test_g_beta(self, rng, block):
@@ -75,7 +89,7 @@ class TestOracleSums:
             resid[i] += u[i] - ubar
             resid[rows] -= (r / r.sum())[:, None] * (u[rows] - ubar)
         expected = resid.T @ resid / n
-        assert np.allclose(inference.g_beta_hat(rs, u, rs.sums(u, beta)), expected,
+        assert np.allclose(inference.g_beta_hat(rs, u, risk_sums(rs, u, beta)), expected,
                            rtol=1e-12, atol=1e-14)
 
     def test_u_alpha(self, rng, block):
@@ -92,7 +106,7 @@ class TestOracleSums:
             m = ((r[:, None] * (c[rows] + b[rows, None] * u[rows])).T @ phi[rows])
             q = (r * b[rows]) @ phi[rows]
             expected += np.outer(c[i], phi[i]) - m / s0 + np.outer(s1 / s0 ** 2, q)
-        got = inference.u_alpha_hat(rs, u, rs.sums(u, beta), phi, c, b)
+        got = inference.u_alpha_hat(rs, u, risk_sums(rs, u, beta), phi, c, b)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -100,18 +114,23 @@ class TestKernel:
     """The one risk-set kernel against whole-cohort sums."""
 
     def test_sums_at_starts_match_whole_cohort_sums(self, rng, block):
-        """S0 and S1 are the whole-cohort suffix sums, read at each event's
-        first tied row, bit for bit."""
+        """S0, S1 and S2 are the whole-cohort suffix sums, read at each
+        event's first tied row, bit for bit."""
         u, time, event, beta = _tied_survival(rng, n=300)
         t_s, e_s, u_s = time_ordered(time, event, u)
         rs = coxph.RiskSets(t_s, e_s)
         assert len(np.unique(t_s[rs.events])) < len(rs.events)
-        got = rs.sums(u_s, beta)
-        eta, w, S0, S1, first = seed_cox._risk_quantities(u_s, t_s, beta)
+        eta, w, S0 = rs.weights(u_s, beta)
+        S1, S2 = rs.moments(u_s, w)
+        eta_all, w_all, S0_all, S1_all, first = seed_cox._risk_quantities(u_s, t_s, beta)
+        wu = w_all[:, None] * u_s
+        S2_all = np.cumsum((wu[:, :, None] * u_s[:, None, :])[::-1], axis=0)[::-1]
         starts = first[rs.events]
-        assert len(got[2]) == len(got[3]) == len(rs.events)
-        assert got[3].flags.c_contiguous
-        for g, want in zip(got, (eta, w, S0[starts], S1[starts])):
+        assert len(S0) == len(S1) == len(S2) == len(rs.events)
+        assert S1.flags.c_contiguous and S2.flags.c_contiguous
+        for g, want in zip((eta, w, S0, S1, S2),
+                           (eta_all, w_all, S0_all[starts], S1_all[starts],
+                            S2_all[starts])):
             assert g.shape == want.shape and np.array_equal(g, want)
 
     def test_prefix_at_rows(self, rng):
@@ -135,11 +154,11 @@ class TestSeedEquality:
         b = c @ beta
         t_s, e_s, u_s, phi_s, c_s, b_s = time_ordered(time, event, u, phi, c, b)
         rs = coxph.RiskSets(t_s, e_s)
-        sums = rs.sums(u_s, beta)
+        sums = risk_sums(rs, u_s, beta)
         # The Newton loop's score; coxph.score is held to rounding below.
         assert np.array_equal(rs.score(u_s, *sums[2:]),
                               seed_cox.score(u, time, event, beta))
-        assert np.array_equal(rs.information(u_s, *rs.sums(u_s, beta)[1:]),
+        assert np.array_equal(information(rs, u_s, beta),
                               seed_cox.information(u, time, event, beta))
         assert np.array_equal(inference.g_beta_hat(rs, u_s, sums),
                               seed_cox.g_beta_hat(u, time, event, beta))
@@ -148,10 +167,18 @@ class TestSeedEquality:
         got, want = coxph.fit(rs, u_s), seed_cox.fit(u, time, event)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         # The sums and information the fit returns are those at its beta.
-        for returned, fresh in zip(got[2], rs.sums(u_s, got[0])):
+        for returned, fresh in zip(got[2], risk_sums(rs, u_s, got[0])):
             assert np.array_equal(returned, fresh)
-        assert np.array_equal(got[3],
-                              rs.information(u_s, *rs.sums(u_s, got[0])[1:]))
+        assert np.array_equal(got[3], information(rs, u_s, got[0]))
+
+    def test_step_halving_fit(self, block):
+        """A fit whose Newton steps halve keeps the seed loop's beta and
+        report, bit for bit."""
+        u, time, event = _halving_survival(np.random.default_rng(0))
+        t_s, e_s, u_s = time_ordered(time, event, u)
+        got = coxph.fit(coxph.RiskSets(t_s, e_s), u_s)
+        want = seed_cox.fit(u, time, event)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_fit_calibrated_cox(self, block):
         # n1 = 3000 with d_alpha = 20: the U_alpha blocks hold fewer rows
@@ -208,7 +235,7 @@ def _score_gap(time, event, seed, d=3, scale=1.0):
     u = rng.normal(size=(len(time), d))
     beta = rng.normal(0.0, scale, size=d)
     rs = coxph.RiskSets(time, event)
-    want = rs.score(u, *rs.sums(u, beta)[2:])
+    want = rs.score(u, *risk_sums(rs, u, beta)[2:])
     got = coxph.score(rs, u, beta)
     return np.max(np.abs(got - want)) / np.sum(np.abs(u[rs.events]))
 
@@ -248,9 +275,38 @@ def test_rows_of_another_cohort_rejected(rng):
     with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
         coxph.score(rs, u, beta)
     with pytest.raises(linalg.ContractViolationError, match="39 subjects"):
-        inference.u_alpha_hat(rs, u[:-1], rs.sums(u[:-1], beta),
+        inference.u_alpha_hat(rs, u[:-1], risk_sums(rs, u[:-1], beta),
                               np.ones((len(time), 2)), np.ones_like(u[:-1]),
                               np.ones(len(time) - 1))
+
+
+def test_one_sweep_per_newton_stage(monkeypatch):
+    """A step-halving candidate sweeps the rows once, for S0; an accepted
+    step (beta = 0 included) once more, for S1 and S2 together; the
+    information makes no sweep."""
+    u, time, event = _halving_survival(np.random.default_rng(0))
+    t_s, e_s, u_s = time_ordered(time, event, u)
+    rs = coxph.RiskSets(t_s, e_s)
+    calls = []
+
+    def count(name):
+        original = getattr(coxph.RiskSets, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(coxph.RiskSets, name, counted)
+
+    for name in ("suffix_at_starts", "weights", "moments", "information"):
+        count(name)
+    report = coxph.fit(rs, u_s)[1]
+    candidates, steps = calls.count("weights") - 1, report.iterations
+    assert candidates > steps
+    assert calls.count("moments") == calls.count("information") == steps + 1
+    assert calls.count("suffix_at_starts") == (candidates + 1) + (steps + 1)
+    # Every sweep comes straight from weights or moments, none from information.
+    assert all(calls[i - 1] in ("weights", "moments")
+               for i, name in enumerate(calls) if name == "suffix_at_starts")
 
 
 def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
@@ -274,7 +330,8 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [(np, "argsort"), (coxph, "fit"), (coxph, "score"),
-                        (coxph.RiskSets, "sums"), (coxph.RiskSets, "information")]:
+                        (coxph.RiskSets, "weights"), (coxph.RiskSets, "moments"),
+                        (coxph.RiskSets, "information")]:
         count(owner, name)
     cox = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
 
@@ -283,11 +340,12 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     assert names.count("fit") == 1
     done = names.index("fit returned")
     fitted_rows = calls[done][1][1]
-    # One information per Newton iterate, beta = 0 included.
+    # One S1 and S2 and one information per Newton iterate, beta = 0 included.
+    assert names[:done].count("moments") == cox.report.iterations + 1
     assert names[:done].count("information") == cox.report.iterations + 1
     # After the fit, only the finite-difference scores evaluate the risk
-    # sets, each on rows built from a perturbed alpha, and none of them
-    # takes the suffix sums S1.
+    # sets, each through weights on rows built from a perturbed alpha, and
+    # none of them takes S1.
     after = calls[done + 1:]
-    assert [name for name, _ in after] == ["score"] * (2 * len(memfit.alpha))
+    assert [name for name, _ in after] == ["score", "weights"] * (2 * len(memfit.alpha))
     assert not any(np.array_equal(args[1], fitted_rows) for _, args in after)
