@@ -274,7 +274,7 @@ def cmd_select(args):
     folds = _int_setting(args.folds, file_cfg, "folds", 5)
     _check_out(args.out)
     validation = _read_validation(args.validation_csv)
-    n_subjects = np.bincount(validation.subject_codes).size
+    n_subjects = validation.n_subjects
     if not 2 <= folds <= n_subjects:
         raise UsageError(f"--folds must be between 2 and the {n_subjects} "
                          f"validation subjects, got {folds}")

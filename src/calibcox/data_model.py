@@ -23,8 +23,18 @@ reads them one at a time, as ``csv.reader`` and ``float()`` do, only when
 the bulk parse rejects the file or its values break the schema; either way
 a file reads to the same arrays or raises the same :class:`ParseError`,
 which names the first bad cell in file order.  A file that is not UTF-8
-text is a :class:`ParseError` too.  The validation reader then rejects a
-duplicate (id, occasion) pair, naming the row of its second occurrence.
+text is a :class:`ParseError` too.
+
+A validation study keeps its subjects as integer codes.  The reader
+numbers the ids once, in order of each subject's first row
+(:func:`number_subjects`); the simulation passes its codes directly; a
+subset of the rows, such as a cross-validation training set, renumbers the
+codes it keeps (:meth:`ValidationDataset.subset`).  Every caller that
+groups rows by subject (the GEE's clusters, the folds, the subject count)
+reads the grouping that :class:`ValidationDataset` derives from the codes
+at construction.  The reader rejects a duplicate (id, occasion) pair,
+found on the codes, naming the first row, in file order, that repeats an
+earlier row's pair.
 
 The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
 endings, an id or header name quoted only when it holds a comma, quote or
@@ -88,33 +98,78 @@ class MainDataset:
 class ValidationDataset:
     """Immutable, array-backed validation cohort with repeated measurements.
 
-    ``subject_codes`` numbers each row's subject 0, 1, ... in order of the
-    subject's first row; it is computed once, at construction.
+    Subjects are data: ``subject_ids`` holds one label per subject and
+    ``subject_codes`` one int per row, numbering the row's subject 0, 1, ...
+    in order of the subject's first row; :func:`number_subjects` makes both
+    from per-row labels.  Derived from them once, at construction, as
+    read-only arrays: ``ids``, each row's label (for the writer and tests);
+    ``subject_sizes``, each subject's row count; and ``subject_order``, the
+    rows subject by subject, each subject's rows in row order.
+    ``n_subjects`` is the number of subjects.
     """
 
-    ids: np.ndarray
+    subject_ids: np.ndarray
+    subject_codes: np.ndarray
     occasion: np.ndarray
     x: np.ndarray
     z: np.ndarray
     w: np.ndarray
     radii: np.ndarray
     confounder_names: tuple = field(default=("w_1",))
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    n_subjects: int = field(init=False, repr=False, compare=False)
+    subject_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    subject_order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_radii(self)
-        codes = {}
-        object.__setattr__(self, "subject_codes", np.fromiter(
-            (codes.setdefault(sid, len(codes)) for sid in self.ids),
-            dtype=np.intp, count=len(self.ids)))
+        codes = self.subject_codes
+        # First-appearance numbering: no code exceeds the largest before it
+        # by more than one, so codes 0..top all occur, once per subject id.
+        top = np.maximum.accumulate(np.concatenate(([-1], codes)))
+        if np.any(codes < 0) or np.any(np.diff(top) > 1) \
+                or top[-1] + 1 != len(self.subject_ids):
+            raise ParseError("subject codes must number the subject ids "
+                             "0, 1, ... in order of each subject's first row")
+        derived = {"ids": self.subject_ids[codes],
+                   "subject_sizes": np.bincount(codes, minlength=len(self.subject_ids)),
+                   "subject_order": np.argsort(codes, kind="stable")}
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_subjects", len(self.subject_ids))
 
     def __len__(self):
         return len(self.x)
 
+    def subset(self, rows):
+        """The dataset of the rows ``rows``: its subjects keep their labels
+        and are numbered again in order of their first row among ``rows``."""
+        codes = self.subject_codes[rows]
+        kept = codes[np.sort(np.unique(codes, return_index=True)[1])]
+        renumber = np.empty(self.n_subjects, dtype=np.intp)
+        renumber[kept] = np.arange(kept.size)
+        return ValidationDataset(
+            subject_ids=self.subject_ids[kept], subject_codes=renumber[codes],
+            occasion=self.occasion[rows], x=self.x[rows], z=self.z[rows],
+            w=self.w[rows], radii=self.radii, confounder_names=self.confounder_names)
+
     def subject_groups(self):
-        """Row-index arrays grouped by subject id, in first-appearance order."""
-        order = np.argsort(self.subject_codes, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(self.subject_codes))[:-1])
-        return {self.ids[rows[0]]: rows for rows in groups if rows.size}
+        """Row-index arrays keyed by subject id, in first-appearance order:
+        a view of the stored grouping, which nothing in the package calls;
+        the benchmark's tracer wraps it by name."""
+        return dict(zip(self.subject_ids, np.split(
+            self.subject_order, np.cumsum(self.subject_sizes)[:-1])))
+
+
+def number_subjects(ids):
+    """``(subject_ids, subject_codes)`` of per-row labels ``ids``: the
+    distinct labels in order of first row (an object array), and each row's
+    position in it (an intp array).  Labels are told apart as dict keys."""
+    labels = dict.fromkeys(ids)
+    index = dict(zip(labels, range(len(labels))))
+    return (np.fromiter(labels, dtype=object, count=len(labels)),
+            np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids)))
 
 
 def _parse_header(header, leading, path):
@@ -312,16 +367,20 @@ def read_validation_csv(path):
         path, ("id", "occasion", "x"),
         ((_fits_int64, "must be an integer below 2**63 in magnitude"),
          (lambda x: abs(x) < math.inf, "must be finite")))
+    subject_ids, codes = number_subjects(ids)
     occasion = occasion.astype(int)
-    pairs = list(zip(ids.tolist(), occasion.tolist()))
-    if len(set(pairs)) != len(pairs):
-        seen = set()
-        for rownum, key in enumerate(pairs, start=2):
-            if key in seen:
-                raise ParseError(f"{path}: row {rownum}: duplicate (id, occasion) pair {key}")
-            seen.add(key)
-    return ValidationDataset(ids=ids, occasion=occasion, x=x, z=z, w=w,
-                             radii=radii, confounder_names=w_names)
+    # A stable sort by (subject, occasion) keeps a pair's rows in file
+    # order, so every row after the first of its run repeats an earlier
+    # row; the earliest of them is where a row-by-row check would stop.
+    order = np.lexsort((occasion, codes))
+    again = order[1:][(np.diff(codes[order]) == 0) & (np.diff(occasion[order]) == 0)]
+    if again.size:
+        row = int(again.min())
+        key = (subject_ids[codes[row]], int(occasion[row]))
+        raise ParseError(f"{path}: row {row + 2}: duplicate (id, occasion) pair {key}")
+    return ValidationDataset(subject_ids=subject_ids, subject_codes=codes,
+                             occasion=occasion, x=x, z=z, w=w, radii=radii,
+                             confounder_names=w_names)
 
 
 # Rows the writers format and write at a time.

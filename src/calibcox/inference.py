@@ -153,16 +153,23 @@ def u_alpha_fd(rs, phi, w, beta, alpha):
     h_k = FD_STEP * max(1, |alpha_k|) either way, which moves the calibrated
     exposure phi alpha by +-h_k phi[:, k]; the rows are then
     :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``.
+    They are built once: each score rewrites, in place, only the exposure
+    column and its products with ``w``, to the values a new build would hold.
     """
     alpha = np.asarray(alpha, dtype=float)
     xhat = phi @ alpha
+    u = coxph.build_cox_rows(xhat, w)
+    exposure, products = u[:, 0], u[:, 1 + w.shape[1]:]
     cols = []
     for k in range(alpha.size):
         h = constants.FD_STEP * max(1.0, abs(alpha[k]))
         step = h * phi[:, k]
-        s_hi = coxph.score(rs, coxph.build_cox_rows(xhat + step, w), beta)
-        s_lo = coxph.score(rs, coxph.build_cox_rows(xhat - step, w), beta)
-        cols.append((s_hi - s_lo) / (2.0 * h))
+        scores = []
+        for move in (np.add, np.subtract):
+            move(xhat, step, out=exposure)
+            np.multiply(exposure[:, None], w, out=products)
+            scores.append(coxph.score(rs, u, beta))
+        cols.append((scores[0] - scores[1]) / (2.0 * h))
     return np.column_stack(cols)
 
 

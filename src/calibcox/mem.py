@@ -220,8 +220,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     x = validation.x
     n, p = phi.shape
-    codes = validation.subject_codes
-    clusters = _Clusters(np.argsort(codes, kind="stable"), np.bincount(codes),
+    clusters = _Clusters(validation.subject_order, validation.subject_sizes,
                          max(1, _BLOCK_VALUES // (p * p)))
     gram, L = _check_rank(phi)
     alpha = linalg.cho_solve(L, phi.T @ x)
@@ -258,5 +257,5 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     quasi, scaled = (0.0, trace) if sigma2 == 0.0 else (rss / sigma2, trace / sigma2)
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(clusters.sizes), n_obs=n,
+                  n_subjects=validation.n_subjects, n_obs=n,
                   qic=quasi + 2.0 * scaled)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data_model, mem, transforms
+from . import mem, transforms
 from .linalg import ContractViolationError
 
 
@@ -46,22 +46,14 @@ def kfold_split(validation, rng, k=5):
     """
     if k < 2:
         raise ContractViolationError(f"need at least 2 folds, got {k}")
-    codes = validation.subject_codes
-    n_subjects = np.bincount(codes).size
+    n_subjects = validation.n_subjects
     if n_subjects < k:
         raise ContractViolationError(f"need at least {k} subjects, got {n_subjects}")
     # The subject at position pos of a random permutation goes to fold pos % k.
     fold_of = np.empty(n_subjects, dtype=np.intp)
     fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k
-    row_folds = fold_of[codes]
+    row_folds = fold_of[validation.subject_codes]
     return [np.flatnonzero(row_folds == f) for f in range(k)]
-
-
-def _subset(validation, rows):
-    return data_model.ValidationDataset(
-        ids=validation.ids[rows], occasion=validation.occasion[rows],
-        x=validation.x[rows], z=validation.z[rows], w=validation.w[rows],
-        radii=validation.radii, confounder_names=validation.confounder_names)
 
 
 def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
@@ -78,7 +70,7 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     """
     folds = kfold_split(validation, rng, k=k)
     all_rows = np.arange(len(validation))
-    splits = [(_subset(validation, np.setdiff1d(all_rows, f)), f) for f in folds]
+    splits = [(validation.subset(np.setdiff1d(all_rows, f)), f) for f in folds]
     fitted = {}
 
     def fit_gee(key, data, spec):

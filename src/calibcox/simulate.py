@@ -152,10 +152,11 @@ def _draw(cfg, rng, n):
 def gen_validation(cfg, rng):
     """Validation cohort: n2 subjects x occasions, fresh covariates per row."""
     z, w, x = _draw(cfg, rng, cfg.n2 * cfg.occasions)
-    ids = np.repeat([f"v{i + 1}" for i in range(cfg.n2)], cfg.occasions)
     occ = np.tile(np.arange(1, cfg.occasions + 1), cfg.n2)
     return data_model.ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=occ, x=x, z=z, w=w,
+        subject_ids=np.array([f"v{i + 1}" for i in range(cfg.n2)], dtype=object),
+        subject_codes=np.repeat(np.arange(cfg.n2), cfg.occasions),
+        occasion=occ, x=x, z=z, w=w,
         radii=np.asarray(data_model.DEFAULT_RADII), confounder_names=("w_1",))
 
 

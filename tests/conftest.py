@@ -30,7 +30,7 @@ def make_validation(rng, n_subjects=30, occasions=4, p_z=3, p_w=1,
     if radii is None:
         radii = 100.0 * np.arange(1, p_z + 1)
     return data_model.ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=occ, x=x, z=z, w=w,
+        *data_model.number_subjects(ids), occasion=occ, x=x, z=z, w=w,
         radii=np.asarray(radii, dtype=float),
         confounder_names=tuple(f"w_{j + 1}" for j in range(p_w))), alpha
 

@@ -11,7 +11,9 @@ Verbatim copies, kept as references:
   ``read_validation_csv`` to match, in arrays and dtypes or in the
   ParseError text, on files with at most one defect.
 
-Only the imports differ.
+Only the imports differ, and the validation readers' last step: the
+dataset is built from ``number_subjects`` of the ids, as
+``ValidationDataset`` takes its subjects as labels and codes.
 """
 
 import csv
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from calibcox.data_model import (MainDataset, ParseError, ValidationDataset,
-                                 _bulk_rows, _cell, _columns, _fits_int64,
+                                 number_subjects, _bulk_rows, _cell, _columns, _fits_int64,
                                  _format_radius, _open_text, _read_header)
 
 
@@ -122,7 +124,7 @@ def read_validation_csv(path):
                 occ = o.astype(int)
                 if len(set(zip(ids, occ.tolist()))) == len(ids):
                     return ValidationDataset(
-                        ids=np.asarray(ids, dtype=object), occasion=occ,
+                        *number_subjects(ids), occasion=occ,
                         x=_columns(chunks, 1),
                         z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
                         w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
@@ -147,7 +149,7 @@ def read_validation_csv(path):
             zs.append([_cell(row, k, header, rownum, path) for k in z_cols])
             ws.append([_cell(row, k, header, rownum, path) for k in w_cols])
     return ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=np.asarray(occ, dtype=int),
+        *number_subjects(ids), occasion=np.asarray(occ, dtype=int),
         x=np.asarray(xs), z=np.asarray(zs).reshape(len(ids), len(z_cols)),
         w=np.asarray(ws).reshape(len(ids), len(w_cols)),
         radii=radii, confounder_names=w_names,

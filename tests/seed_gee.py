@@ -9,6 +9,8 @@ things differ: the imports; ``_design_and_groups`` builds the subject groups
 from ``subject_groups()`` here, as the loop versions did; ``fit_ols`` forms
 the Gram matrix itself rather than take it from ``mem._check_rank``; and
 the fits set ``MemFit.qic`` to nan, because QIC came from a separate call.
+``_subset`` numbers its rows' ids with ``data_model.number_subjects``, as
+``ValidationDataset`` takes its subjects as labels and codes.
 
 That call, ``qic``, is copied verbatim as well, and so is the
 cross-validation that scored each held-out fold as a dataset of its own and
@@ -200,7 +202,8 @@ def qic(fit, validation):
 
 def _subset(validation, rows):
     return data_model.ValidationDataset(
-        ids=validation.ids[rows], occasion=validation.occasion[rows],
+        *data_model.number_subjects(validation.ids[rows]),
+        occasion=validation.occasion[rows],
         x=validation.x[rows], z=validation.z[rows], w=validation.w[rows],
         radii=validation.radii, confounder_names=validation.confounder_names)
 

@@ -6,7 +6,9 @@ A verbatim copy of ``default_z_cov``, ``_draw_covariates``,
 covariance, confounder mean and variance, Weibull shape and scale, radii)
 as fields.  ``config`` gives a cell config those fields at their former
 defaults.  ``test_simulate`` requires the generators to draw bit for bit
-what these did.  Only the imports and ``config`` are new.
+what these did.  Only the imports and ``config`` are new, and
+``gen_validation`` builds its dataset from ``number_subjects`` of the ids,
+as ``ValidationDataset`` takes its subjects as labels and codes.
 """
 
 import dataclasses
@@ -46,7 +48,7 @@ def gen_validation(cfg, rng):
     ids = np.repeat([f"v{i + 1}" for i in range(cfg.n2)], cfg.occasions)
     occ = np.tile(np.arange(1, cfg.occasions + 1), cfg.n2)
     return data_model.ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=occ, x=x, z=z, w=w,
+        *data_model.number_subjects(ids), occasion=occ, x=x, z=z, w=w,
         radii=np.asarray(cfg.radii), confounder_names=("w_1",))
 
 

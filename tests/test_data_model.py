@@ -104,7 +104,7 @@ class TestReadValidationCsv:
     def test_round_trip(self, tmp_path, rng):
         n = 12
         ds = data_model.ValidationDataset(
-            ids=np.asarray([f"s{i // 3}" for i in range(n)], dtype=object),
+            *data_model.number_subjects([f"s{i // 3}" for i in range(n)]),
             occasion=np.tile([1, 2, 3], 4),
             x=rng.normal(0.5, 0.3, n),
             z=rng.normal(0.5, 0.1, (n, 2)),
@@ -173,7 +173,7 @@ class TestBulkParse:
     def test_validation_matches_row_scan(self, tmp_path, rng, monkeypatch):
         n = 120
         ds = data_model.ValidationDataset(
-            ids=np.asarray([f"s{i // 4}" for i in range(n)], dtype=object),
+            *data_model.number_subjects([f"s{i // 4}" for i in range(n)]),
             occasion=np.tile([1, 2, 3, 4], n // 4), x=rng.normal(0.5, 0.3, n),
             z=rng.normal(0.5, 0.1, (n, 2)), w=rng.normal(1.0, 2.0, (n, 1)),
             radii=np.array([90.0, 150.0]))
@@ -221,6 +221,22 @@ class TestBulkParse:
             data_model.read_validation_csv(p)
         assert str(err.value) == f"{p}: row 4: duplicate (id, occasion) pair ('a', 1)"
 
+    @pytest.mark.parametrize("parse", ["bulk", "row scan"])
+    def test_first_repeat_in_file_order_is_named(self, tmp_path, monkeypatch, parse):
+        # Two repeated pairs among interleaved subjects: ('b', 2) sorts after
+        # ('a', 1), by label and by subject code, but repeats first in the
+        # file, so it is the one named.
+        p = write(tmp_path, "v.csv", VAL_HEADER + "a,1,0.5,0.1,0.2,1.0\n"
+                  + "b,2,0.5,0.1,0.2,1.0\n" + "a,2,0.5,0.1,0.2,1.0\n"
+                  + "b,2,0.6,0.1,0.2,1.0\n" + "a,1,0.6,0.1,0.2,1.0\n")
+        if parse == "row scan":
+            p = _quote_first_id(p)
+        taken = _spy_bulk(monkeypatch)
+        with pytest.raises(ParseError) as err:
+            data_model.read_validation_csv(p)
+        assert taken == [parse == "bulk"]
+        assert str(err.value) == f"{p}: row 5: duplicate (id, occasion) pair ('b', 2)"
+
 
 def _bom_copy(path):
     """A copy of ``path`` behind a UTF-8 byte-order mark, as spreadsheets
@@ -250,7 +266,7 @@ class TestByteOrderMark:
     def test_validation(self, tmp_path, rng, monkeypatch, parse):
         n = 40
         ds = data_model.ValidationDataset(
-            ids=np.asarray([f"s{i // 4}" for i in range(n)], dtype=object),
+            *data_model.number_subjects([f"s{i // 4}" for i in range(n)]),
             occasion=np.tile([1, 2, 3, 4], n // 4), x=rng.normal(0.5, 0.3, n),
             z=rng.normal(0.5, 0.1, (n, 2)), w=rng.normal(1.0, 2.0, (n, 1)),
             radii=np.array([90.0, 150.0]))
@@ -271,6 +287,32 @@ class TestByteOrderMark:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize("subject_ids, codes", [
+        (["a", "b"], [1, 0, 1]), (["a", "b"], [0, 2, 1]), (["a"], [0, -1]),
+        (["a", "b", "c"], [0, 1, 1]), (["a"], [0, 1])])
+    def test_codes_must_number_ids_by_first_row(self, subject_ids, codes):
+        with pytest.raises(ParseError, match="in order of each subject's first row"):
+            data_model.ValidationDataset(
+                np.asarray(subject_ids, dtype=object), np.asarray(codes),
+                occasion=np.arange(len(codes)), x=np.zeros(len(codes)),
+                z=np.zeros((len(codes), 1)), w=np.zeros((len(codes), 1)),
+                radii=np.array([90.0]))
+
+    def test_grouping_derived_from_the_codes(self):
+        ds = data_model.ValidationDataset(
+            *data_model.number_subjects(["b", "a", "b", "c", "a"]),
+            occasion=np.arange(5), x=np.zeros(5), z=np.zeros((5, 1)),
+            w=np.zeros((5, 1)), radii=np.array([90.0]))
+        assert ds.subject_ids.tolist() == ["b", "a", "c"]
+        assert ds.subject_codes.tolist() == [0, 1, 0, 2, 1]
+        assert ds.ids.tolist() == ["b", "a", "b", "c", "a"]
+        assert ds.n_subjects == 3 and ds.subject_sizes.tolist() == [2, 2, 1]
+        assert ds.subject_order.tolist() == [0, 2, 1, 4, 3]
+        assert {k: v.tolist() for k, v in ds.subject_groups().items()} == \
+            {"b": [0, 2], "a": [1, 4], "c": [3]}
+        for name in ("ids", "subject_sizes", "subject_order"):
+            assert not getattr(ds, name).flags.writeable, name
+
     def test_radii_must_increase(self, rng):
         with pytest.raises(ParseError, match="increasing"):
             data_model.MainDataset(
@@ -362,8 +404,8 @@ class TestChunkedRead:
         n = 36
         val = _write_variant(tmp_path, "v.csv", data_model.write_validation_csv,
                              data_model.ValidationDataset(
-                                 ids=np.asarray([f"s{i // 4}" for i in range(n)],
-                                                dtype=object),
+                                 *data_model.number_subjects(
+                                     [f"s{i // 4}" for i in range(n)]),
                                  occasion=np.tile([1, 2, 3, 4], n // 4),
                                  x=rng.normal(0.5, 0.3, n),
                                  z=rng.normal(0.5, 0.1, (n, 2)),
@@ -616,13 +658,13 @@ def _study(kind, block, n, id_pool, float_pool, radii, names, seed):
     cells = np.asarray(float_pool)[
         rng.integers(0, len(float_pool), (n, 1 + len(radii) + len(names)))]
     z, w = cells[:, 1:1 + len(radii)], cells[:, 1 + len(radii):]
-    common = dict(ids=ids, z=z, w=w, radii=np.asarray(radii),
-                  confounder_names=tuple(names))
+    common = dict(z=z, w=w, radii=np.asarray(radii), confounder_names=tuple(names))
     if kind == "main":
-        ds = data_model.MainDataset(time=cells[:, 0],
+        ds = data_model.MainDataset(ids=ids, time=cells[:, 0],
                                     event=rng.integers(0, 2, n), **common)
     else:
-        ds = data_model.ValidationDataset(occasion=rng.integers(-3, 9, n),
+        ds = data_model.ValidationDataset(*data_model.number_subjects(ids),
+                                          occasion=rng.integers(-3, 9, n),
                                           x=cells[:, 0], **common)
     return kind, block, ds
 

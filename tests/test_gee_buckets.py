@@ -48,7 +48,7 @@ def _ragged_validation(rng, sizes, rho=0.4, sigma2=0.04, p_z=3):
          + np.sqrt(sigma2) * (np.sqrt(rho) * shared
                               + np.sqrt(1.0 - rho) * rng.normal(size=n)))
     return data_model.ValidationDataset(
-        ids=np.asarray(ids, dtype=object), occasion=occasion, x=x, z=z, w=w,
+        *data_model.number_subjects(ids), occasion=occasion, x=x, z=z, w=w,
         radii=100.0 * np.arange(1, p_z + 1), confounder_names=("w_1",))
 
 
@@ -112,7 +112,7 @@ def test_cv_folds(block, rng):
     all_rows = np.arange(len(val))
     for f in folds:
         for rows in (np.setdiff1d(all_rows, f), f):
-            _assert_same_fit(model_select._subset(val, rows), SPECS[2])
+            _assert_same_fit(val.subset(rows), SPECS[2])
 
 
 def test_estimate_psi(rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calibcox import coxph, inference, linalg, mem, simulate, transforms
+from calibcox import constants, coxph, inference, linalg, mem, simulate, transforms
 from calibcox.inference import SandwichComponents
 
 from conftest import information, make_survival, risk_sums, time_ordered
@@ -152,6 +152,27 @@ class TestUAlphaHat:
         ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta), phi, c, b)
         fd = inference.u_alpha_fd(rs, phi, w, beta, alpha)
         assert np.max(np.abs(ua - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
+
+    def test_finite_differences_match_a_row_build_per_step(self, rng):
+        # The check builds its rows once and rewrites the exposure and its
+        # products with w per step; a new build_cox_rows per step gives the
+        # same differences bit for bit.
+        n, d_alpha = 2000, 5
+        time, event, phi, w = time_ordered(
+            rng.exponential(size=n), rng.integers(0, 2, n),
+            rng.normal(size=(n, d_alpha)), rng.normal(size=(n, 2)))
+        rs = coxph.RiskSets(time, event)
+        alpha, beta = rng.normal(size=d_alpha), rng.normal(0.0, 0.3, size=5)
+        xhat = phi @ alpha
+        want = []
+        for k in range(d_alpha):
+            h = constants.FD_STEP * max(1.0, abs(alpha[k]))
+            step = h * phi[:, k]
+            s_hi = coxph.score(rs, coxph.build_cox_rows(xhat + step, w), beta)
+            s_lo = coxph.score(rs, coxph.build_cox_rows(xhat - step, w), beta)
+            want.append((s_hi - s_lo) / (2.0 * h))
+        fd = inference.u_alpha_fd(rs, phi, w, beta, alpha)
+        assert fd.tobytes() == np.column_stack(want).tobytes()
 
 
 class TestSandwichCovariance:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from calibcox import mem, model_select, simulate, transforms
+from calibcox import data_model, mem, model_select, simulate, transforms
 from calibcox.transforms import DesignSpec
 
 from conftest import make_validation
@@ -80,8 +80,10 @@ class TestCvEvaluate:
         all_rows = np.arange(len(val))
         for f in folds:
             train_rows = np.setdiff1d(all_rows, f)
+            subject_ids, subject_codes = data_model.number_subjects(val.ids[train_rows])
             train = dataclasses.replace(
-                val, ids=val.ids[train_rows], occasion=val.occasion[train_rows],
+                val, subject_ids=subject_ids, subject_codes=subject_codes,
+                occasion=val.occasion[train_rows],
                 x=val.x[train_rows], z=val.z[train_rows], w=val.w[train_rows])
             fit = mem.fit_gee(train, spec, working="independence")
             pred = transforms.build_design_matrix(fit.spec, fit.transform, val.z[f],
@@ -127,8 +129,10 @@ class TestCvEvaluate:
         groups = val.subject_groups()
         perm = np.concatenate([groups[s] for s in
                                np.random.default_rng(5).permutation(list(groups))])
+        subject_ids, subject_codes = data_model.number_subjects(val.ids[perm])
         shuffled = dataclasses.replace(
-            val, ids=val.ids[perm], occasion=val.occasion[perm],
+            val, subject_ids=subject_ids, subject_codes=subject_codes,
+            occasion=val.occasion[perm],
             x=val.x[perm], z=val.z[perm], w=val.w[perm])
         specs = [DesignSpec(variant="standard"),
                  DesignSpec(variant="pca", n_components=2)]

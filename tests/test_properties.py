@@ -1,4 +1,4 @@
-"""Property tests: row order, subject labels and transform files.
+"""Property tests: row order, subject labels and numbering, transform files.
 
 Each property is checked on small, fixed studies over a handful of drawn
 examples, so the whole file runs in a few seconds.
@@ -6,6 +6,9 @@ examples, so the whole file runs in a few seconds.
 
 import dataclasses
 import functools
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from calibcox.cli import parse_spec_token
 from conftest import make_validation
 
 FEW = settings(max_examples=15, deadline=None)
+SOME = settings(max_examples=60, deadline=None)  # for the cheap subject properties
 
 TOKENS = ["standard", "only150", "only2100", "pca1", "pca3", "pca9",
           "rcs3", "rcs5", "rcs7"]
@@ -67,8 +71,10 @@ def test_subject_labels_leave_gee_unchanged(labels, working):
     # Subjects are numbered by first appearance, not by label, so new labels
     # give the same clusters in the same order and the same fit, bit for bit.
     val = repeated_measures()
-    relabeled = dataclasses.replace(
-        val, ids=np.asarray([labels[k] for k in val.subject_codes], dtype=object))
+    subject_ids, subject_codes = data_model.number_subjects(
+        [labels[k] for k in val.subject_codes])
+    relabeled = dataclasses.replace(val, subject_ids=subject_ids,
+                                    subject_codes=subject_codes)
     spec = transforms.DesignSpec(variant="standard")
     before = mem.fit_gee(val, spec, working=working)
     after = mem.fit_gee(relabeled, spec, working=working)
@@ -97,3 +103,77 @@ def test_transform_json_round_trip_predicts_the_same(token, interactions, seed):
     np.testing.assert_array_equal(
         transforms.build_design_matrix(spec2, restored, z_new, w) @ alpha,
         transforms.build_design_matrix(spec, fitted, z_new, w) @ alpha)
+
+
+def first_appearance(ids):
+    """The reference numbering: distinct labels in order of first row, and
+    each row's index into them, from a dict."""
+    index = {}
+    codes = [index.setdefault(sid, len(index)) for sid in ids]
+    return list(index), codes
+
+
+# Labels the CSV writer must quote (a comma, a quote, a line break) and
+# labels it writes bare; no control characters but the line breaks.
+_LABEL = st.one_of(
+    st.sampled_from(["site 1, subject 7", 'say "hi"', "a\r\nb", "x\ny", ",", '"']),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1,
+            max_size=5))
+
+
+@st.composite
+def interleaved_studies(draw):
+    """A validation study whose rows draw their subjects from distinct
+    random labels in random order; each subject's occasions count 1, 2, ..."""
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=6, unique=True))
+    picks = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=24))
+    ids = [labels[k] for k in picks]
+    occasion = [picks[:i + 1].count(k) for i, k in enumerate(picks)]
+    rng = np.random.default_rng(len(ids))
+    n = len(ids)
+    return data_model.ValidationDataset(
+        *data_model.number_subjects(ids), occasion=np.asarray(occasion),
+        x=rng.normal(size=n), z=rng.normal(size=(n, 2)), w=rng.normal(size=(n, 1)),
+        radii=np.array([90.0, 150.0])), ids
+
+
+@SOME
+@given(interleaved_studies())
+def test_number_subjects_matches_dict_reference(study):
+    val, ids = study
+    subject_ids, codes = data_model.number_subjects(ids)
+    want_ids, want_codes = first_appearance(ids)
+    assert subject_ids.dtype == object and codes.dtype == np.intp
+    assert subject_ids.tolist() == want_ids and codes.tolist() == want_codes
+    assert val.ids.tolist() == ids
+
+
+@SOME
+@given(interleaved_studies(), st.sampled_from(["as written", "row scan"]))
+def test_write_read_keeps_subjects(study, parse):
+    # As written, a file reads in bulk unless a label needs quotes, which
+    # sends it to the row scan; with no bulk parse, every file goes there.
+    val, _ = study
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "v.csv"
+        data_model.write_validation_csv(p, val)
+        if parse == "as written":
+            back = data_model.read_validation_csv(p)
+        else:
+            with mock.patch.object(data_model, "_bulk_rows", lambda fh, n: None):
+                back = data_model.read_validation_csv(p)
+    assert back.subject_ids.tolist() == val.subject_ids.tolist()
+    assert back.subject_codes.tolist() == val.subject_codes.tolist()
+
+
+@SOME
+@given(interleaved_studies(), st.data())
+def test_subset_numbers_its_rows_by_first_appearance(study, data):
+    val, ids = study
+    rows = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(val) - 1),
+                                               min_size=1))))
+    sub = val.subset(rows)
+    want_ids, want_codes = first_appearance([ids[i] for i in rows])
+    assert sub.subject_ids.tolist() == want_ids
+    assert sub.subject_codes.tolist() == want_codes
+    assert sub.x.tolist() == val.x[rows].tolist()
