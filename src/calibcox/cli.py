@@ -22,6 +22,7 @@ DataError (and OSError) 3, NumericalError 4.
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -158,8 +159,9 @@ def _check_out(out):
     """Fail before any work if ``--out`` or the nearest of its ancestors
     that exists is a file, not a directory.
 
-    The directory itself is made only once the work has succeeded, so a
-    failed run leaves none behind.
+    fit and select make the directory only once their work has succeeded,
+    so a failed run leaves none behind; simulate makes it before its first
+    cell, and writes each cell's rows as the cell ends.
     """
     if out is None:
         return
@@ -179,6 +181,11 @@ def _parse_cell(text):
         return float(p), int(n1), int(n2), float(s2)
     except ValueError:
         raise UsageError(f"--cell expects p,n1,n2,sigma2v, got '{text}'") from None
+
+
+def _cell_fields(cfg):
+    """A cell's p, n1, n2 and sigma2v as every simulate output writes them."""
+    return [f"{cfg.event_rate:g}", str(cfg.n1), str(cfg.n2), f"{cfg.sigma2_v:g}"]
 
 
 def cmd_simulate(args):
@@ -216,53 +223,52 @@ def cmd_simulate(args):
         cells = simulate.full_grid(setting=setting, replicates=replicates,
                                    seed=seed, mem_interactions=interactions)
 
+    _check_out(args.out)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    summaries, replicate_rows = [], []
-    for ci, cfg in enumerate(cells):
-        cell_summaries, results = simulate.run_cell(cfg, cell_index=ci,
-                                                    threads=args.threads)
-        summaries.extend(cell_summaries)
-        for r in results:
-            replicate_rows.append((cfg, ci, r))
-
-    with open(outdir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n1", "n2", "sigma2v", "model",
-                         "bias_pct", "sd", "se", "coverage"])
-        for s in summaries:
-            writer.writerow([f"{s.event_rate:g}", s.n1, s.n2, f"{s.sigma2_v:g}",
-                             s.model, f"{s.bias_pct:.4f}", f"{s.sd:.4f}",
-                             f"{s.se_mean:.4f}", f"{s.coverage_pct:.2f}"])
-    with open(outdir / "summary_detailed.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n1", "n2", "sigma2v", "model", "bias_pct",
-                         "bias_pct_signed", "sd", "se", "coverage",
-                         "n_converged", "n_replicates", "flagged"])
-        for s in summaries:
-            writer.writerow([f"{s.event_rate:g}", s.n1, s.n2, f"{s.sigma2_v:g}",
-                             s.model, f"{s.bias_pct:.4f}",
-                             f"{s.bias_pct_signed:+.4f}", f"{s.sd:.4f}",
-                             f"{s.se_mean:.4f}", f"{s.coverage_pct:.2f}",
-                             s.n_converged, s.n_replicates, int(s.flagged)])
-    with open(outdir / "replicates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "p", "n1", "n2", "sigma2v", "replicate",
-                         "model", "converged", "beta1_hat", "se1", "ci1_covers",
-                         "beta3_hat", "se3", "ci3_covers"])
-        for cfg, ci, r in replicate_rows:
-            writer.writerow([ci, f"{cfg.event_rate:g}", cfg.n1, cfg.n2,
-                             f"{cfg.sigma2_v:g}", r.replicate, r.model,
-                             int(r.converged), f"{r.beta1_hat:.8g}",
-                             f"{r.se1:.8g}", int(r.ci1_covers),
-                             f"{r.beta3_hat:.8g}", f"{r.se3:.8g}",
-                             int(r.ci3_covers)])
+    n_summaries = 0
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(outdir / name, "w", newline=""))
+                 for name in ("summary.csv", "summary_detailed.csv",
+                              "replicates.csv")]
+        summary_csv, detailed_csv, replicates_csv = map(csv.writer, files)
+        summary_csv.writerow(["p", "n1", "n2", "sigma2v", "model", "bias_pct",
+                              "sd", "se", "coverage"])
+        detailed_csv.writerow(["p", "n1", "n2", "sigma2v", "model", "bias_pct",
+                               "bias_pct_signed", "sd", "se", "coverage",
+                               "n_converged", "n_replicates", "flagged"])
+        replicates_csv.writerow(["cell", "p", "n1", "n2", "sigma2v", "replicate",
+                                 "model", "converged", "beta1_hat", "se1",
+                                 "ci1_covers", "beta3_hat", "se3", "ci3_covers"])
+        for ci, cfg in enumerate(cells):
+            # What is written reaches the disk before this cell runs: a
+            # forked worker inherits no unwritten rows, and the finished
+            # cells stay on disk however the run ends.
+            for fh in files:
+                fh.flush()
+            summaries, results = simulate.run_cell(cfg, cell_index=ci,
+                                                   threads=args.threads)
+            cell = _cell_fields(cfg)
+            for s in summaries:
+                bias, sd, se, coverage = (
+                    f"{s.bias_pct:.4f}", f"{s.sd:.4f}", f"{s.se_mean:.4f}",
+                    f"{s.coverage_pct:.2f}")
+                summary_csv.writerow([*cell, s.model, bias, sd, se, coverage])
+                detailed_csv.writerow([
+                    *cell, s.model, bias, f"{s.bias_pct_signed:+.4f}", sd, se,
+                    coverage, s.n_converged, s.n_replicates, int(s.flagged)])
+            for r in results:
+                replicates_csv.writerow([
+                    ci, *cell, r.replicate, r.model, int(r.converged),
+                    f"{r.beta1_hat:.8g}", f"{r.se1:.8g}", int(r.ci1_covers),
+                    f"{r.beta3_hat:.8g}", f"{r.se3:.8g}", int(r.ci3_covers)])
+            n_summaries += len(summaries)
     _write_provenance(outdir, "simulate", {
         "setting": setting, "replicates": replicates, "seed": seed,
         "threads": args.threads, "interactions": interactions,
-        "cells": [f"{c.event_rate:g},{c.n1},{c.n2},{c.sigma2_v:g}" for c in cells],
+        "cells": [",".join(_cell_fields(c)) for c in cells],
     })
-    print(f"wrote {len(summaries)} summary rows to {outdir / 'summary.csv'}")
+    print(f"wrote {n_summaries} summary rows to {outdir / 'summary.csv'}")
     return 0
 
 

@@ -285,12 +285,8 @@ class ReplicateResult:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """One summary row: a (cell, model) aggregate over replicates."""
+    """One model's aggregate over a cell's replicates."""
 
-    event_rate: float
-    n1: int
-    n2: int
-    sigma2_v: float
     model: str
     bias_pct: float
     bias_pct_signed: float
@@ -349,18 +345,15 @@ def summarize(cfg, results):
         ok = [r for r in sub if r.converged]
         n_ok = len(ok)
         if n_ok == 0:
-            rows.append(SimulationSummary(cfg.event_rate, cfg.n1, cfg.n2,
-                                          cfg.sigma2_v, name, np.nan, np.nan,
-                                          np.nan, np.nan, np.nan, 0, len(sub), True))
+            rows.append(SimulationSummary(name, np.nan, np.nan, np.nan, np.nan,
+                                          np.nan, 0, len(sub), True))
             continue
         b1 = np.array([r.beta1_hat for r in ok])
         se = np.array([r.se1 for r in ok])
         cover = np.array([r.ci1_covers for r in ok])
         signed = 100.0 * (b1.mean() - b1_true) / abs(b1_true)
         rows.append(SimulationSummary(
-            event_rate=cfg.event_rate, n1=cfg.n1, n2=cfg.n2,
-            sigma2_v=cfg.sigma2_v, model=name,
-            bias_pct=abs(signed), bias_pct_signed=signed,
+            model=name, bias_pct=abs(signed), bias_pct_signed=signed,
             sd=float(b1.std(ddof=1)) if n_ok > 1 else 0.0,
             se_mean=float(se.mean()),
             coverage_pct=100.0 * float(cover.mean()),

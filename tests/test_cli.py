@@ -57,6 +57,9 @@ def two_confounder_files(study_files, tmp_path_factory):
     return tuple(paths)
 
 
+SIMULATE_TABLES = ("summary.csv", "summary_detailed.csv", "replicates.csv")
+
+
 class TestParseSpecToken:
     RADII = list(data_model.DEFAULT_RADII)
 
@@ -93,15 +96,16 @@ class TestSimulateCommand:
         assert len(lines) == 3  # header + M1 + M2
 
     def test_thread_invariant_bytes(self, tmp_path):
+        # Two cells, so the second cell's workers fork from a process that
+        # has already written the first cell's rows.
         outs = []
         for threads in ("1", "2", "3", "4"):
             out = tmp_path / f"t{threads}"
             code = main(["simulate", "--cell", "0.1,600,60,0.01",
-                         "--replicates", "4", "--seed", "9",
-                         "--threads", threads, "--out", str(out)])
+                         "--cell", "0.1,600,60,0.05", "--replicates", "4",
+                         "--seed", "9", "--threads", threads, "--out", str(out)])
             assert code == 0
-            outs.append((out / "summary.csv").read_bytes()
-                        + (out / "replicates.csv").read_bytes())
+            outs.append([(out / name).read_bytes() for name in SIMULATE_TABLES])
         assert outs[1:] == outs[:1] * 3
 
     def test_workers_need_fork(self, tmp_path, capsys, monkeypatch):
@@ -118,22 +122,41 @@ class TestSimulateCommand:
         assert main(argv + ["--threads", "1"]) == 0
 
     def test_dead_worker_exits_5(self, tmp_path, capsys, monkeypatch):
-        # The injected fit ends the process it runs in unless that is this
-        # one, so only a forked worker dies.
+        # A worker dies in the second of two cells.  The tables keep the
+        # first cell's rows, as a run of that cell alone writes them, and
+        # no provenance.json marks the run unfinished.
+        argv = ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "2",
+                "--seed", "1", "--threads", "2"]
+        first = tmp_path / "first"
+        assert main(argv + ["--out", str(first)]) == 0
+        capsys.readouterr()
+        # The injected fit ends a forked worker of the second cell; the
+        # cells begun so far are counted in this process, and a worker
+        # forks with the count.
         parent = os.getpid()
-        fit_gee = mem.fit_gee
+        run_cell, fit_gee = simulate.run_cell, mem.fit_gee
+        cells_begun = []
 
-        def dies_in_worker(*args, **kwargs):
-            if os.getpid() != parent:
+        def counted_run_cell(*args, **kwargs):
+            cells_begun.append(None)
+            return run_cell(*args, **kwargs)
+
+        def dies_in_second_cell(*args, **kwargs):
+            if os.getpid() != parent and len(cells_begun) == 2:
                 os._exit(1)
             return fit_gee(*args, **kwargs)
 
-        monkeypatch.setattr(mem, "fit_gee", dies_in_worker)
-        code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "2",
-                     "--seed", "1", "--threads", "2", "--out", str(tmp_path / "out")])
+        monkeypatch.setattr(simulate, "run_cell", counted_run_cell)
+        monkeypatch.setattr(mem, "fit_gee", dies_in_second_cell)
+        out = tmp_path / "out"
+        code = main(argv + ["--cell", "0.1,600,60,0.05", "--out", str(out)])
         assert code == cli.EXIT_WORKER
+        assert len(cells_begun) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a worker process died") and err.count("\n") == 1
+        for name in SIMULATE_TABLES:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+        assert not (out / "provenance.json").exists()
 
     def test_zero_replicates_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "0",
@@ -515,6 +538,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         FIT + ["--spec", "pca3+int", "--check-derivatives"],
         ["select", "{val}", "--seed", "1"],
+        ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1", "--seed", "1"],
     ], ids=lambda argv: argv[0])
     def test_out_naming_a_file_is_rejected_before_any_work(
             self, command, study_files, tmp_path, capsys, monkeypatch):
@@ -527,6 +551,7 @@ class TestExitCodes:
 
         for name in ("read_main_csv", "read_validation_csv"):
             monkeypatch.setattr(data_model, name, no_work)
+        monkeypatch.setattr(simulate, "run_cell", no_work)
         argv = [a.format(main=main_csv, val=val_csv) for a in command]
         # --out is the file itself, or a path under it.
         for out, where in [(taken, ""), (taken / "sub", f"{taken} ")]:

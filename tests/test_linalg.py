@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calibcox import linalg
+from calibcox import constants, linalg
 from calibcox.linalg import ContractViolationError, DecompositionError
 
 import seed_linalg
@@ -32,14 +32,15 @@ class TestCholesky:
         a = random_spd(rng, 8)
         L = linalg.cholesky(a)
         scale = np.max(np.abs(a))
-        assert np.max(np.abs(L @ L.T - a)) < 1e-10 * scale
+        assert np.max(np.abs(L @ L.T - a)) < constants.CHOLESKY_RECON_TOL * scale
         assert np.allclose(np.triu(L, 1), 0.0)
 
     def test_reconstruction_property_sweep(self, rng):
         for n in range(1, 21):
             a = random_spd(rng, n)
             L = linalg.cholesky(a)
-            assert np.max(np.abs(L @ L.T - a)) < 1e-10 * max(1.0, np.max(np.abs(a)))
+            assert (np.max(np.abs(L @ L.T - a))
+                    < constants.CHOLESKY_RECON_TOL * max(1.0, np.max(np.abs(a))))
 
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
@@ -66,13 +67,15 @@ class TestSolveSpd:
         a = random_spd(rng, 12)
         b = rng.normal(size=12)
         x = linalg.solve_spd(a, b)
-        assert np.max(np.abs(a @ x - b)) < 1e-9 * (1.0 + np.max(np.abs(b)))
+        assert (np.max(np.abs(a @ x - b))
+                < constants.SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))))
 
     def test_matrix_rhs(self, rng):
         a = random_spd(rng, 6)
         b = rng.normal(size=(6, 3))
         x = linalg.solve_spd(a, b)
-        assert np.max(np.abs(a @ x - b)) < 1e-9 * (1.0 + np.max(np.abs(b)))
+        assert (np.max(np.abs(a @ x - b))
+                < constants.SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))))
 
     def test_inv_spd(self, rng):
         a = random_spd(rng, 7)
@@ -98,13 +101,13 @@ class TestSymEigen:
         norm = np.max(np.abs(a))
         for k in range(9):
             resid = a @ eig.eigenvectors[:, k] - eig.eigenvalues[k] * eig.eigenvectors[:, k]
-            assert np.max(np.abs(resid)) < 1e-8 * (1.0 + norm)
+            assert np.max(np.abs(resid)) < constants.EIGEN_RESIDUAL_TOL * (1.0 + norm)
 
     def test_orthonormality(self, rng):
         a = rng.normal(size=(10, 10))
         a = 0.5 * (a + a.T)
         v = linalg.sym_eigen(a).eigenvectors
-        assert np.max(np.abs(v.T @ v - np.eye(10))) < 1e-10
+        assert np.max(np.abs(v.T @ v - np.eye(10))) < constants.EIGEN_ORTHO_TOL
 
     def test_trace_equals_eigenvalue_sum(self, rng):
         for n in (2, 5, 12):
