@@ -70,13 +70,12 @@ def parse_spec_token(token, radii):
             count = int(token[3:])
         except ValueError:
             raise UsageError(f"bad count in spec token '{token}'") from None
-        if variant == "pca" and count > len(radii):
-            raise UsageError(f"'{token}' asks for more components than the "
-                             f"{len(radii)} radii")
-        size = {"n_components" if variant == "pca" else "n_knots": count}
+        parts, field = ("components", "n_components") if variant == "pca" else ("knots", "n_knots")
+        if count > len(radii):
+            raise UsageError(f"'{token}' asks for more {parts} than the {len(radii)} radii")
         try:
             return transforms.DesignSpec(variant=variant,
-                                         include_interactions=interactions, **size)
+                                         include_interactions=interactions, **{field: count})
         except DataError as exc:
             raise UsageError(f"spec token '{token}': {exc}") from None
     raise UsageError(f"unknown spec token '{token}'")
@@ -156,8 +155,8 @@ def _hr_at(args, confounder_names):
 
 
 def _check_out(out):
-    """Fail before any work if ``--out`` or the nearest of its ancestors
-    that exists is a file, not a directory.
+    """Fail before any work if ``--out`` is empty, or it or the nearest of
+    its ancestors that exists is a file, not a directory.
 
     fit and select make the directory only once their work has succeeded,
     so a failed run leaves none behind; simulate makes it before its first
@@ -165,6 +164,8 @@ def _check_out(out):
     """
     if out is None:
         return
+    if not out:
+        raise UsageError("--out needs a directory name, got an empty one")
     path = Path(out)
     for p in (path, *path.parents):
         if p.exists():

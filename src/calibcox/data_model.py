@@ -25,6 +25,8 @@ a file reads to the same arrays or raises the same :class:`ParseError`,
 which names the first bad cell in file order.  A file that is not UTF-8
 text is a :class:`ParseError` too.
 
+A main study keeps no subject labels: its reader parses each id cell and
+drops it, and :func:`write_main_csv` labels the rows ``m1``, ``m2``, ...
 A validation study keeps its subjects as integer codes.  The reader
 numbers the ids once, in order of each subject's first row
 (:func:`number_subjects`); the simulation passes its codes directly; a
@@ -37,7 +39,7 @@ found on the codes, naming the first row, in file order, that repeats an
 earlier row's pair.
 
 The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
-endings, an id or header name quoted only when it holds a comma, quote or
+endings, a label or header name quoted only when it holds a comma, quote or
 line break) with numbers at 12 significant digits, formatting and writing
 a block of rows at a time.
 """
@@ -76,10 +78,10 @@ class MainDataset:
     """Immutable, array-backed main-study cohort.
 
     Row order is exactly the file/order of construction and is preserved by
-    every operation in this package.
+    every operation in this package.  A subject enters the fit only through
+    its row's values, so no id is kept; :func:`write_main_csv` makes them.
     """
 
-    ids: np.ndarray
     time: np.ndarray
     event: np.ndarray
     z: np.ndarray
@@ -101,8 +103,8 @@ class ValidationDataset:
     Subjects are data: ``subject_ids`` holds one label per subject and
     ``subject_codes`` one int per row, numbering the row's subject 0, 1, ...
     in order of the subject's first row; :func:`number_subjects` makes both
-    from per-row labels.  Derived from them once, at construction, as
-    read-only arrays: ``ids``, each row's label (for the writer and tests);
+    from per-row labels, and only the writer makes a row's label again.
+    Derived from the codes once, at construction, as read-only arrays:
     ``subject_sizes``, each subject's row count; and ``subject_order``, the
     rows subject by subject, each subject's rows in row order.
     ``n_subjects`` is the number of subjects.
@@ -116,7 +118,6 @@ class ValidationDataset:
     w: np.ndarray
     radii: np.ndarray
     confounder_names: tuple = field(default=("w_1",))
-    ids: np.ndarray = field(init=False, repr=False, compare=False)
     n_subjects: int = field(init=False, repr=False, compare=False)
     subject_sizes: np.ndarray = field(init=False, repr=False, compare=False)
     subject_order: np.ndarray = field(init=False, repr=False, compare=False)
@@ -131,8 +132,7 @@ class ValidationDataset:
                 or top[-1] + 1 != len(self.subject_ids):
             raise ParseError("subject codes must number the subject ids "
                              "0, 1, ... in order of each subject's first row")
-        derived = {"ids": self.subject_ids[codes],
-                   "subject_sizes": np.bincount(codes, minlength=len(self.subject_ids)),
+        derived = {"subject_sizes": np.bincount(codes, minlength=len(self.subject_ids)),
                    "subject_order": np.argsort(codes, kind="stable")}
         for name, value in derived.items():
             value.flags.writeable = False
@@ -172,7 +172,13 @@ def number_subjects(ids):
             np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids)))
 
 
-def _parse_header(header, leading, path):
+def _read_header(fh, leading, path):
+    """The header row of ``fh``, and the radii, z and w column indices and
+    confounder names it gives."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
     for k, name in enumerate(leading):
         if k >= len(header) or header[k] != name:
             raise ParseError(f"{path}: expected column {k + 1} to be '{name}'")
@@ -190,8 +196,7 @@ def _parse_header(header, leading, path):
     w_cols = list(range(k, len(header)))
     if not w_cols:
         raise ParseError(f"{path}: no confounder columns found")
-    w_names = tuple(header[k] for k in w_cols)
-    return np.asarray(radii), z_cols, w_cols, w_names
+    return header, (np.asarray(radii), z_cols, w_cols, tuple(header[k] for k in w_cols))
 
 
 def _cell(row, col_idx, header, rownum, path, valid=math.isfinite,
@@ -225,34 +230,27 @@ def _open_text(path):
                          f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
 
 
-def _read_header(fh, leading, path):
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    return header, _parse_header(header, leading, path)
-
-
 # Characters of file text the bulk parse holds at a time.
 _CHUNK_CHARS = 1 << 20
 
 
-def _bulk_rows(fh, n_cols):
+def _bulk_rows(fh, n_cols, keep_ids):
     """Ids and numeric cells of the rows left in ``fh``, parsed in chunks.
 
-    Returns ``(ids, chunks)``: the ids, and the numeric cells of columns
-    1..n_cols-1 as one float array per chunk of rows, exactly as
-    ``csv.reader`` and ``float()`` would read them (NumPy's parser rounds
-    as ``float()`` does).  Returns None when they might not agree or a cell
-    does not parse: a quote character, a blank line, a row of the wrong
-    length, a cell NumPy does not take (a non-number, ``1_000``), a cell
-    that is not finite, an undecodable byte, or no rows at all.
+    Returns ``(ids, chunks)``: the ids (None unless ``keep_ids``), and the
+    numeric cells of columns 1..n_cols-1 as one float array per chunk of
+    rows, exactly as ``csv.reader`` and ``float()`` would read them (NumPy's
+    parser rounds as ``float()`` does).  Returns None when they might not
+    agree or a cell does not parse: a quote character, a blank line, a row
+    of the wrong length, a cell NumPy does not take (a non-number,
+    ``1_000``), a cell that is not finite, an undecodable byte, or no rows
+    at all.
 
     The text is read _CHUNK_CHARS characters at a time; each chunk's rows
     end at its last newline, and the partial row after it is carried into
     the next chunk, so only one chunk's text and lines are held at once.
     """
-    ids, chunks = [], []
+    ids, chunks = ([] if keep_ids else None), []
     rest = ""
     while True:
         try:
@@ -263,11 +261,12 @@ def _bulk_rows(fh, n_cols):
             return None
         if not text:
             if not rest:
-                return (ids, chunks) if ids else None
+                return (ids, chunks) if chunks else None
             text = "\n"  # end the last row, which lacks its newline
         commas = rest.count(",") + text.count(",")
-        lines = (rest + text).split("\n")
+        lines = text.split("\n")
         del text  # only the chunk's lines are held from here on
+        lines[0] = rest + lines[0]  # rest holds no newline
         rest = lines.pop()
         if not lines:
             continue
@@ -283,7 +282,9 @@ def _bulk_rows(fh, n_cols):
             return None
         if len(cells) != len(lines) or not np.isfinite(cells).all():
             return None
-        ids += [line.partition(",")[0] for line in lines]
+        if keep_ids:
+            ids += [line.partition(",")[0] for line in lines]
+        del lines  # freed before the next chunk is read
         chunks.append(cells)
 
 
@@ -294,7 +295,7 @@ def _columns(chunks, lo, hi=None):
                            for c in chunks])
 
 
-def _scan_rows(fh, header, rules, path):
+def _scan_rows(fh, header, rules, path, keep_ids):
     """Ids and numeric cells of the rows after the header, read one at a
     time as ``csv.reader`` and ``float()`` read them, in the form
     :func:`_bulk_rows` returns; the first cell that breaks the schema, in
@@ -303,20 +304,21 @@ def _scan_rows(fh, header, rules, path):
               *[(math.isfinite, "must be finite")] * (len(header) - 1 - len(rules))]
     reader = csv.reader(fh)
     next(reader)
-    ids, cells = [], []
+    ids, cells = ([] if keep_ids else None), []
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
         cells.append([_cell(row, k, header, rownum, path, valid, rule)
                       for k, (valid, rule) in enumerate(checks, start=1)])
-        ids.append(row[0])
-    return ids, [np.array(cells, dtype=float).reshape(len(ids), len(header) - 1)]
+        if keep_ids:
+            ids.append(row[0])
+    return ids, [np.array(cells, dtype=float).reshape(len(cells), len(header) - 1)]
 
 
-def _read_study(path, leading, rules):
-    """The one reader of both study files: the ids (an object array), the
-    two numeric columns that ``leading`` names after the id, z, w, the radii
-    and the confounder names.
+def _read_study(path, leading, rules, keep_ids):
+    """The one reader of both study files: the ids (None unless
+    ``keep_ids``), the two numeric columns that ``leading`` names after the
+    id, z, w, the radii and the confounder names.
 
     ``rules`` holds, for each of the two columns, a test that takes a float
     or an array, and the message for a cell that fails it.  The rows are
@@ -326,13 +328,13 @@ def _read_study(path, leading, rules):
     """
     with _open_text(path) as fh:
         header, (radii, z_cols, w_cols, w_names) = _read_header(fh, leading, path)
-        parsed = _bulk_rows(fh, len(header))
+        parsed = _bulk_rows(fh, len(header), keep_ids)
         if parsed is None or not all(np.all(valid(c[:, k])) for c in parsed[1]
                                      for k, (valid, _) in enumerate(rules)):
             fh.seek(0)
-            parsed = _scan_rows(fh, header, rules, path)
+            parsed = _scan_rows(fh, header, rules, path, keep_ids)
     ids, chunks = parsed
-    return (np.asarray(ids, dtype=object), _columns(chunks, 0), _columns(chunks, 1),
+    return (ids, _columns(chunks, 0), _columns(chunks, 1),
             _columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
             _columns(chunks, w_cols[0] - 1, len(header) - 1), radii, w_names)
 
@@ -343,11 +345,11 @@ def read_main_csv(path):
     Subjects with time <= 0 are rejected: a zero follow-up time would place
     nobody meaningfully at risk and the convention for it is undefined.
     """
-    ids, time, event, z, w, radii, w_names = _read_study(
+    _, time, event, z, w, radii, w_names = _read_study(
         path, ("id", "time", "event"),
         ((lambda t: (t > 0) & (t < math.inf), "must be finite and > 0"),
-         (lambda d: (d == 0) | (d == 1), "must be 0 or 1")))
-    return MainDataset(ids=ids, time=time, event=event.astype(int), z=z, w=w,
+         (lambda d: (d == 0) | (d == 1), "must be 0 or 1")), keep_ids=False)
+    return MainDataset(time=time, event=event.astype(int), z=z, w=w,
                        radii=radii, confounder_names=w_names)
 
 
@@ -366,7 +368,7 @@ def read_validation_csv(path):
     ids, occasion, x, z, w, radii, w_names = _read_study(
         path, ("id", "occasion", "x"),
         ((_fits_int64, "must be an integer below 2**63 in magnitude"),
-         (lambda x: abs(x) < math.inf, "must be finite")))
+         (lambda x: abs(x) < math.inf, "must be finite")), keep_ids=True)
     subject_ids, codes = number_subjects(ids)
     occasion = occasion.astype(int)
     # A stable sort by (subject, occasion) keeps a pair's rows in file
@@ -404,14 +406,13 @@ def _csv_text(value):
 
 def _write_rows(path, dataset, leading, template, columns):
     """Write the header ``leading``, z_<radius>..., confounder names, then
-    one CRLF-ended row per record: its id, ``columns`` formatted by the
-    ``%`` template ``template``, and the z and w cells at 12 significant
-    digits.
+    one CRLF-ended row per record: ``columns`` formatted by the ``%``
+    template ``template``, and the z and w cells at 12 significant digits.
 
     Rows go _WRITE_ROWS to a ``write``: each block takes every column to
     Python scalars once (``tolist``) and formats its rows with the one
     template, so only a block's values and text are held at once.  Header
-    names and ids are cells of :func:`_csv_text`.
+    names are cells of :func:`_csv_text`.
     """
     header = [*leading, *(f"z_{_format_radius(r)}" for r in dataset.radii),
               *dataset.confounder_names]
@@ -420,19 +421,18 @@ def _write_rows(path, dataset, leading, template, columns):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_csv_text, header)) + "\r\n")
         for lo in range(0, len(dataset), _WRITE_ROWS):
-            hi = lo + _WRITE_ROWS
-            block = [[_csv_text(v) for v in dataset.ids[lo:hi]]]
-            block += [c[lo:hi].tolist() for c in columns]
+            block = [c[lo:lo + _WRITE_ROWS].tolist() for c in columns]
             fh.write("".join(map(template.__mod__, zip(*block))))
 
 
 def write_main_csv(path, dataset):
-    """Write a :class:`MainDataset` using the canonical schema, 12 significant digits."""
-    _write_rows(path, dataset, ("id", "time", "event"), "%s,%.12g,%s",
-                (dataset.time, dataset.event))
+    """Write a :class:`MainDataset`, rows labelled m1, m2, ..., at 12 significant digits."""
+    _write_rows(path, dataset, ("id", "time", "event"), "m%d,%.12g,%s",
+                (np.arange(1, len(dataset) + 1), dataset.time, dataset.event))
 
 
 def write_validation_csv(path, dataset):
-    """Write a :class:`ValidationDataset` using the canonical schema."""
+    """Write a :class:`ValidationDataset`, quoting each subject's label once."""
+    labels = np.array([_csv_text(v) for v in dataset.subject_ids], dtype=object)
     _write_rows(path, dataset, ("id", "occasion", "x"), "%s,%s,%.12g",
-                (dataset.occasion, dataset.x))
+                (labels[dataset.subject_codes], dataset.occasion, dataset.x))

@@ -231,8 +231,7 @@ def gen_main(cfg, rng, c_max):
     t_star = c_max * u_cens
     time = np.minimum(t0, t_star)
     event = (t0 <= t_star).astype(int)
-    ids = np.asarray([f"m{i + 1}" for i in range(cfg.n1)], dtype=object)
-    ds = data_model.MainDataset(ids=ids, time=time, event=event, z=z, w=w,
+    ds = data_model.MainDataset(time=time, event=event, z=z, w=w,
                                 radii=np.asarray(data_model.DEFAULT_RADII),
                                 confounder_names=("w_1",))
     return ds, x

@@ -11,9 +11,13 @@ Verbatim copies, kept as references:
   ``read_validation_csv`` to match, in arrays and dtypes or in the
   ParseError text, on files with at most one defect.
 
-Only the imports differ, and the validation readers' last step: the
-dataset is built from ``number_subjects`` of the ids, as
-``ValidationDataset`` takes its subjects as labels and codes.
+Only the imports differ, and the subject labels:
+
+- the validation readers build the dataset from ``number_subjects`` of
+  the ids, as ``ValidationDataset`` takes its subjects as labels and
+  codes, and the validation writer takes each row's label from them;
+- a main study holds no ids, so the main readers drop the ids they read
+  and the main writer labels the rows ``m1``, ``m2``, ...
 """
 
 import csv
@@ -36,7 +40,7 @@ def write_main_csv(path, dataset):
         writer.writerow(header)
         for i in range(len(dataset)):
             writer.writerow(
-                [dataset.ids[i], f"{dataset.time[i]:.12g}", dataset.event[i]]
+                [f"m{i + 1}", f"{dataset.time[i]:.12g}", dataset.event[i]]
                 + [f"{v:.12g}" for v in dataset.z[i]]
                 + [f"{v:.12g}" for v in dataset.w[i]]
             )
@@ -52,7 +56,8 @@ def write_validation_csv(path, dataset):
         writer.writerow(header)
         for i in range(len(dataset)):
             writer.writerow(
-                [dataset.ids[i], dataset.occasion[i], f"{dataset.x[i]:.12g}"]
+                [dataset.subject_ids[dataset.subject_codes[i]], dataset.occasion[i],
+                 f"{dataset.x[i]:.12g}"]
                 + [f"{v:.12g}" for v in dataset.z[i]]
                 + [f"{v:.12g}" for v in dataset.w[i]]
             )
@@ -70,13 +75,13 @@ def read_main_csv(path):
     with _open_text(path) as fh:
         header, (radii, z_cols, w_cols, w_names) = _read_header(
             fh, ("id", "time", "event"), path)
-        bulk = _bulk_rows(fh, len(header))
+        bulk = _bulk_rows(fh, len(header), False)
         if bulk is not None:
-            ids, chunks = bulk
+            _, chunks = bulk
             t, d = _columns(chunks, 0), _columns(chunks, 1)
             if np.all(t > 0) and np.all((d == 0) | (d == 1)):
                 return MainDataset(
-                    ids=np.asarray(ids, dtype=object), time=t,
+                    time=t,
                     event=d.astype(int),
                     z=_columns(chunks, z_cols[0] - 1, w_cols[0] - 1),
                     w=_columns(chunks, w_cols[0] - 1, len(header) - 1),
@@ -98,7 +103,7 @@ def read_main_csv(path):
             zs.append([_cell(row, k, header, rownum, path) for k in z_cols])
             ws.append([_cell(row, k, header, rownum, path) for k in w_cols])
     return MainDataset(
-        ids=np.asarray(ids, dtype=object), time=np.asarray(times),
+        time=np.asarray(times),
         event=np.asarray(events, dtype=int), z=np.asarray(zs).reshape(len(ids), len(z_cols)),
         w=np.asarray(ws).reshape(len(ids), len(w_cols)),
         radii=radii, confounder_names=w_names,
@@ -114,7 +119,7 @@ def read_validation_csv(path):
     with _open_text(path) as fh:
         header, (radii, z_cols, w_cols, w_names) = _read_header(
             fh, ("id", "occasion", "x"), path)
-        bulk = _bulk_rows(fh, len(header))
+        bulk = _bulk_rows(fh, len(header), True)
         if bulk is not None:
             ids, chunks = bulk
             o = _columns(chunks, 0)

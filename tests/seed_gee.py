@@ -202,7 +202,8 @@ def qic(fit, validation):
 
 def _subset(validation, rows):
     return data_model.ValidationDataset(
-        *data_model.number_subjects(validation.ids[rows]),
+        *data_model.number_subjects(
+            validation.subject_ids[validation.subject_codes[rows]]),
         occasion=validation.occasion[rows],
         x=validation.x[rows], z=validation.z[rows], w=validation.w[rows],
         radii=validation.radii, confounder_names=validation.confounder_names)

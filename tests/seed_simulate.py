@@ -72,8 +72,7 @@ def gen_main(cfg, rng, c_max):
     t_star = rng.uniform(0.0, c_max, size=cfg.n1)
     time = np.minimum(t0, t_star)
     event = (t0 <= t_star).astype(int)
-    ids = np.asarray([f"m{i + 1}" for i in range(cfg.n1)], dtype=object)
-    ds = data_model.MainDataset(ids=ids, time=time, event=event, z=z, w=w,
+    ds = data_model.MainDataset(time=time, event=event, z=z, w=w,
                                 radii=np.asarray(cfg.radii),
                                 confounder_names=("w_1",))
     return ds, x

@@ -39,22 +39,35 @@ def study_files(tmp_path_factory):
     return main_csv, val_csv
 
 
-@pytest.fixture(scope="module")
-def two_confounder_files(study_files, tmp_path_factory):
-    """The study files with a second confounder column, w_2."""
-    root = tmp_path_factory.mktemp("two_confounders")
-    rng = np.random.default_rng(23)
+def _rewritten(study_files, root, change):
+    """The study files, each read, given the fields ``change(ds)`` returns
+    and written to ``root``."""
     paths = []
     for path, read, write in (
             (study_files[0], data_model.read_main_csv, data_model.write_main_csv),
             (study_files[1], data_model.read_validation_csv,
              data_model.write_validation_csv)):
         ds = read(path)
-        w = np.hstack([ds.w, rng.normal(1.0, 1.0, size=(len(ds.w), 1))])
         paths.append(root / path.name)
-        write(paths[-1], dataclasses.replace(ds, w=w,
-                                             confounder_names=("w_1", "w_2")))
+        write(paths[-1], dataclasses.replace(ds, **change(ds)))
     return tuple(paths)
+
+
+@pytest.fixture(scope="module")
+def two_confounder_files(study_files, tmp_path_factory):
+    """The study files with a second confounder column, w_2."""
+    rng = np.random.default_rng(23)
+    return _rewritten(study_files, tmp_path_factory.mktemp("two_confounders"),
+                      lambda ds: dict(
+                          w=np.hstack([ds.w, rng.normal(1.0, 1.0, size=(len(ds.w), 1))]),
+                          confounder_names=("w_1", "w_2")))
+
+
+@pytest.fixture(scope="module")
+def five_radius_files(study_files, tmp_path_factory):
+    """The study files with their first five radii only."""
+    return _rewritten(study_files, tmp_path_factory.mktemp("five_radii"),
+                      lambda ds: dict(z=ds.z[:, :5], radii=ds.radii[:5]))
 
 
 SIMULATE_TABLES = ("summary.csv", "summary_detailed.csv", "replicates.csv")
@@ -253,18 +266,19 @@ class TestSelectCommand:
     def test_stdout_is_csv(self, study_files, tmp_path, capsys):
         """Without --out the rows go to stdout as CSV: a note holding a
         comma is one quoted field, and plain rows keep their bytes."""
+        # Six subjects of one row each, in two folds: a training set of
+        # three rows fits only150's three columns, but not pca3's four axes.
         ds = data_model.read_validation_csv(study_files[1])
-        val3 = tmp_path / "val3.csv"
-        data_model.write_validation_csv(val3, dataclasses.replace(
-            ds, z=ds.z[:, :3], radii=ds.radii[:3]))
-        assert main(["select", str(val3), "--specs", "standard", "rcs5",
-                     "--seed", "1"]) == 0
+        val6 = tmp_path / "val6.csv"
+        data_model.write_validation_csv(val6, ds.subset(
+            np.unique(ds.subject_codes, return_index=True)[1][:6]))
+        assert main(["select", str(val6), "--specs", "only150", "pca3",
+                     "--folds", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         header, *rows = csv.reader(io.StringIO(out, newline=""))
         assert len(header) == 10 and header[-1] == "note"
         assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
-        assert [row[-1] for row in rows] == [
-            "", "need at least 5 radii for 5 knots, got 3"]
+        assert [row[-1] for row in rows] == ["", "need at least 4 rows, got 3"]
         lines = out.splitlines()
         assert lines[0] == ",".join(header) and lines[1] == ",".join(rows[0])
 
@@ -390,6 +404,7 @@ class TestFitCommand:
 
 FIT = ["fit", "{main}", "--validation", "{val}"]
 FIT2 = ["fit", "{main2}", "--validation", "{val2}"]  # two confounders
+FIT5 = ["fit", "{main5}", "--validation", "{val5}"]  # five radii
 
 
 class TestExitCodes:
@@ -405,6 +420,11 @@ class TestExitCodes:
         FIT + ["--spec", "standard", "--at", "nan"],
         FIT + ["--spec", "standard", "--hr-increment", "nan"],
         FIT2 + ["--spec", "standard", "--at", "1.0"],
+        # More components or knots than the five radii.
+        FIT5 + ["--spec", "pca6"],
+        FIT5 + ["--spec", "rcs6"],
+        ["select", "{val5}", "--specs", "pca6", "standard"],
+        ["select", "{val5}", "--specs", "rcs6", "standard"],
         ["select", "{val}", "--specs", "pcax"],
         ["select", "{val}", "--specs", "--out", "{out}"],
         ["select", "{val}", "--folds", "0"],
@@ -437,12 +457,13 @@ class TestExitCodes:
         ["select", "{val}", "--seed", "-1", "--out", "{out}"],
         ["select", "{val}", "--config", "[select]\nseed = -3", "--out", "{out}"],
     ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
-    def test_usage_error(self, argv, study_files, two_confounder_files, tmp_path,
-                         capsys):
+    def test_usage_error(self, argv, study_files, two_confounder_files,
+                         five_radius_files, tmp_path, capsys):
         main_csv, val_csv = study_files
         main2, val2 = two_confounder_files
+        main5, val5 = five_radius_files
         argv = [a.format(main=main_csv, val=val_csv, main2=main2, val2=val2,
-                         out=tmp_path / "out")
+                         main5=main5, val5=val5, out=tmp_path / "out")
                 for a in argv]
         for i, a in enumerate(argv):
             if a.startswith("["):
@@ -535,23 +556,31 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(taken) in err
 
-    @pytest.mark.parametrize("command", [
+    OUT_COMMANDS = [
         FIT + ["--spec", "pca3+int", "--check-derivatives"],
         ["select", "{val}", "--seed", "1"],
         ["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1", "--seed", "1"],
-    ], ids=lambda argv: argv[0])
-    def test_out_naming_a_file_is_rejected_before_any_work(
-            self, command, study_files, tmp_path, capsys, monkeypatch):
-        main_csv, val_csv = study_files
-        taken = tmp_path / "taken"
-        taken.write_text("")
+    ]
 
+    @staticmethod
+    def forbid_work(monkeypatch):
+        """Make reading a study file, ranking candidates or running a cell
+        fail the test."""
         def no_work(*args, **kwargs):
             raise AssertionError("the work began before --out was checked")
 
         for name in ("read_main_csv", "read_validation_csv"):
             monkeypatch.setattr(data_model, name, no_work)
+        monkeypatch.setattr(model_select, "cv_evaluate", no_work)
         monkeypatch.setattr(simulate, "run_cell", no_work)
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_rejected_before_any_work(
+            self, command, study_files, tmp_path, capsys, monkeypatch):
+        main_csv, val_csv = study_files
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.forbid_work(monkeypatch)
         argv = [a.format(main=main_csv, val=val_csv) for a in command]
         # --out is the file itself, or a path under it.
         for out, where in [(taken, ""), (taken / "sub", f"{taken} ")]:
@@ -561,6 +590,22 @@ class TestExitCodes:
             assert captured.err == (f"data error: --out {out}: {where}exists "
                                     "and is not a directory\n")
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_empty_out_is_rejected_before_any_work(
+            self, command, study_files, tmp_path, capsys, monkeypatch):
+        # An empty --out names no directory, so nothing may be written to
+        # the working directory either.
+        main_csv, val_csv = study_files
+        self.forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(main=main_csv, val=val_csv) for a in command]
+        assert main(argv + ["--out", ""]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: --out needs a directory name, "
+                                "got an empty one\n")
+        assert not any(tmp_path.iterdir())
 
     def test_too_few_validation_rows_is_data_error(self, study_files, tmp_path,
                                                    capsys):

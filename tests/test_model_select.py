@@ -11,6 +11,11 @@ from calibcox.transforms import DesignSpec
 from conftest import make_validation
 
 
+def row_labels(val):
+    """Each row's subject label."""
+    return val.subject_ids[val.subject_codes]
+
+
 class TestKfoldSplit:
     def test_exact_division(self, rng):
         val, _ = make_validation(rng, n_subjects=10, occasions=2)
@@ -18,14 +23,14 @@ class TestKfoldSplit:
         groups = val.subject_groups()
         sizes = []
         for f in folds:
-            subjects = {val.ids[i] for i in f}
+            subjects = set(row_labels(val)[f])
             sizes.append(len(subjects))
         assert sizes == [2, 2, 2, 2, 2]
 
     def test_remainder_distribution(self, rng):
         val, _ = make_validation(rng, n_subjects=11, occasions=2)
         folds = model_select.kfold_split(val, k=5, rng=rng)
-        sizes = sorted(len({val.ids[i] for i in f}) for f in folds)
+        sizes = sorted(len(set(row_labels(val)[f])) for f in folds)
         assert sizes == [2, 2, 2, 2, 3]
 
     def test_partition_properties(self, rng):
@@ -36,11 +41,11 @@ class TestKfoldSplit:
         assert len(set(all_rows.tolist())) == len(val)
         # No subject spans folds.
         for f in folds:
-            subjects = {val.ids[i] for i in f}
+            subjects = set(row_labels(val)[f])
             for g in folds:
                 if g is f:
                     continue
-                assert subjects.isdisjoint({val.ids[i] for i in g})
+                assert subjects.isdisjoint(row_labels(val)[g])
 
     def test_too_few_subjects(self, rng):
         val, _ = make_validation(rng, n_subjects=3, occasions=2)
@@ -80,7 +85,7 @@ class TestCvEvaluate:
         all_rows = np.arange(len(val))
         for f in folds:
             train_rows = np.setdiff1d(all_rows, f)
-            subject_ids, subject_codes = data_model.number_subjects(val.ids[train_rows])
+            subject_ids, subject_codes = data_model.number_subjects(row_labels(val)[train_rows])
             train = dataclasses.replace(
                 val, subject_ids=subject_ids, subject_codes=subject_codes,
                 occasion=val.occasion[train_rows],
@@ -129,7 +134,7 @@ class TestCvEvaluate:
         groups = val.subject_groups()
         perm = np.concatenate([groups[s] for s in
                                np.random.default_rng(5).permutation(list(groups))])
-        subject_ids, subject_codes = data_model.number_subjects(val.ids[perm])
+        subject_ids, subject_codes = data_model.number_subjects(row_labels(val)[perm])
         shuffled = dataclasses.replace(
             val, subject_ids=subject_ids, subject_codes=subject_codes,
             occasion=val.occasion[perm],

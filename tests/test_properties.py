@@ -4,6 +4,7 @@ Each property is checked on small, fixed studies over a handful of drawn
 examples, so the whole file runs in a few seconds.
 """
 
+import csv
 import dataclasses
 import functools
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calibcox import data_model, inference, mem, simulate, transforms
@@ -55,7 +56,7 @@ def test_main_row_order_leaves_cox_fit_unchanged(perm):
     main, memfit, fit = calibrated_study()
     assert np.unique(main.time).size == len(main)
     idx = np.asarray(perm)
-    shuffled = dataclasses.replace(main, ids=main.ids[idx], time=main.time[idx],
+    shuffled = dataclasses.replace(main, time=main.time[idx],
                                    event=main.event[idx], z=main.z[idx],
                                    w=main.w[idx])
     refit = inference.fit_calibrated_cox(shuffled, memfit)
@@ -145,25 +146,54 @@ def test_number_subjects_matches_dict_reference(study):
     want_ids, want_codes = first_appearance(ids)
     assert subject_ids.dtype == object and codes.dtype == np.intp
     assert subject_ids.tolist() == want_ids and codes.tolist() == want_codes
-    assert val.ids.tolist() == ids
+    assert val.subject_ids[val.subject_codes].tolist() == ids
+
+
+def read_as(read, path, parse):
+    """``read(path)``, parsed "as written" or, with no bulk parse, by the
+    "row scan".  As written, a file reads in bulk unless a label needs
+    quotes, which sends it to the row scan."""
+    if parse == "as written":
+        return read(path)
+    with mock.patch.object(data_model, "_bulk_rows", lambda *args: None):
+        return read(path)
 
 
 @SOME
 @given(interleaved_studies(), st.sampled_from(["as written", "row scan"]))
 def test_write_read_keeps_subjects(study, parse):
-    # As written, a file reads in bulk unless a label needs quotes, which
-    # sends it to the row scan; with no bulk parse, every file goes there.
     val, _ = study
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "v.csv"
         data_model.write_validation_csv(p, val)
-        if parse == "as written":
-            back = data_model.read_validation_csv(p)
-        else:
-            with mock.patch.object(data_model, "_bulk_rows", lambda fh, n: None):
-                back = data_model.read_validation_csv(p)
+        back = read_as(data_model.read_validation_csv, p, parse)
     assert back.subject_ids.tolist() == val.subject_ids.tolist()
     assert back.subject_codes.tolist() == val.subject_codes.tolist()
+
+
+@SOME
+@given(st.lists(_LABEL, min_size=1, max_size=6),
+       st.sampled_from(["as written", "row scan"]))
+@example(["site 1, subject 7"], "as written")
+def test_main_labels_leave_arrays_unchanged(labels, parse):
+    # A main study keeps no id, so the file with its ids rewritten to the
+    # labels, in turn, reads to the arrays of the file as written.
+    main = calibrated_study()[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, relabelled = Path(tmp) / "m.csv", Path(tmp) / "relabelled.csv"
+        data_model.write_main_csv(plain, main)
+        with open(plain, newline="") as src, \
+                open(relabelled, "w", newline="") as dst:
+            rows, out = csv.reader(src), csv.writer(dst)
+            out.writerow(next(rows))
+            out.writerows([labels[i % len(labels)], *cells]
+                          for i, (_, *cells) in enumerate(rows))
+        want = data_model.read_main_csv(plain)
+        back = read_as(data_model.read_main_csv, relabelled, parse)
+    for name in ("time", "event", "z", "w", "radii"):
+        a, b = getattr(back, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert back.confounder_names == want.confounder_names
 
 
 @SOME
