@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, data_model, inference, linalg, mem, model_select,
-               simulate, transforms)
+from . import (__version__, data_model, inference, mem, model_select, simulate,
+               transforms)
 from .errors import DataError, NumericalError, UsageError
 
 EXIT_USAGE = 2
@@ -336,57 +336,26 @@ def cmd_select(args):
     return 0
 
 
-def _check_confounders(path, main):
-    """Raise ParseError when a confounder's Cox coefficient is not estimable.
-
-    A constant column, or one collinear with the columns before it, leaves
-    the information singular.  Centred and scaled to unit length, the
-    columns' Gram matrix has a unit diagonal, so the pivot floor is
-    relative, as in mem's rank check.
-    """
-    for name, column in zip(main.confounder_names, main.w.T):
-        if np.all(column == column[0]):
-            raise data_model.ParseError(
-                f"{path}: confounder column '{name}' is constant")
-    wc = main.w - main.w.mean(axis=0)
-    wc /= np.linalg.norm(wc, axis=0)
-    try:
-        linalg.cholesky(wc.T @ wc, min_pivot=1e-10)
-    except linalg.DecompositionError as exc:
-        raise data_model.ParseError(
-            f"{path}: confounder column '{main.confounder_names[exc.pivot]}' "
-            "is collinear with the preceding ones") from None
-
-
 def cmd_fit(args):
     file_cfg = _load_config(args.config, "fit", ("spec",))
     spec_token = args.spec or file_cfg.get("spec", "pca3+int")
     _check_out(args.out)
     main = data_model.read_main_csv(args.main_csv)
     validation = _read_validation(args.validation_csv)
-    if not np.array_equal(main.radii, validation.radii):
-        raise data_model.ParseError(
-            "main and validation files disagree on buffer radii: "
-            f"{main.radii.tolist()} vs {validation.radii.tolist()}")
-    if main.confounder_names != validation.confounder_names:
-        raise data_model.ParseError(
-            "main and validation files disagree on confounder columns: "
-            f"{list(main.confounder_names)} vs {list(validation.confounder_names)}")
     w0 = _hr_at(args, main.confounder_names)
-    if not np.any(main.event == 1):
-        raise data_model.ParseError(f"{args.main_csv}: no events; a Cox fit "
-                                    "needs at least one")
-    _check_confounders(args.main_csv, main)
     spec = parse_spec_token(spec_token, main.radii)
+    # The spec parsed, so a fit that rejects the data names the data's file.
     try:
         memfit = mem.fit_gee(validation, spec, working=args.working)
     except DataError as exc:
-        # The spec parsed, so the fit rejects the data (too few rows, say):
-        # name the file.
         exc.args = (f"{args.validation_csv}: {exc}",)
         raise
-    cox = inference.fit_calibrated_cox(main, memfit,
-                                       check_derivatives=args.check_derivatives)
+    try:
+        cox = inference.fit_calibrated_cox(main, memfit,
+                                           check_derivatives=args.check_derivatives)
+    except DataError as exc:
+        exc.args = (f"{args.main_csv}: {exc}",)
+        raise
     hr, hr_lo, hr_hi = inference.hazard_ratio(cox, args.hr_increment, w0)
 
     lines = [f"calibrated Cox fit ({spec.label()} measurement error model, "

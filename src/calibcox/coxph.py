@@ -266,8 +266,16 @@ def fit(rs, u):
         f"(grad norm {np.max(np.abs(sc)):.3e})")
 
 
-def build_cox_rows(xhat, w):
-    """Covariate rows [xhat, w', xhat * w'] for an (n, p_w) confounder matrix."""
+def build_cox_rows(xhat, w, out=None):
+    """Covariate rows [xhat, w', xhat * w'] for an (n, p_w) confounder matrix,
+    the only code that places their columns; written into ``out`` if given."""
     xhat = np.asarray(xhat, dtype=float)[:, None]
     w = np.asarray(w, dtype=float)
-    return np.hstack([xhat, w, xhat * w])
+    return np.concatenate([xhat, w, xhat * w], axis=1, out=out)
+
+
+def exposure_gradient(w):
+    """d u / d xhat of the rows :func:`build_cox_rows` places, [1, 0', w'],
+    for each row of a confounder matrix ``w`` or for one confounder vector."""
+    w = np.asarray(w, dtype=float)
+    return np.concatenate([np.ones(w.shape[:-1] + (1,)), np.zeros_like(w), w], axis=-1)

@@ -165,7 +165,9 @@ class ValidationDataset:
 def number_subjects(ids):
     """``(subject_ids, subject_codes)`` of per-row labels ``ids``: the
     distinct labels in order of first row (an object array), and each row's
-    position in it (an intp array).  Labels are told apart as dict keys."""
+    position in it (an intp array).  Labels are told apart as dict keys,
+    and every float nan, NumPy or Python, is one label, ``np.nan``."""
+    ids = [np.nan if label != label else label for label in ids]
     labels = dict.fromkeys(ids)
     index = dict(zip(labels, range(len(labels))))
     return (np.fromiter(labels, dtype=object, count=len(labels)),

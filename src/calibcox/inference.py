@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, coxph, linalg, transforms
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 
 class TooFewSubjectsError(NumericalError):
@@ -152,23 +152,19 @@ def u_alpha_fd(rs, phi, w, beta, alpha):
     Used to verify :func:`u_alpha_hat`.  Coefficient k moves by
     h_k = FD_STEP * max(1, |alpha_k|) either way, which moves the calibrated
     exposure phi alpha by +-h_k phi[:, k]; the rows are then
-    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``.
-    They are built once: each score rewrites, in place, only the exposure
-    column and its products with ``w``, to the values a new build would hold.
+    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``,
+    written for every score into one buffer, which the first build makes.
     """
     alpha = np.asarray(alpha, dtype=float)
     xhat = phi @ alpha
-    u = coxph.build_cox_rows(xhat, w)
-    exposure, products = u[:, 0], u[:, 1 + w.shape[1]:]
-    cols = []
+    rows, cols = None, []
     for k in range(alpha.size):
         h = constants.FD_STEP * max(1.0, abs(alpha[k]))
         step = h * phi[:, k]
         scores = []
         for move in (np.add, np.subtract):
-            move(xhat, step, out=exposure)
-            np.multiply(exposure[:, None], w, out=products)
-            scores.append(coxph.score(rs, u, beta))
+            rows = coxph.build_cox_rows(move(xhat, step), w, out=rows)
+            scores.append(coxph.score(rs, rows, beta))
         cols.append((scores[0] - scores[1]) / (2.0 * h))
     return np.column_stack(cols)
 
@@ -195,28 +191,49 @@ def wald_ci(beta, covariance):
     return se, beta - constants.Z_975 * se, beta + constants.Z_975 * se
 
 
-def calibration_jacobians(beta, w):
-    """(c, b) arrays for u rows built by :func:`coxph.build_cox_rows`.
+def _check_confounders(main):
+    """Raise DataError when a confounder's Cox coefficient is not estimable.
 
-    c_i = d u_i / d mu_i = [1, 0_pw, w_i'], b_i = beta' c_i.
+    A constant column, or one collinear with the columns before it, leaves
+    the information singular.  Centred and scaled to unit length, the
+    columns' Gram matrix has a unit diagonal, so the pivot floor is
+    relative, as in mem's rank check.
     """
-    w = np.asarray(w, dtype=float)
-    n, p_w = w.shape
-    c = np.hstack([np.ones((n, 1)), np.zeros((n, p_w)), w])
-    b = c @ np.asarray(beta, dtype=float)
-    return c, b
+    for name, column in zip(main.confounder_names, main.w.T):
+        if np.all(column == column[0]):
+            raise DataError(f"confounder column '{name}' is constant")
+    wc = main.w - main.w.mean(axis=0)
+    wc /= np.linalg.norm(wc, axis=0)
+    try:
+        linalg.cholesky(wc.T @ wc, min_pivot=1e-10)
+    except linalg.DecompositionError as exc:
+        raise DataError(f"confounder column '{main.confounder_names[exc.pivot]}' "
+                        "is collinear with the preceding ones") from None
 
 
 def fit_calibrated_cox(main, memfit, check_derivatives=False):
     """Full second-stage fit: calibrate exposures, maximize, propagate variance.
 
+    Before any work, :class:`DataError` is raised for a main study whose
+    radii or confounder names are not those of ``memfit``, that has no
+    event, or whose confounder column is constant or collinear with the
+    columns before it; then :class:`TooFewSubjectsError` for a validation
+    fit on no more subjects than coefficients, as its V_a is singular.
     With ``check_derivatives`` the analytic alpha-derivative is verified
     against central finite differences, to a relative FD_TOL.
     The main study is put in time order here, once, by a stable sort of its
     times; with distinct times, the fit does not depend on its row order.
-    A validation fit on no more subjects than coefficients raises
-    :class:`TooFewSubjectsError`, as its V_a is singular.
     """
+    if not np.array_equal(main.radii, memfit.radii):
+        raise DataError("main and validation files disagree on buffer radii: "
+                        f"{main.radii.tolist()} vs {memfit.radii.tolist()}")
+    if main.confounder_names != memfit.confounder_names:
+        raise DataError(
+            "main and validation files disagree on confounder columns: "
+            f"{list(main.confounder_names)} vs {list(memfit.confounder_names)}")
+    if not np.any(main.event == 1):
+        raise DataError("no events; a Cox fit needs at least one")
+    _check_confounders(main)
     if memfit.n_subjects <= len(memfit.alpha):
         raise TooFewSubjectsError(
             f"{memfit.n_subjects} validation subjects for {len(memfit.alpha)} "
@@ -233,8 +250,8 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
     n = len(main)
     i_beta = info / n
     g_beta = g_beta_hat(rs, u, sums)
-    c, b = calibration_jacobians(beta, w)
-    u_alpha = u_alpha_hat(rs, u, sums, phi, c, b)
+    c = coxph.exposure_gradient(w)
+    u_alpha = u_alpha_hat(rs, u, sums, phi, c, c @ beta)
     if check_derivatives:
         fd = u_alpha_fd(rs, phi, w, beta, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
@@ -265,7 +282,7 @@ def hazard_ratio(fit, increment, w0):
     if w0.shape != (p_w,):
         raise linalg.ContractViolationError(
             f"w0 needs one value per confounder column ({p_w}), got {w0.size}")
-    grad = np.concatenate([[1.0], np.zeros(p_w), w0])
+    grad = coxph.exposure_gradient(w0)
     g = float(grad @ fit.beta)
     var_g = float(grad @ fit.covariance @ grad)
     half = constants.Z_975 * increment * np.sqrt(max(var_g, 0.0))

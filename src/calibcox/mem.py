@@ -37,7 +37,8 @@ class ConvergenceError(NumericalError):
 class MemFit:
     """A fitted measurement error model plus everything inference needs.
 
-    ``qic`` is the fit's QIC, taken on the fit's own (validation) data.
+    ``qic`` is the fit's QIC, taken on the fit's own (validation) data, whose
+    ``radii`` and ``confounder_names`` a main study must share to be calibrated.
     """
 
     alpha: np.ndarray  # ordered as the design row: (a0, a1', a2', a3')
@@ -49,6 +50,8 @@ class MemFit:
     n_subjects: int
     n_obs: int
     qic: float
+    radii: np.ndarray
+    confounder_names: tuple
 
 
 # Values per stack of per-subject terms (see _subject_sums): subjects are
@@ -258,4 +261,5 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
                   n_subjects=validation.n_subjects, n_obs=n,
-                  qic=quasi + 2.0 * scaled)
+                  qic=quasi + 2.0 * scaled, radii=validation.radii,
+                  confounder_names=validation.confounder_names)

@@ -69,7 +69,8 @@ def fit_ols(validation, spec, transform=None):
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv)
     return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n, qic=np.nan)
+                  n_subjects=len(groups), n_obs=n, qic=np.nan,
+                  radii=validation.radii, confounder_names=validation.confounder_names)
 
 
 def estimate_psi(residuals_by_subject, sigma2=None):
@@ -171,7 +172,8 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=vinv)
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
-                  n_subjects=len(groups), n_obs=n, qic=np.nan)
+                  n_subjects=len(groups), n_obs=n, qic=np.nan,
+                  radii=validation.radii, confounder_names=validation.confounder_names)
 
 
 def qic(fit, validation):

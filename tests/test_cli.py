@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,11 +302,17 @@ class TestFitCommand:
         assert "HR per 0.1 exposure increment" in captured.out
 
     def test_radii_mismatch_is_data_error(self, study_files, tmp_path, capsys):
-        main_csv, _ = study_files
+        # As many radii as the main file, at twice its distances, so that
+        # only the radii disagree.
+        main_csv, val_csv = study_files
+        val = data_model.read_validation_csv(val_csv)
         bad = tmp_path / "bad_val.csv"
-        bad.write_text("id,occasion,x,z_90,z_150,w_1\na,1,0.5,0.1,0.2,1.0\n")
+        data_model.write_validation_csv(bad, dataclasses.replace(val, radii=2 * val.radii))
         code = main(["fit", str(main_csv), "--validation", str(bad)])
         assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {main_csv}: main and validation files disagree on "
+            "buffer radii: [90.0, 150.0,")
 
     @pytest.mark.parametrize("change, message", [
         (lambda ds: {"event": np.zeros_like(ds.event)}, "no events"),
@@ -708,15 +715,23 @@ def _write_rows(path, rows):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_study():
-    """Rows of a generated main study (400 subjects) and validation study
-    (40 subjects, 3 occasions each), as the package writers write them."""
+def _small_datasets():
+    """A generated main study (400 subjects) and validation study (40
+    subjects, 3 occasions each).  Callers must not write to their arrays."""
     cfg = simulate.setting1(n1=400, n2=40, occasions=3, event_rate=0.3,
                             sigma2_v=0.01, seed=37)
     rng = np.random.default_rng(37)
     cmax = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
     val = simulate.gen_validation(cfg, rng)
     main_ds, _ = simulate.gen_main(cfg, rng, cmax)
+    return main_ds, val
+
+
+@functools.lru_cache(maxsize=None)
+def _small_study():
+    """Rows of the :func:`_small_datasets` studies, as the package writers
+    write them."""
+    main_ds, val = _small_datasets()
     with tempfile.TemporaryDirectory() as tmp:
         data_model.write_main_csv(Path(tmp) / "m.csv", main_ds)
         data_model.write_validation_csv(Path(tmp) / "v.csv", val)
@@ -780,6 +795,115 @@ def test_corrupted_inputs_reach_an_exit_code(which, kind, col, row):
             if code:
                 assert err.getvalue().count("\n") == 1, err.getvalue()
                 assert err.getvalue().endswith("\n")
+
+
+STUDY_CORRUPTIONS = ["constant", "duplicate", "collinear", "one subject", "no events",
+                     "all events", "doubled radii", "renamed confounder"]
+
+# The DataError that fit_calibrated_cox raises before it builds phi, and
+# that fit reports after the main file's name, for each corruption that the
+# validation fit survives.  The first main row has an event, so a main study
+# of one subject fails on its constant confounders.
+CONTRACT_FAULTS = {
+    **{(which, "doubled radii"): "main and validation files disagree on buffer radii"
+       for which in ("main", "validation")},
+    **{key: "main and validation files disagree on confounder columns"
+       for key in [("main", "duplicate"), ("main", "renamed confounder"),
+                   ("validation", "renamed confounder")]},
+    ("main", "no events"): "no events; a Cox fit needs at least one",
+    ("main", "constant w_1"): "confounder column 'w_1' is constant",
+    ("main", "constant w_2"): "confounder column 'w_2' is constant",
+    ("main", "one subject"): "confounder column 'w_1' is constant",
+    ("main", "collinear"): "confounder column 'w_2' is collinear with the preceding ones",
+}
+
+
+def _corrupt_study(ds, kind, col):
+    """A copy of the study ``ds`` with one corruption applied: column col
+    of [z, w] made constant; confounder w_1 appended again; w_2 set to
+    2 w_1 + 3; only the first subject kept; every event (main studies) set
+    to 0 or 1; the radii doubled; or w_1 renamed."""
+    if kind == "constant":
+        zw = np.hstack([ds.z, ds.w])
+        zw[:, col] = zw[0, col]
+        return dataclasses.replace(ds, z=zw[:, :ds.z.shape[1]], w=zw[:, ds.z.shape[1]:])
+    if kind == "duplicate":
+        return dataclasses.replace(ds, w=ds.w[:, [0, 1, 0]],
+                                   confounder_names=("w_1", "w_2", "w_1"))
+    if kind == "collinear":
+        w_1 = ds.w[:, 0]
+        return dataclasses.replace(ds, w=np.column_stack([w_1, 2.0 * w_1 + 3.0]))
+    if kind == "one subject":
+        if isinstance(ds, data_model.ValidationDataset):
+            return ds.subset(np.flatnonzero(ds.subject_codes == 0))
+        return dataclasses.replace(ds, time=ds.time[:1], event=ds.event[:1],
+                                   z=ds.z[:1], w=ds.w[:1])
+    if kind in ("no events", "all events"):
+        return dataclasses.replace(ds, event=np.full_like(ds.event, kind == "all events"))
+    if kind == "doubled radii":
+        return dataclasses.replace(ds, radii=2 * ds.radii)
+    return dataclasses.replace(ds, confounder_names=("v_1", "w_2"))
+
+
+class _Reached(Exception):
+    """The fit began to build phi."""
+
+
+@pytest.mark.filterwarnings(
+    "ignore:zero-variance surrogate column in PCA input:UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(["main", "validation", "both"]),
+       kind=st.sampled_from(STUDY_CORRUPTIONS), col=st.integers(0, 10),
+       spec=st.sampled_from([transforms.DesignSpec(variant="standard"),
+                             transforms.DesignSpec(variant="pca", n_components=3,
+                                                   include_interactions=True)]))
+@example(which="main", kind="doubled radii", col=0,
+         spec=transforms.DesignSpec(variant="standard"))
+@example(which="validation", kind="renamed confounder", col=0,
+         spec=transforms.DesignSpec(variant="standard"))
+@example(which="main", kind="no events", col=0,
+         spec=transforms.DesignSpec(variant="standard"))
+@example(which="main", kind="constant", col=10,
+         spec=transforms.DesignSpec(variant="standard"))
+@example(which="main", kind="duplicate", col=0,
+         spec=transforms.DesignSpec(variant="standard"))
+@example(which="main", kind="collinear", col=0,
+         spec=transforms.DesignSpec(variant="standard"))
+def test_corrupted_studies_reach_a_package_error(which, kind, col, spec):
+    """On the library path (fit_gee, then fit_calibrated_cox), a corrupted
+    copy of a small two-confounder study fits or raises a calibcox.errors
+    class, never a bare NumPy error; a main study that the validation fit
+    cannot calibrate, or on which a Cox fit is not estimable, raises fit's
+    DataError before phi is built."""
+    if kind in ("no events", "all events"):
+        which = "main"
+    rng = np.random.default_rng(41)
+    studies = {}
+    for name, ds in zip(("main", "validation"), _small_datasets()):
+        w_2 = rng.normal(1.0, 1.0, len(ds.w))
+        ds = dataclasses.replace(ds, w=np.column_stack([ds.w, w_2]),
+                                 confounder_names=("w_1", "w_2"))
+        studies[name] = _corrupt_study(ds, kind, col) if which in (name, "both") else ds
+    package_errors = (errors.UsageError, errors.DataError, errors.NumericalError)
+    try:
+        memfit = mem.fit_gee(studies["validation"], spec)
+    except package_errors:
+        return
+    if kind == "constant":
+        kind += f" w_{col - 8}" if col > 8 else " z"
+    fault = CONTRACT_FAULTS.get((which, kind))
+    with mock.patch.object(transforms, "build_design_matrix", side_effect=_Reached):
+        try:
+            inference.fit_calibrated_cox(studies["main"], memfit)
+        except errors.DataError as exc:
+            assert fault is not None and str(exc).startswith(fault), str(exc)
+            return
+        except (_Reached, inference.TooFewSubjectsError):
+            assert fault is None
+    try:
+        inference.fit_calibrated_cox(studies["main"], memfit)
+    except package_errors:
+        pass
 
 
 @pytest.mark.parametrize("command", ["report", "select"])

@@ -317,6 +317,15 @@ class TestDatasetInvariants:
         for name in ("subject_sizes", "subject_order"):
             assert not getattr(ds, name).flags.writeable, name
 
+    @pytest.mark.parametrize("ids", [
+        np.array([1.5, np.nan, 2.0, np.nan]),
+        [1.5, float("nan"), 2.0, float("nan")]], ids=["NumPy", "Python"])
+    def test_float_nan_labels_are_one_subject(self, ids):
+        # nan equals nothing, and the two nans here are distinct objects.
+        subject_ids, codes = data_model.number_subjects(ids)
+        assert codes.tolist() == [0, 1, 2, 1]
+        assert [str(label) for label in subject_ids] == ["1.5", "nan", "2.0"]
+
     def test_radii_must_increase(self, rng):
         with pytest.raises(ParseError, match="increasing"):
             data_model.MainDataset(

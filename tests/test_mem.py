@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from calibcox import linalg, mem, simulate, transforms
+from calibcox import data_model, linalg, mem, simulate, transforms
 from calibcox.transforms import DesignSpec
 
 from conftest import make_validation, residual_clusters
@@ -181,7 +181,9 @@ class TestPredictMu:
         spec = DesignSpec(variant="standard", include_interactions=True)
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.01,
                          v_alpha=np.eye(len(alpha)), spec=spec, transform=None,
-                         n_subjects=1, n_obs=1, qic=np.nan)
+                         n_subjects=1, n_obs=1, qic=np.nan,
+                         radii=np.asarray(data_model.DEFAULT_RADII),
+                         confounder_names=("w_1",))
         assert predict(fit, np.zeros((1, 9)), np.zeros((1, 1))) == \
             pytest.approx([0.05])
 
@@ -190,7 +192,8 @@ class TestPredictMu:
         spec = DesignSpec(variant="standard")
         fit = mem.MemFit(alpha=alpha, psi=0.0, sigma2=0.0,
                          v_alpha=np.eye(3), spec=spec, transform=None,
-                         n_subjects=1, n_obs=1, qic=np.nan)
+                         n_subjects=1, n_obs=1, qic=np.nan, radii=np.array([90.0]),
+                         confounder_names=("w_1",))
         assert predict(fit, np.array([[7.0]]), np.array([[-3.0]])) == \
             pytest.approx([1.0])
 

@@ -203,7 +203,8 @@ class TestSeedEquality:
         i_beta = seed_cox.information(u, main.time, main.event, beta) / n
         g_beta = seed_cox.g_beta_hat(u, main.time, main.event, beta)
         phi = transforms.build_design_matrix(spec, memfit.transform, main.z, main.w)
-        c, b = inference.calibration_jacobians(beta, main.w)
+        c = coxph.exposure_gradient(main.w)
+        b = c @ beta
         u_alpha = seed_cox.u_alpha_hat(u, main.time, main.event, beta, phi, c, b)
         comps = inference.SandwichComponents(i_beta=i_beta, g_beta=g_beta,
                                              u_alpha=u_alpha, v_alpha=memfit.v_alpha)
