@@ -343,7 +343,8 @@ def cmd_fit(args):
     main = data_model.read_main_csv(args.main_csv)
     validation = _read_validation(args.validation_csv)
     w0 = _hr_at(args, main.confounder_names)
-    spec = parse_spec_token(spec_token, main.radii)
+    # Parsed against the radii that the measurement error model is fitted on.
+    spec = parse_spec_token(spec_token, validation.radii)
     # The spec parsed, so a fit that rejects the data names the data's file.
     try:
         memfit = mem.fit_gee(validation, spec, working=args.working)

@@ -92,7 +92,7 @@ class RiskSets:
         self.time = time
         self.events = np.flatnonzero(np.asarray(event) == 1)
         if not self.events.size:
-            raise linalg.ContractViolationError("need at least one event")
+            raise linalg.ContractViolationError("no events; a Cox fit needs at least one")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
         self.upto = np.searchsorted(self.time[self.events], self.time, side="right")
 
@@ -266,12 +266,12 @@ def fit(rs, u):
         f"(grad norm {np.max(np.abs(sc)):.3e})")
 
 
-def build_cox_rows(xhat, w, out=None):
+def build_cox_rows(xhat, w):
     """Covariate rows [xhat, w', xhat * w'] for an (n, p_w) confounder matrix,
-    the only code that places their columns; written into ``out`` if given."""
+    the only code that places their columns."""
     xhat = np.asarray(xhat, dtype=float)[:, None]
     w = np.asarray(w, dtype=float)
-    return np.concatenate([xhat, w, xhat * w], axis=1, out=out)
+    return np.hstack([xhat, w, xhat * w])
 
 
 def exposure_gradient(w):

@@ -152,19 +152,17 @@ def u_alpha_fd(rs, phi, w, beta, alpha):
     Used to verify :func:`u_alpha_hat`.  Coefficient k moves by
     h_k = FD_STEP * max(1, |alpha_k|) either way, which moves the calibrated
     exposure phi alpha by +-h_k phi[:, k]; the rows are then
-    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``,
-    written for every score into one buffer, which the first build makes.
+    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``.
     """
     alpha = np.asarray(alpha, dtype=float)
     xhat = phi @ alpha
-    rows, cols = None, []
+    cols = []
     for k in range(alpha.size):
         h = constants.FD_STEP * max(1.0, abs(alpha[k]))
         step = h * phi[:, k]
         scores = []
         for move in (np.add, np.subtract):
-            rows = coxph.build_cox_rows(move(xhat, step), w, out=rows)
-            scores.append(coxph.score(rs, rows, beta))
+            scores.append(coxph.score(rs, coxph.build_cox_rows(move(xhat, step), w), beta))
         cols.append((scores[0] - scores[1]) / (2.0 * h))
     return np.column_stack(cols)
 
@@ -214,11 +212,12 @@ def _check_confounders(main):
 def fit_calibrated_cox(main, memfit, check_derivatives=False):
     """Full second-stage fit: calibrate exposures, maximize, propagate variance.
 
-    Before any work, :class:`DataError` is raised for a main study whose
+    Before phi is built, :class:`DataError` is raised for a main study whose
     radii or confounder names are not those of ``memfit``, that has no
-    event, or whose confounder column is constant or collinear with the
-    columns before it; then :class:`TooFewSubjectsError` for a validation
-    fit on no more subjects than coefficients, as its V_a is singular.
+    event (by :class:`coxph.RiskSets`), or whose confounder column is
+    constant or collinear with the columns before it; then
+    :class:`TooFewSubjectsError` for a validation fit on no more subjects
+    than coefficients, as its V_a is singular.
     With ``check_derivatives`` the analytic alpha-derivative is verified
     against central finite differences, to a relative FD_TOL.
     The main study is put in time order here, once, by a stable sort of its
@@ -231,17 +230,15 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
         raise DataError(
             "main and validation files disagree on confounder columns: "
             f"{list(main.confounder_names)} vs {list(memfit.confounder_names)}")
-    if not np.any(main.event == 1):
-        raise DataError("no events; a Cox fit needs at least one")
+    order = np.argsort(main.time, kind="stable")
+    rs = coxph.RiskSets(main.time[order], main.event[order])
     _check_confounders(main)
     if memfit.n_subjects <= len(memfit.alpha):
         raise TooFewSubjectsError(
             f"{memfit.n_subjects} validation subjects for {len(memfit.alpha)} "
             f"calibration coefficients: V_alpha needs more subjects than "
             f"coefficients")
-    order = np.argsort(main.time, kind="stable")
     w = main.w[order]
-    rs = coxph.RiskSets(main.time[order], main.event[order])
     # The sorted z lives only while phi is built from it.
     phi = transforms.build_design_matrix(memfit.spec, memfit.transform,
                                          main.z[order], w)

@@ -145,6 +145,8 @@ def reduce_z(spec, transform, z):
     z = np.asarray(z, dtype=float)
     if spec.variant == "standard":
         if spec.radius_subset is not None:
+            if not all(0 <= j < z.shape[-1] for j in spec.radius_subset):
+                raise ContractViolationError(f"radius_subset outside z's {z.shape[-1]} radii")
             return z[..., list(spec.radius_subset)]
         return z
     if spec.variant == "pca":

@@ -314,6 +314,28 @@ class TestFitCommand:
             f"data error: {main_csv}: main and validation files disagree on "
             "buffer radii: [90.0, 150.0,")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("only{last}", "radius {last} not in data radii"),
+        ("pca3", "'pca3' asks for more components than the 2 radii"),
+    ])
+    def test_spec_beyond_validation_radii_is_usage_error(self, spec, message,
+                                                         study_files, tmp_path, capsys):
+        # The validation file keeps the main file's first two radii, so a
+        # spec that the main radii allow names a radius, or asks for a
+        # component, that the validation data lack.
+        main_csv, val_csv = study_files
+        val = data_model.read_validation_csv(val_csv)
+        last = f"{val.radii[-1]:g}"
+        bad = tmp_path / "bad_val.csv"
+        data_model.write_validation_csv(
+            bad, dataclasses.replace(val, radii=val.radii[:2], z=val.z[:, :2]))
+        code = main(["fit", str(main_csv), "--validation", str(bad),
+                     "--spec", spec.format(last=last), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {message.format(last=last)}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change, message", [
         (lambda ds: {"event": np.zeros_like(ds.event)}, "no events"),
         (lambda ds: {"w": np.hstack([ds.w, ds.w]), "confounder_names": ("w_1", "w_2")},

@@ -70,7 +70,7 @@ def small_calibration_problem(rng, n=40, d_alpha=4):
 class TestGBetaHat:
     def test_no_events_rejected(self):
         # A cohort without events has no risk set, so it never reaches G.
-        with pytest.raises(ValueError, match="at least one event"):
+        with pytest.raises(ValueError, match="no events; a Cox fit needs at least one"):
             coxph.RiskSets(np.arange(1.0, 6.0), np.zeros(5, dtype=int))
 
     def test_single_event_hand_expansion(self, rng):

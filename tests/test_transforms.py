@@ -226,6 +226,14 @@ class TestBuildDesign:
         phi = transforms.build_design_matrix(spec, None, z[None], np.array([[1.0]]))
         assert np.allclose(phi, [[1.0, z[1], 1.0]])
 
+    @pytest.mark.parametrize("subset", [(3,), (-1,)])
+    def test_radius_subset_outside_z_rejected(self, subset, rng):
+        # A spec parsed against more radii than z holds names no column of z.
+        spec = DesignSpec(variant="standard", radius_subset=subset)
+        with pytest.raises(ContractViolationError, match="outside z's 3 radii"):
+            transforms.build_design_matrix(spec, None, rng.normal(size=(2, 3)),
+                                           np.ones((2, 1)))
+
     def test_full_rank_pca_prediction_equivalence(self, rng):
         # A linear model on the full-rank PCA design predicts identically to
         # one on the standard design.
