@@ -17,7 +17,8 @@ outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
 failure, 5 a worker process of ``simulate --threads N`` died, 141 stdout
 was closed before the command's output was written.  An error's
 base class in :mod:`calibcox.errors` alone decides its code: UsageError 2,
-DataError (and OSError) 3, NumericalError 4.
+DataError 3, NumericalError 4; an OSError, which only the operating system
+raises (an input file that cannot be opened), exits 3 too.
 """
 
 import argparse
@@ -96,7 +97,7 @@ def _load_config(path, section, keys):
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {' '.join(str(exc).split())}") from None
     if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
+        raise DataError(f"config file not found: {path}")
     if not parser.has_section(section):
         return {}
     unread = sorted(set(parser[section]) - set(parser.defaults()) - set(keys))
@@ -171,8 +172,7 @@ def _check_out(out):
         if p.exists():
             if not p.is_dir():
                 where = "" if p == path else f"{p} "
-                raise FileExistsError(f"--out {out}: {where}exists and is "
-                                      "not a directory")
+                raise DataError(f"--out {out}: {where}exists and is not a directory")
             return
 
 
@@ -346,17 +346,10 @@ def cmd_fit(args):
     # Parsed against the radii that the measurement error model is fitted on.
     spec = parse_spec_token(spec_token, validation.radii)
     # The spec parsed, so a fit that rejects the data names the data's file.
-    try:
-        memfit = mem.fit_gee(validation, spec, working=args.working)
-    except DataError as exc:
-        exc.args = (f"{args.validation_csv}: {exc}",)
-        raise
-    try:
-        cox = inference.fit_calibrated_cox(main, memfit,
-                                           check_derivatives=args.check_derivatives)
-    except DataError as exc:
-        exc.args = (f"{args.main_csv}: {exc}",)
-        raise
+    memfit = data_model.in_file(args.validation_csv, mem.fit_gee, validation, spec,
+                                working=args.working)
+    cox = data_model.in_file(args.main_csv, inference.fit_calibrated_cox, main, memfit,
+                             check_derivatives=args.check_derivatives)
     hr, hr_lo, hr_hi = inference.hazard_ratio(cox, args.hr_increment, w0)
 
     lines = [f"calibrated Cox fit ({spec.label()} measurement error model, "
@@ -394,9 +387,8 @@ def cmd_report(args):
     indir = Path(args.results_dir)
     summary = indir / "summary.csv"
     if not summary.exists():
-        raise FileNotFoundError(
-            f"no summary.csv in {indir}; expected files: summary.csv "
-            f"(from `calibcox simulate`)")
+        raise DataError(f"no summary.csv in {indir}; expected files: summary.csv "
+                        "(from `calibcox simulate`)")
     with data_model._open_text(summary) as fh:
         rows = list(csv.reader(fh))
     if not rows:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, linalg
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 
 class CoxConvergenceError(NumericalError):
@@ -64,7 +64,7 @@ class RiskSets:
     sorted: the caller puts its cohort in time order once, before it builds
     any per-row array, so each Newton step, the information, G, U_alpha and
     each finite-difference score read their rows as given.  Times that
-    decrease anywhere raise ``ContractViolationError``.
+    decrease anywhere raise ``DataError``.
 
     time    the non-decreasing times
     events  positions of the events
@@ -80,27 +80,26 @@ class RiskSets:
     ``start`` and ``upto``; :meth:`suffix_at_starts` sums rows into events
     and :meth:`prefix_at_rows` sums events back onto rows.
 
-    A cohort without events has no risk set and raises
-    ``ContractViolationError``.
+    A cohort without events has no risk set and raises ``DataError``.
     """
 
     def __init__(self, time, event):
         time = np.asarray(time, dtype=float)
         if not np.all(time[:-1] <= time[1:]):
-            raise linalg.ContractViolationError(
+            raise DataError(
                 "times must be non-decreasing: sort the cohort by time first")
         self.time = time
         self.events = np.flatnonzero(np.asarray(event) == 1)
         if not self.events.size:
-            raise linalg.ContractViolationError("no events; a Cox fit needs at least one")
+            raise DataError("no events; a Cox fit needs at least one")
         self.start = np.searchsorted(self.time, self.time[self.events], side="left")
         self.upto = np.searchsorted(self.time[self.events], self.time, side="right")
 
     def check_rows(self, *arrays):
-        """Raise ``ContractViolationError`` unless each array has a row per subject."""
+        """Raise ``DataError`` unless each array has a row per subject."""
         for a in arrays:
             if len(a) != len(self.time):
-                raise linalg.ContractViolationError(
+                raise DataError(
                     f"{len(a)} rows for a cohort of {len(self.time)} subjects")
 
     def weights(self, u, beta):

@@ -341,6 +341,15 @@ def _read_study(path, leading, rules, keep_ids):
             _columns(chunks, w_cols[0] - 1, len(header) - 1), radii, w_names)
 
 
+def in_file(path, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose DataError names the file ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_main_csv(path):
     """Parse a main-study CSV into a :class:`MainDataset`.
 
@@ -351,8 +360,8 @@ def read_main_csv(path):
         path, ("id", "time", "event"),
         ((lambda t: (t > 0) & (t < math.inf), "must be finite and > 0"),
          (lambda d: (d == 0) | (d == 1), "must be 0 or 1")), keep_ids=False)
-    return MainDataset(time=time, event=event.astype(int), z=z, w=w,
-                       radii=radii, confounder_names=w_names)
+    return in_file(path, MainDataset, time=time, event=event.astype(int), z=z, w=w,
+                   radii=radii, confounder_names=w_names)
 
 
 def _fits_int64(o):
@@ -382,9 +391,9 @@ def read_validation_csv(path):
         row = int(again.min())
         key = (subject_ids[codes[row]], int(occasion[row]))
         raise ParseError(f"{path}: row {row + 2}: duplicate (id, occasion) pair {key}")
-    return ValidationDataset(subject_ids=subject_ids, subject_codes=codes,
-                             occasion=occasion, x=x, z=z, w=w, radii=radii,
-                             confounder_names=w_names)
+    return in_file(path, ValidationDataset, subject_ids=subject_ids,
+                   subject_codes=codes, occasion=occasion, x=x, z=z, w=w,
+                   radii=radii, confounder_names=w_names)
 
 
 # Rows the writers format and write at a time.

@@ -5,8 +5,12 @@ bases, and :func:`calibcox.cli.main` maps an error to its exit code by that
 base alone:
 
 UsageError      2  a command-line argument or config value is wrong
-DataError       3  input data break a documented precondition
+DataError       3  a documented precondition is broken
 NumericalError  4  a fit or factorization failed on data that passed its checks
+
+``DataError`` is the one class for a broken precondition, whether of an
+argument (a non-square matrix, a missing --config file) or of the data.  An
+``OSError`` comes only from the operating system; the CLI exits 3 on it too.
 
 ``UsageError`` and ``DataError`` derive from ValueError, ``NumericalError``
 from ArithmeticError, so code that catches those built-in roots catches the
@@ -19,7 +23,7 @@ class UsageError(ValueError):
 
 
 class DataError(ValueError):
-    """Input data break a documented precondition (exit 3)."""
+    """An argument or the input data break a documented precondition (exit 3)."""
 
 
 class NumericalError(ArithmeticError):

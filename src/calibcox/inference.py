@@ -175,7 +175,7 @@ def sandwich_covariance(components, n_main):
     enters here.  The result is symmetrized.
     """
     if n_main <= 0:
-        raise linalg.ContractViolationError("main-study size must be positive")
+        raise DataError("main-study size must be positive")
     i_inv = linalg.inv_spd(components.i_beta)
     middle = components.g_beta + (
         components.u_alpha @ components.v_alpha @ components.u_alpha.T) / n_main
@@ -277,7 +277,7 @@ def hazard_ratio(fit, increment, w0):
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     p_w = (len(fit.beta) - 1) // 2
     if w0.shape != (p_w,):
-        raise linalg.ContractViolationError(
+        raise DataError(
             f"w0 needs one value per confounder column ({p_w}), got {w0.size}")
     grad = coxph.exposure_gradient(w0)
     g = float(grad @ fit.beta)

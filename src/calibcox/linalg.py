@@ -12,6 +12,10 @@ would spend most of its time dispatching; and a Python float operation
 rounds exactly as NumPy's elementwise float64 operation on the same
 operands does (both are one IEEE-754 double operation, with no fused
 multiply-add), so the eigenpairs are bit for bit those of the array version.
+
+An input that is not a finite symmetric square matrix raises ``DataError``,
+the package's one class for a broken precondition, whether of an argument
+or of the data; a failed factorization raises :class:`DecompositionError`.
 """
 
 import math
@@ -21,10 +25,6 @@ import numpy as np
 
 from . import constants
 from .errors import DataError, NumericalError
-
-
-class ContractViolationError(DataError):
-    """Input violates a documented precondition."""
 
 
 class DecompositionError(NumericalError):
@@ -41,15 +41,13 @@ class DecompositionError(NumericalError):
 def _check_symmetric(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"{name} must be square, got shape {a.shape}")
+        raise DataError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ContractViolationError(f"{name} contains non-finite entries")
+        raise DataError(f"{name} contains non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     scale = max(1.0, np.max(np.abs(a))) if a.size else 1.0
     if asym > constants.SYMMETRY_TOL * scale:
-        raise ContractViolationError(
-            f"{name} is not symmetric (max asymmetry {asym:.3e})"
-        )
+        raise DataError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     # Symmetrize to purge representational rounding before factorizing.
     return 0.5 * (a + a.T)
 

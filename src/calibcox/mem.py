@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, linalg, transforms
-from .errors import NumericalError
-from .linalg import ContractViolationError, DecompositionError
+from .errors import DataError, NumericalError
+from .linalg import DecompositionError
 
 
 class SingularDesignError(DecompositionError):
@@ -164,7 +164,7 @@ def estimate_psi(resid, clusters, sigma2):
     the process-wide filter list.
     """
     if resid.size == 0:
-        raise ContractViolationError("no residuals supplied")
+        raise DataError("no residuals supplied")
 
     def pair_products(m, rows):
         # Half the sum of a subject's pairwise residual products, or 0 for
@@ -217,7 +217,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     dispersion.
     """
     if working not in ("independence", "exchangeable"):
-        raise ContractViolationError(f"unknown working correlation '{working}'")
+        raise DataError(f"unknown working correlation '{working}'")
     if transform is None:
         transform = transforms.fit_transform(spec, validation.z, validation.radii)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)

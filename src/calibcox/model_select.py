@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mem, transforms
-from .linalg import ContractViolationError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ def kfold_split(validation, rng, k=5):
     arrays of row indices; all of a subject's rows share its fold.
     """
     if k < 2:
-        raise ContractViolationError(f"need at least 2 folds, got {k}")
+        raise DataError(f"need at least 2 folds, got {k}")
     n_subjects = validation.n_subjects
     if n_subjects < k:
-        raise ContractViolationError(f"need at least {k} subjects, got {n_subjects}")
+        raise DataError(f"need at least {k} subjects, got {n_subjects}")
     # The subject at position pos of a random permutation goes to fold pos % k.
     fold_of = np.empty(n_subjects, dtype=np.intp)
     fold_of[rng.permutation(n_subjects)] = np.arange(n_subjects) % k

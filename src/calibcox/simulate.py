@@ -35,8 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import constants, data_model, inference, linalg, mem, transforms
-from .errors import NumericalError
-from .linalg import ContractViolationError
+from .errors import DataError, NumericalError
 
 SETTING1_ALPHA = {
     "a0": 0.105,
@@ -94,18 +93,18 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
-            raise ContractViolationError("n1 and n2 must be at least 1")
+            raise DataError("n1 and n2 must be at least 1")
         if not 0.0 < self.event_rate < 1.0:
-            raise ContractViolationError("event_rate must be in (0, 1)")
+            raise DataError("event_rate must be in (0, 1)")
         if not 0.0 < self.sigma2_v < math.inf:
-            raise ContractViolationError("sigma2_v must be positive and finite")
+            raise DataError("sigma2_v must be positive and finite")
         # One alpha1 and alpha3 value per default radius, one confounder.
         p_z = len(data_model.DEFAULT_RADII)
         for name, size in (("alpha1", p_z), ("alpha2", 1), ("alpha3", p_z),
                            ("beta", 3)):
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != (size,):
-                raise ContractViolationError(
+                raise DataError(
                     f"{name} must hold {size} values, got shape {value.shape}")
             object.__setattr__(self, name, value)
 
@@ -166,7 +165,7 @@ def weibull_event_time(rng, eta, theta, nu):
     T = nu^-1 (-log U * exp(-eta))^(1/theta); eta may be a vector.
     """
     if theta <= 0 or nu <= 0:
-        raise ContractViolationError("theta and nu must be positive")
+        raise DataError("theta and nu must be positive")
     eta = np.asarray(eta, dtype=float)
     u = rng.uniform(size=eta.shape)
     return (-np.log(u) * np.exp(-eta)) ** (1.0 / theta) / nu
@@ -373,7 +372,7 @@ def run_cell(cfg, cell_index=0, threads=1):
     fork start method, threads > 1 raises ValueError.
     """
     if cfg.replicates < 1:
-        raise ContractViolationError("replicates must be >= 1")
+        raise DataError("replicates must be >= 1")
     pilot_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cell_index, 0)))
     c_max = calibrate_cmax(cfg, pilot_rng)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import ContractViolationError
+from .errors import DataError
 
 SERIALIZATION_VERSION = 1
 
@@ -40,11 +40,11 @@ class DesignSpec:
 
     def __post_init__(self):
         if self.variant not in ("standard", "pca", "rcs"):
-            raise ContractViolationError(f"unknown variant '{self.variant}'")
+            raise DataError(f"unknown variant '{self.variant}'")
         if self.variant == "rcs" and not 3 <= self.n_knots <= 7:
-            raise ContractViolationError("rcs knot count must be in [3, 7]")
+            raise DataError("rcs knot count must be in [3, 7]")
         if self.variant == "pca" and self.n_components < 1:
-            raise ContractViolationError("pca needs at least one component")
+            raise DataError("pca needs at least one component")
 
     def label(self):
         if self.variant == "standard":
@@ -84,9 +84,9 @@ def fit_pca(zmat, k):
     zmat = np.asarray(zmat, dtype=float)
     n, p = zmat.shape
     if k > p:
-        raise ContractViolationError(f"k={k} exceeds surrogate dimension {p}")
+        raise DataError(f"k={k} exceeds surrogate dimension {p}")
     if n < k + 1:
-        raise ContractViolationError(f"need at least {k + 1} rows, got {n}")
+        raise DataError(f"need at least {k + 1} rows, got {n}")
     center = zmat.mean(axis=0)
     zc = zmat - center
     cov = (zc.T @ zc) / (n - 1)
@@ -107,7 +107,7 @@ def apply_pca(transform, z):
     """Project a surrogate vector (or row matrix) onto the fitted axes."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != transform.center.shape[0]:
-        raise ContractViolationError(
+        raise DataError(
             f"z length {z.shape[-1]} does not match transform "
             f"dimension {transform.center.shape[0]}")
     return (z - transform.center) @ transform.loadings.T
@@ -123,9 +123,9 @@ def rcs_basis(radii, n_knots):
     """
     radii = np.asarray(radii, dtype=float)
     if not 3 <= n_knots <= 7:
-        raise ContractViolationError("n_knots must be in [3, 7]")
+        raise DataError("n_knots must be in [3, 7]")
     if len(radii) < n_knots:
-        raise ContractViolationError(
+        raise DataError(
             f"need at least {n_knots} radii for {n_knots} knots, got {len(radii)}")
     knots = np.quantile(radii, np.linspace(0.0, 1.0, n_knots))
     t = knots
@@ -146,7 +146,7 @@ def reduce_z(spec, transform, z):
     if spec.variant == "standard":
         if spec.radius_subset is not None:
             if not all(0 <= j < z.shape[-1] for j in spec.radius_subset):
-                raise ContractViolationError(f"radius_subset outside z's {z.shape[-1]} radii")
+                raise DataError(f"radius_subset outside z's {z.shape[-1]} radii")
             return z[..., list(spec.radius_subset)]
         return z
     if spec.variant == "pca":
@@ -219,12 +219,10 @@ def transform_from_json(text):
     """Inverse of :func:`transform_to_json`; returns (spec, transform)."""
     payload = json.loads(text)
     if payload.get("version") != SERIALIZATION_VERSION:
-        raise ContractViolationError(
-            f"unsupported transform file version {payload.get('version')}")
+        raise DataError(f"unsupported transform file version {payload.get('version')}")
     s = payload["spec"]
     if s["interacting_confounders"] is not None:
-        raise ContractViolationError(
-            "interactions with a subset of confounders are not supported")
+        raise DataError("interactions with a subset of confounders are not supported")
     spec = DesignSpec(
         variant=s["variant"], n_components=s["n_components"], n_knots=s["n_knots"],
         include_interactions=s["include_interactions"],

@@ -25,7 +25,8 @@ import warnings
 import numpy as np
 
 from calibcox import constants, data_model, linalg, mem, transforms
-from calibcox.linalg import ContractViolationError, DecompositionError
+from calibcox.errors import DataError
+from calibcox.linalg import DecompositionError
 from calibcox.mem import ConvergenceError, MemFit, SingularDesignError, _check_rank
 from calibcox.model_select import CvMetrics, kfold_split
 
@@ -83,7 +84,7 @@ def estimate_psi(residuals_by_subject, sigma2=None):
     groups = [np.asarray(r, dtype=float) for r in residuals_by_subject]
     all_resid = np.concatenate(groups) if groups else np.array([])
     if all_resid.size == 0:
-        raise ContractViolationError("no residuals supplied")
+        raise DataError("no residuals supplied")
     if sigma2 is None:
         sigma2 = float(all_resid @ all_resid) / all_resid.size
     num = 0.0
@@ -127,7 +128,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     update and is folded into the reported dispersion.
     """
     if working not in ("independence", "exchangeable"):
-        raise ContractViolationError(f"unknown working correlation '{working}'")
+        raise DataError(f"unknown working correlation '{working}'")
     if working == "independence":
         return fit_ols(validation, spec, transform=transform)
 

@@ -273,6 +273,16 @@ def test_criterion_8_invariance_suite():
     s4, r4 = simulate.run_cell(cell, threads=4)
     checks["threads"] = (s1 == s4) and (r1 == r4)
 
+    # The same for a cell whose replicates all fail (one validation
+    # subject): the workers' results come back unpickled, NaN fields and all.
+    cell = simulate.setting1(n1=800, n2=1, event_rate=0.10, replicates=4,
+                             seed=810)
+    s1, r1 = simulate.run_cell(cell, threads=1)
+    s4, r4 = simulate.run_cell(cell, threads=4)
+    checks["all_failed"] = (len(r1) == 2 * cell.replicates
+                            and not any(r.converged for r in r1 + r4))
+    checks["threads_all_failed"] = (s1 == s4) and (r1 == r4)
+
     ok = all(checks.values())
     _report(8, "invariance suite", ok,
             ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))

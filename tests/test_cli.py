@@ -691,6 +691,28 @@ class TestExitCodes:
             assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("which, old, new", [
+        ("validation", "z_150,z_270", "z_270,z_150"), ("main", "z_150", "z_90")])
+    def test_radii_out_of_order_name_their_file(self, which, old, new, study_files,
+                                                tmp_path, capsys):
+        # A header that swaps two radii, or repeats one, holds its file's
+        # radii out of order; the dataset's own check finds it.
+        main_csv, val_csv = study_files
+        files = {"main": main_csv, "validation": val_csv}
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_text(files[which].read_text().replace(old, new, 1))
+        files[which] = bad
+        calls = [["fit", str(files["main"]), "--validation", str(files["validation"])]]
+        if which == "validation":
+            calls.append(["select", str(bad), "--seed", "1"])
+        for argv in calls:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.err == (f"data error: {bad}: buffer radii must be "
+                                    "strictly increasing\n")
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_select_with_nothing_fitted_fails(self, study_files, tmp_path, capsys):
         # A constant confounder makes every candidate's design rank deficient.
         _, val_csv = study_files

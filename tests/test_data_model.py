@@ -327,7 +327,8 @@ class TestDatasetInvariants:
         assert [str(label) for label in subject_ids] == ["1.5", "nan", "2.0"]
 
     def test_radii_must_increase(self, rng):
-        with pytest.raises(ParseError, match="increasing"):
+        # A dataset built by hand gets the readers' check, with no file named.
+        with pytest.raises(ParseError, match="^buffer radii must be strictly increasing$"):
             data_model.MainDataset(
                 time=np.array([1.0]),
                 event=np.array([1]), z=np.zeros((1, 2)), w=np.zeros((1, 1)),

@@ -26,8 +26,7 @@ def _package_exceptions():
 
 def test_every_exception_derives_from_exactly_one_base():
     found = list(_package_exceptions())
-    assert {data_model.ParseError, linalg.ContractViolationError,
-            linalg.DecompositionError, mem.SingularDesignError,
+    assert {data_model.ParseError, linalg.DecompositionError, mem.SingularDesignError,
             mem.ConvergenceError, coxph.CoxConvergenceError,
             coxph.CoxDivergenceError, inference.TooFewSubjectsError} <= set(found)
     for cls in found:
@@ -45,7 +44,7 @@ def test_bases_keep_the_builtin_roots():
 @pytest.mark.parametrize("exc, code", [
     (errors.UsageError("bad flag"), cli.EXIT_USAGE),
     (data_model.ParseError("bad cell"), cli.EXIT_DATA),
-    (linalg.ContractViolationError("bad shape"), cli.EXIT_DATA),
+    (errors.DataError("bad shape"), cli.EXIT_DATA),
     (FileNotFoundError("no file"), cli.EXIT_DATA),
     (mem.SingularDesignError("rank deficient"), cli.EXIT_NUMERIC),
     (coxph.CoxDivergenceError("ran away"), cli.EXIT_NUMERIC),
@@ -71,3 +70,25 @@ def test_errors_outside_the_taxonomy_are_not_caught(exc, monkeypatch):
     monkeypatch.setattr(cli, "cmd_report", fails)
     with pytest.raises(type(exc)):
         cli.main(["report", "results"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", "{tmp}/missing.ini", "--seed", "1"],
+     "config file not found: {tmp}/missing.ini"),
+    (["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1", "--seed", "1",
+      "--out", "{tmp}/taken"], "--out {tmp}/taken: exists and is not a directory"),
+    (["report", "{tmp}"], "no summary.csv in {tmp}; expected files: summary.csv "
+                          "(from `calibcox simulate`)"),
+], ids=["missing config", "out names a file", "report without summary"])
+def test_cli_faults_of_its_own_are_data_errors(argv, message, tmp_path, capsys):
+    # The CLI raises the package's DataError for a broken precondition it
+    # finds itself; an OSError is left to the operating system.
+    (tmp_path / "taken").write_text("")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    message = message.format(tmp=tmp_path)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(errors.DataError) as caught:
+        args.func(args)
+    assert type(caught.value) is errors.DataError and str(caught.value) == message
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message}\n"

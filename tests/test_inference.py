@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calibcox import constants, coxph, inference, linalg, mem, simulate, transforms
+from calibcox.errors import DataError
 from calibcox.inference import SandwichComponents
 
 from conftest import information, make_survival, risk_sums, time_ordered
@@ -348,7 +349,7 @@ class TestHazardRatio:
     @pytest.mark.parametrize("w0", [[], [0.0, 1.0]])
     def test_w0_of_wrong_length_raises(self, w0):
         fit = self.make_fit(np.array([-0.3, 0.1, 5.0]), np.zeros((3, 3)))
-        with pytest.raises(linalg.ContractViolationError,
+        with pytest.raises(DataError,
                            match=r"one value per confounder column \(1\), got"):
             inference.hazard_ratio(fit, 0.1, w0)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from calibcox import data_model, linalg, mem, simulate, transforms
+from calibcox.errors import DataError
 from calibcox.transforms import DesignSpec
 
 from conftest import make_validation, residual_clusters
@@ -73,6 +74,36 @@ class TestFitOls:
         # Doubling n2 halves the mean diagonal within 25% relative tolerance.
         assert abs(diags[0] / diags[1] - 2.0) < 0.5
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("spec", [
+        DesignSpec(variant="standard", include_interactions=True),
+        DesignSpec(variant="pca", n_components=3, include_interactions=True)],
+        ids=lambda s: s.label())
+    def test_copied_subjects_halve_v_alpha(self, spec, seed):
+        # Every subject copied under a new label doubles both the bread and
+        # the meat of the independence sandwich, so V_alpha halves and alpha
+        # stays, to rounding; a small-sample factor g / (g - 1) on the meat
+        # would break it.  The exchangeable fit's psi moves, so it is exact
+        # only at psi = 0 and is not checked.
+        val = simulate.gen_validation(simulate.setting1(n2=150, seed=seed),
+                                      np.random.default_rng(seed))
+        twice = data_model.ValidationDataset(
+            subject_ids=np.concatenate([val.subject_ids,
+                                        [f"copy {s}" for s in val.subject_ids]]),
+            subject_codes=np.concatenate([val.subject_codes,
+                                          val.subject_codes + val.n_subjects]),
+            **{name: np.concatenate([getattr(val, name)] * 2)
+               for name in ("occasion", "x", "z", "w")},
+            radii=val.radii, confounder_names=val.confounder_names)
+        one = mem.fit_gee(val, spec, working="independence")
+        two = mem.fit_gee(twice, spec, working="independence")
+        assert two.n_subjects == 2 * one.n_subjects
+        # Relative to the largest entry: the near-collinear radii leave some
+        # entries small (measured at most 7.4e-12 for alpha, 5.8e-12 for
+        # V_alpha, over these ten fits).
+        for got, want in ((two.alpha, one.alpha), (two.v_alpha, one.v_alpha / 2)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
 
 class TestFitGee:
     def test_independence_equals_ols(self, rng):
@@ -124,7 +155,7 @@ class TestFitGee:
 
     def test_unknown_working_rejected(self, rng):
         val, _ = make_validation(rng)
-        with pytest.raises(linalg.ContractViolationError):
+        with pytest.raises(DataError, match="unknown working correlation 'ar1'"):
             mem.fit_gee(val, STD, working="ar1")
 
 
@@ -162,7 +193,7 @@ class TestEstimatePsi:
 
     def test_no_residuals_rejected(self):
         resid, clusters = residual_clusters([np.array([]), np.array([])])
-        with pytest.raises(linalg.ContractViolationError, match="no residuals"):
+        with pytest.raises(DataError, match="no residuals"):
             mem.estimate_psi(resid, clusters, 1.0)
 
 

@@ -8,7 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
-from calibcox import coxph, data_model, linalg, mem, simulate, transforms
+from calibcox import coxph, data_model, mem, simulate, transforms
+from calibcox.errors import DataError
 
 from conftest import time_ordered
 
@@ -34,7 +35,7 @@ class TestConfig:
     def test_coefficient_lengths_checked_at_construction(self, field, value):
         # alpha1 and alpha3 hold one value per default radius, alpha2 one
         # per confounder, and beta the exposure, confounder and interaction.
-        with pytest.raises(linalg.ContractViolationError, match=field):
+        with pytest.raises(DataError, match=field):
             simulate.setting1(n1=100, n2=5, **{field: value})
 
     def test_grid_has_24_cells(self):
@@ -283,7 +284,7 @@ class TestRunCell:
         assert len(results) == 6
 
     @pytest.mark.parametrize("error", [ValueError("bad input"),
-                                       linalg.ContractViolationError("bad shape")])
+                                       DataError("bad shape")])
     def test_replicate_failure_contained(self, monkeypatch, error):
         cfg = simulate.setting1(n1=600, n2=60, event_rate=0.10, replicates=3, seed=24)
         fit_gee = mem.fit_gee

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from calibcox import linalg, transforms
-from calibcox.linalg import ContractViolationError
+from calibcox.errors import DataError
 from calibcox.transforms import DesignSpec
 
 RADII = np.array([90.0, 150.0, 270.0, 510.0, 750.0, 990.0, 1230.0, 1500.0, 2100.0])
@@ -50,7 +50,7 @@ class TestFitPca:
         assert np.all(np.diff(t.eigenvalues) <= 1e-12)
 
     def test_k_too_large(self, rng):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match="k=4 exceeds surrogate dimension 3"):
             transforms.fit_pca(rng.normal(size=(10, 3)), 4)
 
     def test_zero_variance_column_warns(self, rng):
@@ -89,7 +89,7 @@ class TestApplyPca:
 
     def test_length_mismatch(self, rng):
         t = transforms.fit_pca(rng.normal(size=(20, 4)), 2)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match="z length 3 does not match transform dimension 4"):
             transforms.apply_pca(t, np.zeros(3))
 
 
@@ -150,13 +150,13 @@ class TestRcsBasis:
                 assert abs(right - left) / scale < 1e-5
 
     def test_knot_count_bounds(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match=r"n_knots must be in \[3, 7\]"):
             transforms.rcs_basis(RADII, 2)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match=r"n_knots must be in \[3, 7\]"):
             transforms.rcs_basis(RADII, 8)
 
     def test_too_few_radii(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match="need at least 3 radii for 3 knots, got 2"):
             transforms.rcs_basis(np.array([90.0, 150.0]), 3)
 
 
@@ -230,7 +230,7 @@ class TestBuildDesign:
     def test_radius_subset_outside_z_rejected(self, subset, rng):
         # A spec parsed against more radii than z holds names no column of z.
         spec = DesignSpec(variant="standard", radius_subset=subset)
-        with pytest.raises(ContractViolationError, match="outside z's 3 radii"):
+        with pytest.raises(DataError, match="outside z's 3 radii"):
             transforms.build_design_matrix(spec, None, rng.normal(size=(2, 3)),
                                            np.ones((2, 1)))
 
@@ -253,7 +253,7 @@ class TestBuildDesign:
 
 class TestSpecValidation:
     def test_unknown_variant(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match="unknown variant 'lasso'"):
             DesignSpec(variant="lasso")
 
     def test_labels(self):
@@ -281,7 +281,7 @@ class TestSerialization:
         assert np.allclose(t2.basis, t.basis)
 
     def test_version_check(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DataError, match="unsupported transform file version 99"):
             transforms.transform_from_json('{"version": 99, "spec": {}}')
 
     # The pca3+int file written for Z_GOLDEN before interactions were fixed
@@ -352,5 +352,5 @@ class TestSerialization:
     def test_confounder_subset_rejected(self):
         text = self.GOLDEN_PCA3_INT.replace('"interacting_confounders": null',
                                             '"interacting_confounders": [0]')
-        with pytest.raises(ContractViolationError, match="subset of confounders"):
+        with pytest.raises(DataError, match="subset of confounders"):
             transforms.transform_from_json(text)
