@@ -8,20 +8,18 @@ this module, and :mod:`calibcox.inference`, only as a :class:`RiskSets`
 over rows that already arrive in time order: the caller sorts its cohort
 once, before it builds any per-row array, and every evaluation is then
 O(n d^2), with no gather of rows.  Every risk-set sum, S0, S1 and S2 here
-and U_alpha's in :mod:`calibcox.inference`, is one suffix sum
-(:meth:`RiskSets.suffix_at_starts`): blocks of rows from the last row down,
-with the running total carried between blocks, kept only at the risk-set
-starts.  So no n-length S0, n x d S1 or n x d x d S2 is built, and every
-element is still added in the order of one sweep over all rows.
+and those of U_alpha and its check in :mod:`calibcox.inference`, is one
+suffix sum (:meth:`RiskSets.suffix_at_starts`): blocks of rows from the
+last row down, with the running total carried between blocks, kept only at
+the risk-set starts.  So no n-length S0, n x d S1 or n x d x d S2 is built,
+and every element is still added in the order of one sweep over all rows.
 
 Each stage of the Newton loop takes one sweep over the rows.  A
 step-halving candidate needs only the log-likelihood, so it takes S0 alone
 (:meth:`RiskSets.weights`).  The accepted step takes S1 and S2 together
 from one sweep of stacked terms (:meth:`RiskSets.moments`), and its score
 and information are then sums over events with no further sweep; the fit's
-outputs are pinned to that summation order.  The standalone :func:`score`,
-which only the finite-difference check of U_alpha calls, needs no S1: it
-weights each row by the events whose risk sets hold it.
+outputs are pinned to that summation order.
 
 The log-likelihood drops the additive -log(1/N) constant of the normalized
 risk-set sum; it does not affect the maximizer or any derivative.
@@ -63,7 +61,7 @@ class RiskSets:
     Every risk-set sum runs over rows sorted by time, and the rows arrive
     sorted: the caller puts its cohort in time order once, before it builds
     any per-row array, so each Newton step, the information, G, U_alpha and
-    each finite-difference score read their rows as given.  Times that
+    its finite-difference check read their rows as given.  Times that
     decrease anywhere raise ``DataError``.
 
     time    the non-decreasing times
@@ -186,22 +184,7 @@ class RiskSets:
         ``events``; row j gets the sum of its first upto[j] entries.
         """
         zero = np.zeros((1,) + x.shape[1:])
-        return np.concatenate([zero, np.cumsum(x, axis=0)])[self.upto]
-
-
-def score(rs, u, beta):
-    """Score vector sum_i D_i (u_i - S1/S0 at T_i), from per-row event weights.
-
-    Summed row by row instead of event by event, sum_e S1/S0 at T_e is
-    sum_j w_j H_j u_j, where H_j = sum of 1/S0 over the events at or before
-    T_j (Lin & Wei 1989), so no S1 is taken.  This agrees with
-    :meth:`RiskSets.score` to rounding, not bit for bit; the fit and every
-    output use that one.
-    """
-    _, w, S0 = rs.weights(u, beta)
-    H = rs.prefix_at_rows(1.0 / S0)
-    H *= w
-    return u[rs.events].sum(axis=0) - H @ u
+        return np.concatenate([zero, np.cumsum(x, axis=0)]).take(self.upto, axis=0)
 
 
 def _step_derivatives(rs, u, w, S0):

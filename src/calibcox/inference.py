@@ -18,11 +18,17 @@ d beta-hat / d alpha = (N I)^-1 U_a.
 U_a is computed analytically; a finite-difference verification mode recomputes
 it by central differences in alpha and reports the relative discrepancy.
 I, G and U_a reach the outputs, so they keep the suffix-sum form and the
-summation order of the Newton fit.  The check's 2 d_a scores reach no
-output but an error, so they take :func:`coxph.score`, which weights each
-row by the events whose risk sets hold it and takes no S1, and each
-perturbed exposure is phi alpha +- h_k phi[:, k] rather than a new n x d_a
-product.
+summation order of the Newton fit.  The check's differences reach no output
+but an error, so they build no rows.  Moving alpha_k by +-h moves the rows
+to u +- h phi_k c and the fit's weights w to omega+- = w exp(+-h b phi_k).
+With the score summed row by row with per-row event weights (Lin & Wei
+1989), H+- the sum of 1/S0+- over the events at or before each row, its
+central difference is
+
+    FD_k = sum_e phi_ek c_e - (omega+ H+ - omega- H-)'u / (2h)
+           - ((omega+ H+ + omega- H-) o phi_k)'c / 2,
+
+in which sum_e u_e cancels exactly.
 
 :func:`fit_calibrated_cox` sorts the main study by time once, at entry, so
 every per-row array is built in risk-set order and the study enters each
@@ -146,24 +152,43 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     return out
 
 
-def u_alpha_fd(rs, phi, w, beta, alpha):
+def u_alpha_fd(rs, u, sums, phi, c, b, alpha):
     """Central finite-difference derivative of the score in alpha.
 
-    Used to verify :func:`u_alpha_hat`.  Coefficient k moves by
-    h_k = FD_STEP * max(1, |alpha_k|) either way, which moves the calibrated
-    exposure phi alpha by +-h_k phi[:, k]; the rows are then
-    :func:`coxph.build_cox_rows` of that exposure and the confounders ``w``.
+    Used to verify :func:`u_alpha_hat`, and takes its arguments and alpha.
+    Coefficient k moves by h_k = FD_STEP * max(1, |alpha_k|) either way,
+    which moves the rows ``u`` to u +- h_k phi_k c and the fit's weights
+    ``w`` (in ``sums``) to omega+- = w exp(+-h_k b phi_k), one exponential
+    for both signs.  One sweep takes S0+- at the risk-set starts and one
+    prefix H+- = sum of 1/S0+- at each row; then
+
+        FD_k = sum_e phi_ek c_e - (omega+ H+ - omega- H-)'u / (2 h_k)
+               - ((omega+ H+ + omega- H-) o phi_k)'c / 2,
+
+    the central difference of the per-row event-weight score
+    sum_e u_e - (omega H)'u at the moved rows, with sum_e u_e cancelled.
+    No row matrix is built: each coefficient holds n-length vectors only.
     """
+    rs.check_rows(u, phi, c, b)
     alpha = np.asarray(alpha, dtype=float)
-    xhat = phi @ alpha
+    w = sums[1]
+    c_ev = c[rs.events]
     cols = []
     for k in range(alpha.size):
         h = constants.FD_STEP * max(1.0, abs(alpha[k]))
-        step = h * phi[:, k]
-        scores = []
-        for move in (np.add, np.subtract):
-            scores.append(coxph.score(rs, coxph.build_cox_rows(move(xhat, step), w), beta))
-        cols.append((scores[0] - scores[1]) / (2.0 * h))
+        phi_k = phi[:, k].copy()
+        e = np.exp(h * b * phi_k)
+        # omega+ and omega- as rows, so that one sweep takes both S0s.
+        omega = np.empty((2, len(w)))
+        np.multiply(w, e, out=omega[0])
+        np.divide(w, e, out=omega[1])
+        S0 = rs.suffix_at_starts(lambda lo, hi: omega[:, lo:hi].copy(), (2,))
+        H = rs.prefix_at_rows(1.0 / S0)
+        plus, minus = omega[0] * H[:, 0], omega[1] * H[:, 1]
+        moved = (plus - minus) @ u
+        plus += minus
+        plus *= phi_k
+        cols.append(phi_k[rs.events] @ c_ev - moved / (2.0 * h) - (plus @ c) / 2.0)
     return np.column_stack(cols)
 
 
@@ -248,9 +273,10 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
     i_beta = info / n
     g_beta = g_beta_hat(rs, u, sums)
     c = coxph.exposure_gradient(w)
-    u_alpha = u_alpha_hat(rs, u, sums, phi, c, c @ beta)
+    b = c @ beta
+    u_alpha = u_alpha_hat(rs, u, sums, phi, c, b)
     if check_derivatives:
-        fd = u_alpha_fd(rs, phi, w, beta, memfit.alpha)
+        fd = u_alpha_fd(rs, u, sums, phi, c, b, memfit.alpha)
         scale = np.max(np.abs(fd)) + 1.0
         err = np.max(np.abs(u_alpha - fd)) / scale
         if err > constants.FD_TOL:

@@ -218,6 +218,8 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     """
     if working not in ("independence", "exchangeable"):
         raise DataError(f"unknown working correlation '{working}'")
+    if not len(validation):
+        raise DataError("no data rows")
     if transform is None:
         transform = transforms.fit_transform(spec, validation.z, validation.radii)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)

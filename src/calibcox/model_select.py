@@ -63,8 +63,9 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     reduction, not on its interactions.  So each training set's (and the
     full data's) transform is fitted once per reduction, when a candidate
     first needs it, and handed to the fits of every candidate that differs
-    only in interactions; a candidate whose transform cannot be fitted
-    fails with the message it did when it fitted its own.  Failed
+    only in interactions.  Every ``pca<k>`` takes the first k of one set of
+    principal axes per data set.  A candidate whose transform cannot be
+    fitted fails with the message it did when it fitted its own.  Failed
     candidates are kept in the output, marked and sorted last.  A held-out
     fold is scored from its rows of ``validation``.
     """
@@ -73,13 +74,21 @@ def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     splits = [(validation.subset(np.setdiff1d(all_rows, f)), f) for f in folds]
     fitted = {}
 
-    def fit_gee(key, data, spec):
+    def transform(key, data, spec):
+        if spec.variant == "pca":
+            transforms.check_pca_size(data.z, spec.n_components)
+            if (key, "pca") not in fitted:
+                fitted[key, "pca"] = transforms.pca_axes(data.z)
+            return transforms.leading_axes(fitted[key, "pca"], spec.n_components)
         reduction = dataclasses.replace(spec, include_interactions=False)
         if (key, reduction) not in fitted:
             fitted[key, reduction] = transforms.fit_transform(
                 reduction, data.z, data.radii)
+        return fitted[key, reduction]
+
+    def fit_gee(key, data, spec):
         return mem.fit_gee(data, spec, working=working,
-                           transform=fitted[key, reduction])
+                           transform=transform(key, data, spec))
 
     out = []
     for spec in specs:

@@ -82,11 +82,24 @@ def fit_pca(zmat, k):
     component is positive.  A zero-variance column raises a UserWarning.
     """
     zmat = np.asarray(zmat, dtype=float)
-    n, p = zmat.shape
+    check_pca_size(zmat, k)
+    return leading_axes(pca_axes(zmat), k)
+
+
+def check_pca_size(zmat, k):
+    """Raise DataError unless ``zmat`` has at least k columns and k + 1 rows."""
+    n, p = np.shape(zmat)
     if k > p:
         raise DataError(f"k={k} exceeds surrogate dimension {p}")
     if n < k + 1:
         raise DataError(f"need at least {k + 1} rows, got {n}")
+
+
+def pca_axes(zmat):
+    """All p principal axes of ``zmat``, which passed :func:`check_pca_size`
+    for some k, as a :class:`PcaTransform`; :func:`fit_pca` keeps the first k."""
+    zmat = np.asarray(zmat, dtype=float)
+    n = len(zmat)
     center = zmat.mean(axis=0)
     zc = zmat - center
     cov = (zc.T @ zc) / (n - 1)
@@ -94,13 +107,23 @@ def fit_pca(zmat, k):
     if np.any(diag <= 1e-14 * max(float(diag.max()), 1e-300)):
         warnings.warn("zero-variance surrogate column in PCA input", stacklevel=2)
     eig = linalg.sym_eigen(cov)
-    loadings = eig.eigenvectors[:, :k].T.copy()
+    loadings = eig.eigenvectors.T.copy()
     for row in loadings:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
     return PcaTransform(center=center, loadings=loadings,
                         eigenvalues=np.maximum(eig.eigenvalues, 0.0))
+
+
+def leading_axes(axes, k):
+    """The first k axes of :func:`pca_axes`'s transform.
+
+    The sign fix is per axis and ``eigenvalues`` is the full spectrum, so
+    this is :func:`fit_pca` with k components, byte for byte.
+    """
+    return PcaTransform(center=axes.center, loadings=axes.loadings[:k],
+                        eigenvalues=axes.eigenvalues)
 
 
 def apply_pca(transform, z):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calibcox import data_model, mem
+from calibcox import coxph, constants, data_model, inference, mem
 
 
 def make_validation(rng, n_subjects=30, occasions=4, p_z=3, p_w=1,
@@ -86,6 +86,37 @@ def information(rs, u, beta):
     """The information of the time-ordered rows ``u`` at ``beta``."""
     _, w, S0 = rs.weights(u, beta)
     return rs.information(S0, *rs.moments(u, w))
+
+
+def score(rs, u, beta):
+    """The Newton loop's score of the time-ordered rows ``u`` at ``beta``."""
+    _, w, S0 = rs.weights(u, beta)
+    return rs.score(u, S0, rs.moments(u, w)[0])
+
+
+def row_build_fd(rs, phi, w, beta, alpha):
+    """Central differences in alpha of the score, with new rows per step.
+
+    The reference for ``inference.u_alpha_fd``: coefficient k moves by its
+    h_k either way, the rows are built again from the moved exposure and
+    the confounders ``w``, and each score takes S0 and S1 afresh.
+    """
+    xhat = phi @ alpha
+    cols = []
+    for k in range(len(alpha)):
+        h = constants.FD_STEP * max(1.0, abs(alpha[k]))
+        step = h * phi[:, k]
+        cols.append((score(rs, coxph.build_cox_rows(xhat + step, w), beta)
+                     - score(rs, coxph.build_cox_rows(xhat - step, w), beta)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def check_fd(rs, phi, w, beta, alpha):
+    """``inference.u_alpha_fd`` on the fitted-weight arguments that
+    ``fit_calibrated_cox`` hands it, for the time-ordered ``phi`` and ``w``."""
+    u = coxph.build_cox_rows(phi @ alpha, w)
+    c = coxph.exposure_gradient(w)
+    return inference.u_alpha_fd(rs, u, risk_sums(rs, u, beta), phi, c, c @ beta, alpha)
 
 
 def risk_set_indices(time, event):

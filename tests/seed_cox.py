@@ -4,7 +4,7 @@ A verbatim copy of the per-call-sorting evaluators (each call argsorts the
 times and builds the full n x d x d and n x d x d_alpha suffix-sum arrays),
 kept as the reference that ``test_risk_sets`` requires the sorted-once,
 blocked engine to match bit for bit.  Two things differ: the imports, and
-``u_alpha_fd`` calls this module's ``score`` in place of ``coxph.score``.
+``u_alpha_fd`` calls this module's ``score``, not the ``coxph`` one it called.
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ from calibcox import coxph, inference, linalg, mem, simulate, transforms
 from calibcox.transforms import DesignSpec
 
 from conftest import (information, loglik, make_survival, make_validation, risk_sums,
-                      time_ordered)
+                      score, time_ordered)
 
 
 def _report(num, name, ok, detail=""):
@@ -76,7 +76,7 @@ def test_criterion_2_derivative_checks():
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         # score vs central FD of the log-likelihood
-        sc = coxph.score(rs, u, beta)
+        sc = score(rs, u, beta)
         h = 1e-6
         for k in range(d):
             e = np.zeros(d)
@@ -89,8 +89,8 @@ def test_criterion_2_derivative_checks():
         for k in range(d):
             e = np.zeros(d)
             e[k] = h
-            fd = (coxph.score(rs, u, beta - e)
-                  - coxph.score(rs, u, beta + e)) / (2 * h)
+            fd = (score(rs, u, beta - e)
+                  - score(rs, u, beta + e)) / (2 * h)
             worst_info = max(worst_info, np.max(np.abs(info[:, k] - fd))
                              / (1.0 + np.max(np.abs(fd))))
         # U_alpha vs FD in alpha
@@ -103,7 +103,7 @@ def test_criterion_2_derivative_checks():
         c = coxph.exposure_gradient(w)
         b = c @ beta3
         ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta3), phi, c, b)
-        fd = inference.u_alpha_fd(rs, phi, w, beta3, alpha)
+        fd = inference.u_alpha_fd(rs, rows, risk_sums(rs, rows, beta3), phi, c, b, alpha)
         worst_ua = max(worst_ua, np.max(np.abs(ua - fd)) / (1.0 + np.max(np.abs(fd))))
     elapsed = _time.monotonic() - t0
     ok = (worst_score < 1e-6 and worst_info < 1e-5 and worst_ua < 1e-5

@@ -6,7 +6,7 @@ import pytest
 from calibcox import coxph
 from calibcox.errors import DataError
 
-from conftest import information, loglik, make_survival, time_ordered
+from conftest import information, loglik, make_survival, score, time_ordered
 
 
 def direct_loglik(u, time, event, beta):
@@ -67,7 +67,7 @@ class TestScore:
         u, time, event, _ = make_survival(rng, n=30)
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        sc = coxph.score(rs, u, np.zeros(u.shape[1]))
+        sc = score(rs, u, np.zeros(u.shape[1]))
         expected = np.zeros(u.shape[1])
         for i in np.flatnonzero(event == 1):
             risk = time >= time[i]
@@ -79,13 +79,13 @@ class TestScore:
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         beta, *_ = coxph.fit(rs, u)
-        assert np.max(np.abs(coxph.score(rs, u, beta))) < 1e-6
+        assert np.max(np.abs(score(rs, u, beta))) < 1e-6
 
     def test_finite_difference_oracle(self, rng):
         u, time, event, beta = make_survival(rng, n=40, d=2)
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
-        sc = coxph.score(rs, u, beta)
+        sc = score(rs, u, beta)
         h = 1e-6
         for k in range(2):
             e = np.zeros(2)
@@ -116,8 +116,8 @@ class TestInformation:
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (coxph.score(rs, u, beta - e)
-                  - coxph.score(rs, u, beta + e)) / (2 * h)
+            fd = (score(rs, u, beta - e)
+                  - score(rs, u, beta + e)) / (2 * h)
             assert np.max(np.abs(info[:, k] - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
     def test_psd_sweep(self, rng):

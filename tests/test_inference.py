@@ -1,13 +1,16 @@
 """Two-stage sandwich covariance: robust G, alpha-derivative, assembly, CIs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from calibcox import constants, coxph, inference, linalg, mem, simulate, transforms
-from calibcox.errors import DataError
+from calibcox import coxph, inference, linalg, mem, simulate, transforms
+from calibcox.errors import DataError, NumericalError
 from calibcox.inference import SandwichComponents
 
-from conftest import information, make_survival, risk_sums, time_ordered
+from conftest import (check_fd, information, make_survival, risk_sums, row_build_fd,
+                      time_ordered)
 
 
 def reference_g_beta(u, time, event, beta):
@@ -153,29 +156,26 @@ class TestUAlphaHat:
         rows, time, event, beta, phi, alpha, w, c, b = small_calibration_problem(rng)
         rs = coxph.RiskSets(time, event)
         ua = inference.u_alpha_hat(rs, rows, risk_sums(rs, rows, beta), phi, c, b)
-        fd = inference.u_alpha_fd(rs, phi, w, beta, alpha)
+        fd = inference.u_alpha_fd(rs, rows, risk_sums(rs, rows, beta), phi, c, b, alpha)
         assert np.max(np.abs(ua - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
     def test_finite_differences_match_a_row_build_per_step(self, rng):
-        # The check builds its rows once and rewrites the exposure and its
-        # products with w per step; a new build_cox_rows per step gives the
-        # same differences bit for bit.
-        n, d_alpha = 2000, 5
+        # The check moves the fit's weights and builds no rows; new rows
+        # and a new score per step give the same differences to rounding.
+        # Coarse times tie events with events and with censorings.  Both
+        # forms difference separately rounded S0 sums over a step of 1e-6,
+        # so their noise grows with n: at n = 200 it stays below a third of
+        # the bound.
+        n, d_alpha = 200, 5
         time, event, phi, w = time_ordered(
-            rng.exponential(size=n), rng.integers(0, 2, n),
+            np.ceil(4.0 * rng.exponential(size=n)), rng.integers(0, 2, n),
             rng.normal(size=(n, d_alpha)), rng.normal(size=(n, 2)))
+        assert len(np.unique(time)) < len(time) // 4
         rs = coxph.RiskSets(time, event)
         alpha, beta = rng.normal(size=d_alpha), rng.normal(0.0, 0.3, size=5)
-        xhat = phi @ alpha
-        want = []
-        for k in range(d_alpha):
-            h = constants.FD_STEP * max(1.0, abs(alpha[k]))
-            step = h * phi[:, k]
-            s_hi = coxph.score(rs, coxph.build_cox_rows(xhat + step, w), beta)
-            s_lo = coxph.score(rs, coxph.build_cox_rows(xhat - step, w), beta)
-            want.append((s_hi - s_lo) / (2.0 * h))
-        fd = inference.u_alpha_fd(rs, phi, w, beta, alpha)
-        assert fd.tobytes() == np.column_stack(want).tobytes()
+        ref = row_build_fd(rs, phi, w, beta, alpha)
+        fd = check_fd(rs, phi, w, beta, alpha)
+        assert np.max(np.abs(fd - ref)) <= 1e-8 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestSandwichCovariance:
@@ -269,6 +269,36 @@ class TestFitCalibratedCox:
         assert np.all(fit.se > 0)
         assert np.all(fit.ci_lower < fit.ci_upper)
         assert fit.term_names == ("exposure", "w_1", "exposure:w_1")
+
+    def test_derivative_check_with_three_confounders(self, monkeypatch):
+        # p_w = 3 under pca3+int: 7 Cox and 16 calibration coefficients.
+        # The check passes on the analytic U_alpha and refuses one entry
+        # moved by a relative 1e-3, ten times FD_TOL.
+        cfg, val, main = self.fixture_cell()
+        rng = np.random.default_rng(31)
+
+        def widen(ds):
+            more = rng.normal(1.0, 1.0, size=(len(ds.w), 2))
+            return dataclasses.replace(ds, w=np.hstack([ds.w, more]),
+                                       confounder_names=("w_1", "w_2", "w_3"))
+
+        spec = transforms.DesignSpec(variant="pca", n_components=3,
+                                     include_interactions=True)
+        memfit = mem.fit_gee(widen(val), spec)
+        main = widen(main)
+        assert memfit.alpha.size == 16
+        fit = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
+        assert fit.beta.shape == (7,)
+        right = inference.u_alpha_hat
+
+        def wrong(*args):
+            u_alpha = right(*args)
+            u_alpha.flat[np.argmax(np.abs(u_alpha))] *= 1.0 + 1e-3
+            return u_alpha
+
+        monkeypatch.setattr(inference, "u_alpha_hat", wrong)
+        with pytest.raises(NumericalError, match="disagrees with finite differences"):
+            inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
 
     def test_se_increases_with_calibration_noise(self):
         # Matched replicates, PCA-3 calibration: more measurement noise means

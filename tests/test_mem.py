@@ -158,6 +158,26 @@ class TestFitGee:
         with pytest.raises(DataError, match="unknown working correlation 'ar1'"):
             mem.fit_gee(val, STD, working="ar1")
 
+    @pytest.mark.parametrize("spec", [
+        STD, DesignSpec(radius_subset=(1,)), DesignSpec(variant="pca", n_components=3),
+    ], ids=["standard", "only150", "pca3"])
+    def test_no_rows_is_a_data_error(self, spec, tmp_path):
+        # A header-only file reads to no rows.  The fit refuses it before it
+        # builds a design, so in_file gives fit's own line for the file.
+        val = simulate.gen_validation(simulate.setting1(n2=10, seed=2),
+                                      np.random.default_rng(2))
+        path = tmp_path / "validation.csv"
+        data_model.write_validation_csv(path, val)
+        with open(path) as fh:
+            header = fh.readline()
+        path.write_text(header)
+        empty = data_model.read_validation_csv(path)
+        assert len(empty) == 0
+        with pytest.raises(DataError) as info:
+            data_model.in_file(path, mem.fit_gee, empty, spec)
+        assert type(info.value) is DataError
+        assert str(info.value) == f"{path}: no data rows"
+
 
 def _psi(groups, sigma2=None):
     """estimate_psi on per-subject residual groups; sigma2 defaults to the

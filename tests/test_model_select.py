@@ -145,6 +145,37 @@ class TestCvEvaluate:
         out2 = model_select.cv_evaluate(shuffled, specs, rng=np.random.default_rng(9))
         assert [m.spec.label() for m in out1] == [m.spec.label() for m in out2]
 
+    def test_one_eigen_solve_per_data_set(self, monkeypatch):
+        # pca2, pca3 and their +int twins share one set of axes on each
+        # training set and on the full data: 5 + 1 solves, not 4 x 6.
+        val = simulate.gen_validation(simulate.setting1(n2=60, seed=4),
+                                      np.random.default_rng(4))
+        solves = []
+        sym_eigen = transforms.linalg.sym_eigen
+
+        def counted(a):
+            solves.append(a.shape)
+            return sym_eigen(a)
+
+        monkeypatch.setattr(transforms.linalg, "sym_eigen", counted)
+        specs = model_select.candidate_grid(p_z=val.z.shape[1])
+        assert sum(s.variant == "pca" for s in specs) == 4
+        out = model_select.cv_evaluate(val, specs, rng=np.random.default_rng(4), k=5)
+        assert solves == [(9, 9)] * 6
+        for m in out:
+            if m.spec.variant == "pca":
+                want = transforms.fit_pca(val.z, m.spec.n_components)
+                assert m.transform.loadings.tobytes() == want.loadings.tobytes()
+
+    def test_pca_candidates_keep_their_own_size_errors(self, rng):
+        # Four subjects, one row each, in four folds: three training rows.
+        val, _ = make_validation(rng, n_subjects=4, occasions=1, p_z=3)
+        specs = [DesignSpec(variant="pca", n_components=k) for k in (4, 3)]
+        out = model_select.cv_evaluate(val, specs, rng=np.random.default_rng(3), k=4)
+        reasons = {m.spec.label(): m.failure_reason for m in out}
+        assert reasons == {"pca4": "k=4 exceeds surrogate dimension 3",
+                           "pca3": "need at least 4 rows, got 3"}
+
     def test_qic_prefers_reduced_model(self):
         # One draw of the Setting-1 generator: PCA-3 QIC beats the standard
         # model's (fewer parameters, near-identical fit).  The MAE comparison

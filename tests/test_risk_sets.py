@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from calibcox import coxph, inference, mem, simulate, transforms
 from calibcox.errors import DataError
-from conftest import (information, loglik, make_survival, risk_set_indices, risk_sums,
-                      time_ordered)
+from conftest import (check_fd, information, loglik, make_survival, risk_set_indices,
+                      risk_sums, row_build_fd, score, time_ordered)
 import seed_cox
 
 
@@ -74,7 +74,7 @@ class TestOracleSums:
             sc = sc + u[i] - ubar
             info = info + s2 / s0 - np.outer(ubar, ubar)
         assert np.isclose(loglik(rs, u, beta), ll, rtol=1e-12)
-        assert np.allclose(coxph.score(rs, u, beta), sc, rtol=1e-12, atol=1e-12)
+        assert np.allclose(score(rs, u, beta), sc, rtol=1e-12, atol=1e-12)
         assert np.allclose(information(rs, u, beta), info,
                            rtol=1e-12, atol=1e-12)
 
@@ -156,7 +156,6 @@ class TestSeedEquality:
         t_s, e_s, u_s, phi_s, c_s, b_s = time_ordered(time, event, u, phi, c, b)
         rs = coxph.RiskSets(t_s, e_s)
         sums = risk_sums(rs, u_s, beta)
-        # The Newton loop's score; coxph.score is held to rounding below.
         assert np.array_equal(rs.score(u_s, *sums[2:]),
                               seed_cox.score(u, time, event, beta))
         assert np.array_equal(information(rs, u_s, beta),
@@ -219,32 +218,37 @@ class TestSeedEquality:
         assert np.array_equal(fit.components.u_alpha, u_alpha)
 
         # The check forms its differences in other arithmetic than the seed
-        # (phi alpha +- h phi_k, per-row event weights), so it agrees to
+        # (the fit's weights moved, per-row event weights), so it agrees to
         # rounding, far inside FD_TOL.
         def builder(a):
             return coxph.build_cox_rows(phi @ a, main.w)
-        time, event, phi_s, w_s = time_ordered(main.time, main.event, phi, main.w)
+        time, event, u_s, phi_s, c_s, b_s = time_ordered(main.time, main.event,
+                                                         u, phi, c, b)
         rs = coxph.RiskSets(time, event)
-        fd = inference.u_alpha_fd(rs, phi_s, w_s, beta, memfit.alpha)
+        fd = inference.u_alpha_fd(rs, u_s, risk_sums(rs, u_s, beta), phi_s, c_s, b_s,
+                                  memfit.alpha)
         want = seed_cox.u_alpha_fd(builder, main.time, main.event, beta, memfit.alpha)
         assert np.max(np.abs(fd - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
-def _score_gap(time, event, seed, d=3, scale=1.0):
-    """|coxph.score - RiskSets.score| over sum_e |u_e| on sorted rows."""
+def _check_gap(time, event, seed, scale=1.0):
+    """|u_alpha_fd - row_build_fd| over 1 + max |row_build_fd| on sorted rows
+    with two confounders and three calibration coefficients."""
     rng = np.random.default_rng(seed)
     time, event = np.asarray(time, dtype=float), np.asarray(event)
-    u = rng.normal(size=(len(time), d))
-    beta = rng.normal(0.0, scale, size=d)
+    phi, w = rng.normal(size=(len(time), 3)), rng.normal(size=(len(time), 2))
+    alpha, beta = rng.normal(size=3), rng.normal(0.0, scale, size=5)
     rs = coxph.RiskSets(time, event)
-    want = rs.score(u, *risk_sums(rs, u, beta)[2:])
-    got = coxph.score(rs, u, beta)
-    return np.max(np.abs(got - want)) / np.sum(np.abs(u[rs.events]))
+    want = row_build_fd(rs, phi, w, beta, alpha)
+    got = check_fd(rs, phi, w, beta, alpha)
+    return np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
 
 
 class TestEventWeightScore:
-    """coxph.score, summed row by row with per-row event weights, equals the
-    Newton loop's suffix-sum score to rounding."""
+    """The derivative check, which moves the fit's weights and sums its
+    scores row by row with per-row event weights, equals central
+    differences of the Newton loop's suffix-sum score on rows built per
+    step, to rounding."""
 
     @pytest.mark.parametrize("time, event", [
         ([1, 1, 1, 2, 2, 3, 3, 3], [1, 1, 1, 1, 1, 0, 1, 1]),
@@ -256,7 +260,7 @@ class TestEventWeightScore:
             "one event", "all events", "one row"])
     def test_named_cases(self, time, event):
         for seed in range(20):
-            assert _score_gap(time, event, seed) <= 1e-12
+            assert _check_gap(time, event, seed) <= 1e-8
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1,
@@ -267,7 +271,7 @@ class TestEventWeightScore:
         time = [t for t, _ in rows]
         event = [int(e) for _, e in rows]
         event[seed % len(event)] = 1
-        assert _score_gap(time, event, seed, scale=scale) <= 1e-12
+        assert _check_gap(time, event, seed, scale=scale) <= 1e-8
 
 
 def test_rows_of_another_cohort_rejected(rng):
@@ -275,11 +279,15 @@ def test_rows_of_another_cohort_rejected(rng):
     time, event, u = time_ordered(time, event, u)
     rs = coxph.RiskSets(time[:-1], event[:-1])
     with pytest.raises(DataError, match="39 subjects"):
-        coxph.score(rs, u, beta)
+        rs.weights(u, beta)
     with pytest.raises(DataError, match="39 subjects"):
         inference.u_alpha_hat(rs, u[:-1], risk_sums(rs, u[:-1], beta),
                               np.ones((len(time), 2)), np.ones_like(u[:-1]),
                               np.ones(len(time) - 1))
+    with pytest.raises(DataError, match="39 subjects"):
+        inference.u_alpha_fd(rs, u[:-1], risk_sums(rs, u[:-1], beta),
+                             np.ones((len(time), 2)), np.ones_like(u[:-1]),
+                             np.ones(len(time) - 1), np.ones(2))
 
 
 def test_one_sweep_per_newton_stage(monkeypatch):
@@ -331,9 +339,10 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
             return result
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in [(np, "argsort"), (coxph, "fit"), (coxph, "score"),
+    for owner, name in [(np, "argsort"), (coxph, "fit"), (coxph, "build_cox_rows"),
                         (coxph.RiskSets, "weights"), (coxph.RiskSets, "moments"),
-                        (coxph.RiskSets, "information")]:
+                        (coxph.RiskSets, "information"),
+                        (coxph.RiskSets, "suffix_at_starts"), (inference, "u_alpha_fd")]:
         count(owner, name)
     cox = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
 
@@ -341,13 +350,13 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     assert [args[0] is main.time for name, args in calls if name == "argsort"] == [True]
     assert names.count("fit") == 1
     done = names.index("fit returned")
-    fitted_rows = calls[done][1][1]
+    # The rows are built once, for the fit.
+    assert names[:done].count("build_cox_rows") == 1
     # One S1 and S2 and one information per Newton iterate, beta = 0 included.
     assert names[:done].count("moments") == cox.report.iterations + 1
     assert names[:done].count("information") == cox.report.iterations + 1
-    # After the fit, only the finite-difference scores evaluate the risk
-    # sets, each through weights on rows built from a perturbed alpha, and
-    # none of them takes S1.
-    after = calls[done + 1:]
-    assert [name for name, _ in after] == ["score", "weights"] * (2 * len(memfit.alpha))
-    assert not any(np.array_equal(args[1], fitted_rows) for _, args in after)
+    # After the fit no rows are built and no weights or moments taken:
+    # U_alpha sweeps once, and the check once per coefficient, for both
+    # signs' S0.
+    assert names[done + 1:] == (["suffix_at_starts", "u_alpha_fd"]
+                                + ["suffix_at_starts"] * len(memfit.alpha))
