@@ -9,10 +9,14 @@ over rows that already arrive in time order: the caller sorts its cohort
 once, before it builds any per-row array, and every evaluation is then
 O(n d^2), with no gather of rows.  Every risk-set sum, S0, S1 and S2 here
 and those of U_alpha and its check in :mod:`calibcox.inference`, is one
-suffix sum (:meth:`RiskSets.suffix_at_starts`): blocks of rows from the
-last row down, with the running total carried between blocks, kept only at
-the risk-set starts.  So no n-length S0, n x d S1 or n x d x d S2 is built,
-and every element is still added in the order of one sweep over all rows.
+suffix sum (:meth:`RiskSets.suffix_at_starts`): blocks of rows, rows first,
+from the last row down, with the running total carried between blocks,
+kept only at the risk-set starts.  So no n-length S0, n x d S1 or
+n x d x d S2 is built, and every element is still added in the order of
+one sweep over all rows.  A sweep is a chain of dependent adds per series;
+it runs adjacent pairs of series as the two halves of complex128 values,
+whose add is two independent float adds, so one chain carries two series
+and each keeps its own order bit for bit.
 
 Each stage of the Newton loop takes one sweep over the rows.  A
 step-halving candidate needs only the log-likelihood, so it takes S0 alone
@@ -76,7 +80,8 @@ class RiskSets:
     candidate takes S0 from :meth:`weights`; an accepted step takes S1 and
     S2 from :meth:`moments`, one sweep for both.  Only this class reads
     ``start`` and ``upto``; :meth:`suffix_at_starts` sums rows into events
-    and :meth:`prefix_at_rows` sums events back onto rows.
+    and :meth:`prefix_at_rows` reads running sums over events back onto
+    rows.
 
     A cohort without events has no risk set and raises ``DataError``.
     """
@@ -121,10 +126,13 @@ class RiskSets:
         d = u.shape[1]
 
         def terms(lo, hi):
-            block = np.empty((1 + d, d, hi - lo))
+            block = np.empty((hi - lo, 1 + d, d))
+            # Written rows last through a transposed view, so each multiply
+            # runs along the rows, not along d.
+            last = block.transpose(1, 2, 0)
             ut = u[lo:hi].T.copy()
-            np.multiply(w[lo:hi], ut, out=block[0])
-            np.multiply(block[0][:, None, :], ut, out=block[1:])
+            np.multiply(w[lo:hi], ut, out=last[0])
+            np.multiply(last[0][:, None, :], ut, out=last[1:])
             return block
 
         both = self.suffix_at_starts(terms, (1 + d, d))
@@ -150,41 +158,61 @@ class RiskSets:
         """Suffix sums of per-row terms at each event's risk-set start.
 
         ``terms(lo, hi)`` returns a new C-contiguous array of shape
-        ``shape + (hi - lo,)`` holding the terms of rows lo..hi-1, rows last,
-        so that ``np.cumsum`` runs along contiguous rows; callers write
-        their stacked terms into one new block.  Row blocks run from the
-        last row down; the running total is added into each block's last
-        row before the cumsum, so every element is added in the order of one
-        cumsum over all n rows, while only one block is held.  Returns a
-        C-contiguous array of shape ``(len(events),) + shape``: a sum over
-        its events reduces in memory order, which another layout would
+        ``(hi - lo,) + shape`` holding the terms of rows lo..hi-1, rows
+        first: each row's terms are one contiguous run of series, and the
+        kernel sums the block in place.  Row blocks run from the last row
+        down; the running total is added into each block's last row before
+        the cumsum, so every element is added in the order of one cumsum
+        over all n rows, while only one block is held.
+
+        Each series' cumsum is a chain of adds that each wait on the one
+        before.  With an even number of series the block is viewed, not
+        copied, as complex128 lanes, each holding two adjacent series; a
+        complex add is two independent float adds, so one chain carries
+        two series, and each series gets the same adds in the same order as
+        a float cumsum, so its sums are bit-identical.  An odd number of
+        series sums as floats.
+
+        Returns a C-contiguous array of shape ``(len(events),) + shape``,
+        into which the start rows of each block are written directly: a sum
+        over its events reduces in memory order, which another layout would
         change in the last bits.
         """
-        out = np.empty((len(self.start),) + shape)
-        rows = max(1, _BLOCK_VALUES // math.prod(shape))
+        width = math.prod(shape)
+        out = np.empty((len(self.start), width))
+        rows = max(1, _BLOCK_VALUES // width)
         carry = None
         hi = len(self.time)
         # Rows before the first risk-set start feed no output.
         while hi > self.start[0]:
             lo = max(0, hi - rows)
-            block = terms(lo, hi)[..., ::-1]
+            block = terms(lo, hi).reshape(hi - lo, width)
             if carry is not None:
-                block[..., 0] += carry
-            csum = np.cumsum(block, axis=-1)
+                block[-1] += carry
+            lanes = block[::-1]
+            if width % 2 == 0:
+                lanes = lanes.view(complex)
+            np.cumsum(lanes, axis=0, out=lanes)
             a, b = np.searchsorted(self.start, (lo, hi))
-            out[a:b] = np.moveaxis(csum[..., hi - 1 - self.start[a:b]], -1, 0)
-            carry = csum[..., -1]
+            # The indices are in range; "clip" lets take write into out unbuffered.
+            np.take(block, self.start[a:b] - lo, axis=0, out=out[a:b], mode="clip")
+            carry = block[0]
             hi = lo
-        return out
+        return out.reshape((len(self.start),) + shape)
 
-    def prefix_at_rows(self, x):
-        """For each row, the sum of ``x`` over the events whose risk sets hold it.
+    def prefix_at_rows(self, prefix, lo=0, hi=None):
+        """Running sums over events, read at rows lo..hi-1 (all rows by default).
 
-        ``x`` holds one value, or one row, per event in the order of
-        ``events``; row j gets the sum of its first upto[j] entries.
+        ``prefix`` holds one running sum, or one row of them, per event in
+        the order of ``events``: entry e sums some x over events 0..e.  Row
+        j gets the sum of x over the events whose risk sets hold it, entry
+        upto[j] - 1, or zero when no event comes at or before it.  A strided
+        view is read in place.
         """
-        zero = np.zeros((1,) + x.shape[1:])
-        return np.concatenate([zero, np.cumsum(x, axis=0)]).take(self.upto, axis=0)
+        at = prefix[self.upto[lo:hi] - 1]
+        # The rows before the first event's risk-set start have no event.
+        at[:max(0, self.start[0] - lo)] = 0.0
+        return at
 
 
 def _step_derivatives(rs, u, w, S0):

@@ -28,7 +28,11 @@ central difference is
     FD_k = sum_e phi_ek c_e - (omega+ H+ - omega- H-)'u / (2h)
            - ((omega+ H+ + omega- H-) o phi_k)'c / 2,
 
-in which sum_e u_e cancels exactly.
+in which sum_e u_e cancels exactly.  The check takes the coefficients in
+groups, as many as keep 2 values per event and coefficient within a few
+n-vectors: per group, one sweep over all their S0+-, an in-place prefix of
+1/S0+- over the events, and one more pass over the rows that adds both
+terms with one matrix product each.
 
 :func:`fit_calibrated_cox` sorts the main study by time once, at entry, so
 every per-row array is built in risk-set order and the study enters each
@@ -99,7 +103,8 @@ def g_beta_hat(rs, u, sums):
     ev = rs.events
     ubar_e = S1 / S0[:, None]
     # One prefix over the stacked columns [1/S0, ubar/S0].
-    at_rows = rs.prefix_at_rows(np.column_stack([1.0 / S0, ubar_e / S0[:, None]]))
+    at_rows = rs.prefix_at_rows(
+        np.cumsum(np.column_stack([1.0 / S0, ubar_e / S0[:, None]]), axis=0))
     resid = u * at_rows[:, :1]
     resid -= at_rows[:, 1:]
     resid *= -w[:, None]
@@ -133,14 +138,14 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     out = np.einsum("ij,ik->jk", c[ev], phi[ev])
 
     # Risk-set sums of w (c + b u) phi' and of w b phi in one sweep: each
-    # block stacks w [c + b u ; b] (x) phi, rows laid out last.
+    # block stacks w [c + b u ; b] (x) phi, rows first.
     def terms(lo, hi):
-        block = np.empty((d + 1, da, hi - lo))
-        wcb = np.empty((d + 1, hi - lo))
+        block = np.empty((hi - lo, d + 1, da))
+        wcb = np.empty((hi - lo, d + 1))
         cbu = c[lo:hi] + b[lo:hi, None] * u[lo:hi]
-        np.multiply(w[lo:hi], cbu.T, out=wcb[:d])
-        np.multiply(w[lo:hi], b[lo:hi], out=wcb[d])
-        np.multiply(wcb[:, None, :], phi[lo:hi].T, out=block)
+        np.multiply(w[lo:hi, None], cbu, out=wcb[:, :d])
+        np.multiply(w[lo:hi], b[lo:hi], out=wcb[:, d])
+        np.multiply(wcb[:, :, None], phi[lo:hi, None, :], out=block)
         return block
 
     both = rs.suffix_at_starts(terms, (d + 1, da))
@@ -158,38 +163,86 @@ def u_alpha_fd(rs, u, sums, phi, c, b, alpha):
     Used to verify :func:`u_alpha_hat`, and takes its arguments and alpha.
     Coefficient k moves by h_k = FD_STEP * max(1, |alpha_k|) either way,
     which moves the rows ``u`` to u +- h_k phi_k c and the fit's weights
-    ``w`` (in ``sums``) to omega+- = w exp(+-h_k b phi_k), one exponential
-    for both signs.  One sweep takes S0+- at the risk-set starts and one
-    prefix H+- = sum of 1/S0+- at each row; then
+    ``w`` (in ``sums``) to omega+- = w exp(+-h_k b phi_k).  With H+- the sum
+    of 1/S0+- over the events at or before each row,
 
         FD_k = sum_e phi_ek c_e - (omega+ H+ - omega- H-)'u / (2 h_k)
                - ((omega+ H+ + omega- H-) o phi_k)'c / 2,
 
     the central difference of the per-row event-weight score
     sum_e u_e - (omega H)'u at the moved rows, with sum_e u_e cancelled.
-    No row matrix is built: each coefficient holds n-length vectors only.
+
+    The coefficients go in groups (:func:`_check_groups`).  For each block of
+    rows one exponential gives omega+- of every coefficient in the group,
+    and one sweep of their 2g series gives S0+- at the risk-set starts.
+    H+- is their event-level prefix, formed in place; a second pass over the
+    same blocks of rows reads H+- at the rows and adds both terms of every
+    coefficient in the group with one matrix product each.  No row matrix
+    and no n-length vector per coefficient is built.
     """
     rs.check_rows(u, phi, c, b)
     alpha = np.asarray(alpha, dtype=float)
+    n, da = phi.shape
     w = sums[1]
-    c_ev = c[rs.events]
-    cols = []
-    for k in range(alpha.size):
-        h = constants.FD_STEP * max(1.0, abs(alpha[k]))
-        phi_k = phi[:, k].copy()
-        e = np.exp(h * b * phi_k)
-        # omega+ and omega- as rows, so that one sweep takes both S0s.
-        omega = np.empty((2, len(w)))
-        np.multiply(w, e, out=omega[0])
-        np.divide(w, e, out=omega[1])
-        S0 = rs.suffix_at_starts(lambda lo, hi: omega[:, lo:hi].copy(), (2,))
-        H = rs.prefix_at_rows(1.0 / S0)
-        plus, minus = omega[0] * H[:, 0], omega[1] * H[:, 1]
-        moved = (plus - minus) @ u
-        plus += minus
-        plus *= phi_k
-        cols.append(phi_k[rs.events] @ c_ev - moved / (2.0 * h) - (plus @ c) / 2.0)
-    return np.column_stack(cols)
+    ev = rs.events
+    c_ev = c[ev]
+    out = np.empty((u.shape[1], da))
+    for ks in _check_groups(n, len(ev), da):
+        # sum_e c_e phi_ek first, so that phi[ev] is freed before H is held.
+        out[:, ks] = c_ev.T @ phi[ev, ks]
+        h = constants.FD_STEP * np.maximum(1.0, np.abs(alpha[ks]))
+        g = len(h)
+        rows = max(1, coxph._BLOCK_VALUES // (2 * g))
+
+        def moves(lo, hi):
+            """exp(h_k b phi_k) on rows lo..hi-1, a column per coefficient."""
+            x = np.multiply(phi[lo:hi, ks], h)
+            x *= b[lo:hi, None]
+            return np.exp(x, out=x)
+
+        def omegas(lo, hi):
+            block = np.empty((hi - lo, 2, g))
+            e = moves(lo, hi)
+            np.multiply(w[lo:hi, None], e, out=block[:, 0])
+            np.divide(w[lo:hi, None], e, out=block[:, 1])
+            return block
+
+        H = rs.suffix_at_starts(omegas, (2, g))
+        np.divide(1.0, H, out=H)
+        np.cumsum(H, axis=0, out=H)
+        moved = spread = 0.0
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            e = moves(lo, hi)
+            plus = rs.prefix_at_rows(H[:, 0], lo, hi)
+            minus = rs.prefix_at_rows(H[:, 1], lo, hi)
+            plus *= w[lo:hi, None] * e
+            minus *= np.divide(w[lo:hi, None], e, out=e)
+            moved = moved + np.subtract(plus, minus, out=e).T @ u[lo:hi]
+            plus += minus
+            plus *= phi[lo:hi, ks]
+            spread = spread + plus.T @ c[lo:hi]
+        out[:, ks] -= moved.T / (2.0 * h)
+        out[:, ks] -= spread.T / 2.0
+        # Freed before the next group's sweep allocates its own.
+        del H
+    return out
+
+
+def _check_groups(n, events, da):
+    """Slices of the d_alpha coefficients that :func:`u_alpha_fd` takes
+    together, for n rows and ``events`` events.
+
+    A group of g holds 2g values per event (S0+-, then H+-) and, while it
+    sweeps or makes its second pass, about two blocks of the risk-set
+    sweep.  The largest g that keeps those within 8n values sets the number
+    of groups, and the coefficients are split evenly among them.  Taken one
+    coefficient at a time, the check held about 13 n-vectors at once.
+    """
+    most = max(1, min(da, (4 * n - coxph._BLOCK_VALUES) // events))
+    count = -(-da // most)
+    edges = [k * da // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def sandwich_covariance(components, n_main):

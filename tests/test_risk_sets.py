@@ -8,12 +8,15 @@ time order, must match bit for bit, including when the block suffix sums
 carry a running total across blocks.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from calibcox import coxph, inference, mem, simulate, transforms
+from calibcox import constants, coxph, inference, mem, simulate, transforms
 from calibcox.errors import DataError
 from conftest import (check_fd, information, loglik, make_survival, risk_set_indices,
                       risk_sums, row_build_fd, score, time_ordered)
@@ -134,15 +137,50 @@ class TestKernel:
                             S2_all[starts])):
             assert g.shape == want.shape and np.array_equal(g, want)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=1,
+                    max_size=70),
+           st.sampled_from([(), (2,), (3,), (3, 4), (2, 5, 8)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_suffix_sums_match_a_cumsum_per_series(self, block, rows, shape, seed):
+        """At widths 1, 2, 3, 12 and 80 on tied times, each series' sums at
+        the risk-set starts are its own whole-cohort cumsum from the last
+        row, bit for bit: the complex lanes and the carry between blocks
+        keep every series' order of adds."""
+        rows = sorted(rows)
+        time = np.array([t for t, _ in rows], dtype=float)
+        event = np.array([int(e) for _, e in rows])
+        event[seed % len(event)] = 1
+        rs = coxph.RiskSets(time, event)
+        x = np.random.default_rng(seed).normal(size=(len(time),) + shape)
+        got = rs.suffix_at_starts(lambda lo, hi: x[lo:hi].copy(), shape)
+        series = x.reshape(len(time), -1).T
+        want = np.column_stack([np.cumsum(s[::-1])[::-1] for s in series])
+        assert got.shape == (len(rs.events),) + shape and got.flags.c_contiguous
+        assert np.array_equal(got.reshape(len(rs.events), -1), want[rs.start])
+
     def test_prefix_at_rows(self, rng):
         _, time, event, _ = _tied_survival(rng)
         rs = coxph.RiskSets(*time_ordered(time, event))
         x = rng.normal(size=(len(rs.events), 2))
         t_ev = rs.time[rs.events]
         want = np.array([x[t_ev <= t].sum(axis=0) for t in rs.time])
-        assert np.allclose(rs.prefix_at_rows(x), want, rtol=1e-13, atol=1e-13)
-        assert np.allclose(rs.prefix_at_rows(x[:, 0]), want[:, 0],
+        prefix = np.cumsum(x, axis=0)
+        assert np.allclose(rs.prefix_at_rows(prefix), want, rtol=1e-13, atol=1e-13)
+        assert np.allclose(rs.prefix_at_rows(prefix[:, 0]), want[:, 0],
                            rtol=1e-13, atol=1e-13)
+        # Ranges of rows, split inside a tie run, match the full read.
+        assert np.array_equal(rs.prefix_at_rows(prefix, 0, 17),
+                              rs.prefix_at_rows(prefix)[:17])
+        assert np.array_equal(rs.prefix_at_rows(prefix, 17, 40),
+                              rs.prefix_at_rows(prefix)[17:])
+        # Rows before the first event read zero, in any range.
+        rs = coxph.RiskSets([1, 1, 2, 3, 3, 4], [0, 0, 1, 0, 1, 1])
+        prefix = np.cumsum([2.0, 3.0, 5.0])
+        want = np.array([0.0, 0.0, 2.0, 5.0, 5.0, 10.0])
+        for lo, hi in [(0, 6), (0, 3), (1, 4), (3, 6)]:
+            assert np.array_equal(rs.prefix_at_rows(prefix, lo, hi), want[lo:hi])
 
 
 class TestSeedEquality:
@@ -274,6 +312,119 @@ class TestEventWeightScore:
         assert _check_gap(time, event, seed, scale=scale) <= 1e-8
 
 
+def per_coefficient_fd(rs, u, sums, phi, c, b, alpha):
+    """The derivative check one coefficient at a time, with n-length
+    vectors: the oracle for ``inference.u_alpha_fd``, which takes its
+    coefficients in groups."""
+    alpha = np.asarray(alpha, dtype=float)
+    w = sums[1]
+    c_ev = c[rs.events]
+    cols = []
+    for k in range(alpha.size):
+        h = constants.FD_STEP * max(1.0, abs(alpha[k]))
+        phi_k = phi[:, k].copy()
+        e = np.exp(h * b * phi_k)
+        omega = np.empty((2, len(w)))
+        np.multiply(w, e, out=omega[0])
+        np.divide(w, e, out=omega[1])
+        S0 = rs.suffix_at_starts(lambda lo, hi: omega[:, lo:hi].T.copy(), (2,))
+        H = rs.prefix_at_rows(np.cumsum(1.0 / S0, axis=0))
+        plus, minus = omega[0] * H[:, 0], omega[1] * H[:, 1]
+        moved = (plus - minus) @ u
+        plus += minus
+        plus *= phi_k
+        cols.append(phi_k[rs.events] @ c_ev - moved / (2.0 * h) - (plus @ c) / 2.0)
+    return np.column_stack(cols)
+
+
+@pytest.fixture(scope="module", params=[("standard", 90), ("pca", 36)],
+                ids=["standard+int", "pca3+int"])
+def eight_confounders(request):
+    """The check's arguments on 2,000 time-ordered rows with eight
+    confounders (seven N(1, 1) columns added to w_1) and times rounded to
+    two decimals, so that rows tie in runs of about twenty."""
+    variant, d_alpha = request.param
+    cfg = simulate.setting1(n1=2000, n2=300, event_rate=0.10, seed=5)
+    rng = np.random.default_rng(5)
+    c_max = simulate.calibrate_cmax(cfg, rng, pilot_size=20000)
+    validation = simulate.gen_validation(cfg, rng)
+    main, _ = simulate.gen_main(cfg, rng, c_max)
+
+    def widen(ds):
+        more = rng.normal(1.0, 1.0, size=(len(ds.w), 7))
+        return dataclasses.replace(ds, w=np.hstack([ds.w, more]),
+                                   confounder_names=tuple(f"w_{j + 1}" for j in range(8)))
+
+    spec = transforms.DesignSpec(variant=variant, n_components=3,
+                                 include_interactions=True)
+    memfit = mem.fit_gee(widen(validation), spec)
+    assert memfit.alpha.size == d_alpha
+    main = widen(main)
+    time, event, z, w = time_ordered(np.round(main.time, 2), main.event, main.z, main.w)
+    rs = coxph.RiskSets(time, event)
+    phi = transforms.build_design_matrix(spec, memfit.transform, z, w)
+    u = coxph.build_cox_rows(phi @ memfit.alpha, w)
+    beta, report, sums, _ = coxph.fit(rs, u)
+    assert report.converged
+    c = coxph.exposure_gradient(w)
+    return rs, u, sums, phi, c, c @ beta, memfit.alpha
+
+
+def _traced(call):
+    """(result, peak bytes traced during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGroupedCheck:
+    """The derivative check takes its coefficients in groups."""
+
+    # Blocks of one row would only repeat the tiny blocks' edges, slowly.
+    @pytest.mark.parametrize("block", ["default", "tiny"], indirect=True)
+    def test_eight_confounders(self, eight_confounders, block):
+        """d_alpha = 90 and 36 on 2,000 tied rows: the grouped check equals
+        the per-coefficient oracle to rounding, passes against U_alpha, and
+        holds no more memory than the oracle."""
+        args = eight_confounders
+        rs, phi = args[0], args[3]
+        n, d_alpha = phi.shape
+        groups = inference._check_groups(n, len(rs.events), d_alpha)
+        rows = max(1, coxph._BLOCK_VALUES // (2 * (groups[0].stop - groups[0].start)))
+        if rows < n:
+            # A block edge, of the sweep and of the second pass, splits a tie run.
+            assert any(rs.time[e - 1] == rs.time[e] for e in range(rows, n, rows))
+        want, oracle_peak = _traced(lambda: per_coefficient_fd(*args))
+        got, peak = _traced(lambda: inference.u_alpha_fd(*args))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        u_alpha = inference.u_alpha_hat(*args[:-1])
+        assert np.max(np.abs(u_alpha - got)) / (np.max(np.abs(got)) + 1.0) <= constants.FD_TOL
+        assert peak <= oracle_peak
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400_000), st.integers(1, 400_000), st.integers(1, 120))
+    def test_groups_split_the_coefficients_within_budget(self, n, events, d_alpha):
+        """The groups cover the coefficients in order, differ in size by at
+        most one, and, unless a group is one coefficient, hold 2g values per
+        event and two sweep blocks within 8n values."""
+        events = min(events, n)
+        groups = inference._check_groups(n, events, d_alpha)
+        assert [k for ks in groups for k in range(ks.start, ks.stop)] == list(range(d_alpha))
+        sizes = {ks.stop - ks.start for ks in groups}
+        assert max(sizes) - min(sizes) <= 1
+        g = max(sizes)
+        assert g == 1 or 2 * g * events + 2 * coxph._BLOCK_VALUES <= 8 * n
+
+    def test_fit_200k_size_is_one_group(self):
+        # The fit_200k benchmark's cohort: d_alpha = 20 in one sweep; at
+        # eight confounders, d_alpha = 90 in three.
+        assert inference._check_groups(200_000, 20_597, 20) == [slice(0, 20)]
+        assert len(inference._check_groups(200_000, 20_597, 90)) == 3
+
+
 def test_rows_of_another_cohort_rejected(rng):
     u, time, event, beta = _tied_survival(rng)
     time, event, u = time_ordered(time, event, u)
@@ -326,6 +477,11 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     validation = simulate.gen_validation(cfg, rng)
     main, _ = simulate.gen_main(cfg, rng, c_max)
     memfit = mem.fit_gee(validation, transforms.DesignSpec(include_interactions=True))
+    # Sweep blocks of 2,000 values leave the check room for groups of a few
+    # coefficients on 800 rows.
+    monkeypatch.setattr(coxph, "_BLOCK_VALUES", 2000)
+    groups = inference._check_groups(len(main), int(main.event.sum()), len(memfit.alpha))
+    assert 1 < len(groups) < len(memfit.alpha)
     calls = []
 
     def count(owner, name):
@@ -356,7 +512,7 @@ def test_one_sort_and_no_second_evaluation_per_calibrated_fit(monkeypatch):
     assert names[:done].count("moments") == cox.report.iterations + 1
     assert names[:done].count("information") == cox.report.iterations + 1
     # After the fit no rows are built and no weights or moments taken:
-    # U_alpha sweeps once, and the check once per coefficient, for both
-    # signs' S0.
+    # U_alpha sweeps once, and the check once per group of coefficients,
+    # for both signs' S0 of every coefficient in it.
     assert names[done + 1:] == (["suffix_at_starts", "u_alpha_fd"]
-                                + ["suffix_at_starts"] * len(memfit.alpha))
+                                + ["suffix_at_starts"] * len(groups))
