@@ -208,7 +208,6 @@ def cmd_simulate(args):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise UsageError("--threads above 1 starts forked worker processes, "
                              "and this platform cannot fork")
-    interactions = not args.no_interactions
     if args.cell:
         cells = []
         for text in args.cell:
@@ -216,13 +215,12 @@ def cmd_simulate(args):
             try:
                 cells.append(simulate.cell_config(
                     setting, n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
-                    replicates=replicates, seed=seed,
-                    mem_interactions=interactions))
+                    replicates=replicates, seed=seed))
             except ValueError as exc:
                 raise UsageError(f"--cell '{text}': {exc}") from None
     else:
         cells = simulate.full_grid(setting=setting, replicates=replicates,
-                                   seed=seed, mem_interactions=interactions)
+                                   seed=seed)
 
     _check_out(args.out)
     outdir = Path(args.out)
@@ -266,7 +264,7 @@ def cmd_simulate(args):
             n_summaries += len(summaries)
     _write_provenance(outdir, "simulate", {
         "setting": setting, "replicates": replicates, "seed": seed,
-        "threads": args.threads, "interactions": interactions,
+        "threads": args.threads,
         "cells": [",".join(_cell_fields(c)) for c in cells],
     })
     print(f"wrote {n_summaries} summary rows to {outdir / 'summary.csv'}")
@@ -428,8 +426,6 @@ def build_parser():
                           "default 1 runs them in this process); set "
                           "OPENBLAS_NUM_THREADS=1 to keep BLAS from "
                           "oversubscribing the cores")
-    sim.add_argument("--no-interactions", action="store_true",
-                     help="fit the measurement error models without interaction terms")
     sim.add_argument("--out", default="results")
     sim.set_defaults(func=cmd_simulate)
 

@@ -31,12 +31,11 @@ A validation study keeps its subjects as integer codes.  The reader
 numbers the ids once, in order of each subject's first row
 (:func:`number_subjects`); the simulation passes its codes directly; a
 subset of the rows, such as a cross-validation training set, renumbers the
-codes it keeps (:meth:`ValidationDataset.subset`).  Every caller that
-groups rows by subject (the GEE's clusters, the folds, the subject count)
-reads the grouping that :class:`ValidationDataset` derives from the codes
-at construction.  The reader rejects a duplicate (id, occasion) pair,
-found on the codes, naming the first row, in file order, that repeats an
-earlier row's pair.
+codes it keeps (:meth:`ValidationDataset.subset`).  The folds read the
+codes, and the GEE reads the size buckets that :class:`ValidationDataset`
+derives from them once, at construction.  The reader rejects a duplicate
+(id, occasion) pair, found on the codes, naming the first row, in file
+order, that repeats an earlier row's pair.
 
 The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
 endings, a label or header name quoted only when it holds a comma, quote or
@@ -104,10 +103,12 @@ class ValidationDataset:
     ``subject_codes`` one int per row, numbering the row's subject 0, 1, ...
     in order of the subject's first row; :func:`number_subjects` makes both
     from per-row labels, and only the writer makes a row's label again.
-    Derived from the codes once, at construction, as read-only arrays:
-    ``subject_sizes``, each subject's row count; and ``subject_order``, the
-    rows subject by subject, each subject's rows in row order.
-    ``n_subjects`` is the number of subjects.
+    Derived from the codes once, at construction: ``n_subjects``, the
+    number of subjects, and ``subject_buckets``, the one grouping of rows by
+    subject, which the GEE sums over.  It holds one ``(m, subjects, rows)``
+    entry per cluster size m, in ascending order of m: the subjects with m
+    rows, in ascending order, and the read-only (g, m) matrix of their rows,
+    each subject's rows in row order.
     """
 
     subject_ids: np.ndarray
@@ -119,8 +120,7 @@ class ValidationDataset:
     radii: np.ndarray
     confounder_names: tuple = field(default=("w_1",))
     n_subjects: int = field(init=False, repr=False, compare=False)
-    subject_sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    subject_order: np.ndarray = field(init=False, repr=False, compare=False)
+    subject_buckets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_radii(self)
@@ -132,12 +132,10 @@ class ValidationDataset:
                 or top[-1] + 1 != len(self.subject_ids):
             raise ParseError("subject codes must number the subject ids "
                              "0, 1, ... in order of each subject's first row")
-        derived = {"subject_sizes": np.bincount(codes, minlength=len(self.subject_ids)),
-                   "subject_order": np.argsort(codes, kind="stable")}
-        for name, value in derived.items():
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
         object.__setattr__(self, "n_subjects", len(self.subject_ids))
+        object.__setattr__(self, "subject_buckets", _size_buckets(
+            np.argsort(codes, kind="stable"),
+            np.bincount(codes, minlength=self.n_subjects)))
 
     def __len__(self):
         return len(self.x)
@@ -156,10 +154,27 @@ class ValidationDataset:
 
     def subject_groups(self):
         """Row-index arrays keyed by subject id, in first-appearance order:
-        a view of the stored grouping, which nothing in the package calls;
+        a view of ``subject_buckets``, which nothing in the package calls;
         the benchmark's tracer wraps it by name."""
-        return dict(zip(self.subject_ids, np.split(
-            self.subject_order, np.cumsum(self.subject_sizes)[:-1])))
+        groups = [None] * self.n_subjects
+        for _, subjects, rows in self.subject_buckets:
+            for s, r in zip(subjects.tolist(), rows):
+                groups[s] = r
+        return dict(zip(self.subject_ids, groups))
+
+
+def _size_buckets(order, sizes):
+    """``(m, subjects, rows)`` per distinct cluster size m, ascending: the
+    subjects whose ``sizes`` entry is m and the read-only (g, m) matrix of
+    their rows, where ``order`` lists the rows subject by subject."""
+    starts = np.cumsum(sizes) - sizes
+    buckets = []
+    for m in np.unique(sizes).tolist():
+        subjects = np.flatnonzero(sizes == m)
+        rows = order[starts[subjects, None] + np.arange(m)]
+        subjects.flags.writeable = rows.flags.writeable = False
+        buckets.append((m, subjects, rows))
+    return tuple(buckets)
 
 
 def number_subjects(ids):

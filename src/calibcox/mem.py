@@ -8,6 +8,9 @@ iterates.  The reported coefficient covariance is always the cluster-robust
 sandwich with one cluster per subject, which is what the downstream Cox
 variance propagation consumes.
 
+Every sum over subjects runs over the study's ``subject_buckets``, derived
+once per dataset, and equals the per-subject loop's bit for bit.
+
 QIC follows Pan's quasi-likelihood criterion specialized to the Gaussian
 identity-link case: QIC = -2 Q / phi + 2 trace(Omega_I V_R), with
 Q = -(1/2) sum (x - mu)^2, phi the Pearson dispersion, Omega_I the
@@ -16,6 +19,7 @@ coefficient covariance.  As Pan (2001) defines it, it is taken at the fit,
 on the data the model was fitted to, and the fit reports it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,49 +63,34 @@ class MemFit:
 _BLOCK_VALUES = 1 << 16
 
 
-class _Clusters:
-    """A study's subjects in first-appearance order, bucketed by cluster size.
-
-    ``order`` lists the rows subject by subject, each subject's rows in row
-    order, and ``sizes`` holds the subjects' cluster sizes.  The subjects are
-    cut into blocks of at most ``block`` consecutive subjects; within a block
-    the subjects of each cluster size m form one bucket: their positions in
-    the block and the (g, m) matrix of their rows.
-    """
-
-    def __init__(self, order, sizes, block):
-        self.order = order
-        self.sizes = sizes
-        starts = np.cumsum(sizes) - sizes
-        self.blocks = []
-        for lo in range(0, len(sizes), block):
-            in_block = sizes[lo:lo + block]
-            buckets = []
-            for m in np.unique(in_block).tolist():
-                pos = np.flatnonzero(in_block == m)
-                buckets.append((m, pos, order[starts[lo + pos, None] + np.arange(m)]))
-            self.blocks.append((len(in_block), buckets))
-
-
-def _subject_sums(clusters, terms, shapes):
+def _subject_sums(buckets, terms, shapes):
     """Sums over subjects of per-subject terms, added in subject order.
 
-    ``terms(m, rows)`` returns, for the subjects of one bucket, one (g,) +
-    shape array per entry of ``shapes``.  Each block's terms are stacked in
-    subject order behind the running total and added along the stack one
-    slice at a time: the same additions, in the same order, as a loop adding
-    each subject's term into a zero total.  ``np.add.reduce`` adds slices of
-    two or more values that way, but pairs up single values, which
-    ``np.cumsum`` adds in order, at a higher cost.
+    ``buckets`` is a study's ``subject_buckets``, and ``terms(m, rows)``
+    returns, for the subjects of size m whose rows ``rows`` holds, one
+    (g,) + shape array per entry of ``shapes``.  The subjects are taken in
+    blocks of consecutive subject numbers, as many as keep each stack within
+    _BLOCK_VALUES values, and a binary search cuts each bucket per block.
+    Each block's terms are stacked in subject order behind the running total
+    and added along the stack one slice at a time: the same additions, in the
+    same order, as a loop adding each subject's term into a zero total,
+    whatever the block.  ``np.add.reduce`` adds slices of two or more values
+    that way, but pairs up single values, which ``np.cumsum`` adds in order,
+    at a higher cost.
     """
+    n = sum(len(subjects) for _, subjects, _ in buckets)
+    block = max(1, _BLOCK_VALUES // max(math.prod(shape) for shape in shapes))
     totals = [np.zeros(shape) for shape in shapes]
-    for size, buckets in clusters.blocks:
-        stacks = [np.empty((size + 1,) + shape) for shape in shapes]
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        stacks = [np.empty((1 + hi - lo,) + shape) for shape in shapes]
         for stack, total in zip(stacks, totals):
             stack[0] = total
-        for m, pos, rows in buckets:
-            for stack, term in zip(stacks, terms(m, rows)):
-                stack[1 + pos] = term
+        for m, subjects, rows in buckets:
+            a, b = np.searchsorted(subjects, (lo, hi))
+            if a < b:
+                for stack, term in zip(stacks, terms(m, rows[a:b])):
+                    stack[1 + subjects[a:b] - lo] = term
         totals = [np.add.reduce(stack, axis=0) if stack[0].size > 1
                   else np.cumsum(stack, axis=0)[-1] for stack in stacks]
     return totals
@@ -130,7 +119,7 @@ def _check_rank(phi):
 # Each slice has the shapes and strides of the product of one subject's
 # arrays, so NumPy makes the same BLAS call for it, with the same result.
 
-def _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=None):
+def _cluster_sandwich(phi, resid, buckets, bread_inv, vinv=None):
     """A^-1 B A^-T with B the per-subject score outer-product sum.
 
     ``vinv`` maps a cluster size to its inverse working correlation; without
@@ -145,19 +134,19 @@ def _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=None):
         u = np.matmul(phi[rows].transpose(0, 2, 1), r)
         return (u * u.transpose(0, 2, 1),)
 
-    B, = _subject_sums(clusters, outer_scores, ((p, p),))
+    B, = _subject_sums(buckets, outer_scores, ((p, p),))
     V = bread_inv @ B @ bread_inv.T
     return 0.5 * (V + V.T)
 
 
-def estimate_psi(resid, clusters, sigma2):
+def estimate_psi(resid, buckets, sigma2):
     """Moment estimator of the exchangeable within-subject correlation.
 
     Mean pairwise within-subject residual product divided by the residual
     variance ``sigma2``.  ``resid`` holds one residual per row and
-    ``clusters`` is the fit's own grouping of those rows by subject, so the
-    pair products are summed over its size buckets without regrouping the
-    residuals.  Falls back to 0 when no subject contributes a pair or
+    ``buckets`` is the ``subject_buckets`` of the study those rows are, so
+    the pair products are summed over its size buckets without regrouping
+    the residuals.  Falls back to 0 when no subject contributes a pair or
     sigma2 is not positive; estimates outside [0, PSI_MAX] are clamped.  It
     never warns: the GEE fits call it once per IRLS iteration, also from
     concurrent Monte Carlo replicates, where silencing a warning would swap
@@ -175,26 +164,25 @@ def estimate_psi(resid, clusters, sigma2):
         s = r.sum(axis=1)
         return (0.5 * (s * s - np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]),)
 
-    num, = _subject_sums(clusters, pair_products, ((),))
-    sizes = clusters.sizes
-    pairs = int(np.sum(sizes * (sizes - 1) // 2))
+    num, = _subject_sums(buckets, pair_products, ((),))
+    pairs = sum(len(subjects) * (m * (m - 1) // 2) for m, subjects, _ in buckets)
     if pairs == 0 or sigma2 <= 0.0:
         return 0.0
     psi = num / pairs / sigma2
     return float(min(max(psi, 0.0), constants.PSI_MAX))
 
 
-def _exchangeable_inverses(sizes, psi):
+def _exchangeable_inverses(buckets, psi):
     """Inverse working correlation (unit variance scale) per cluster size."""
     blocks = {}
-    for m in np.unique(sizes).tolist():
+    for m, _, _ in buckets:
         # R = (1-psi) I + psi J; R^-1 = (I - psi/(1+(m-1)psi) J) / (1-psi).
         shrink = psi / (1.0 + (m - 1) * psi)
         blocks[m] = (np.eye(m) - shrink * np.ones((m, m))) / (1.0 - psi)
     return blocks
 
 
-def _gee_normal_equations(phi, x, clusters, vinv):
+def _gee_normal_equations(phi, x, buckets, vinv):
     """(A, rhs) = sums over subjects of (phi' V^-1 phi, phi' V^-1 x)."""
     p = phi.shape[1]
 
@@ -203,7 +191,7 @@ def _gee_normal_equations(phi, x, clusters, vinv):
         pv = np.matmul(P.transpose(0, 2, 1), vinv[m])
         return np.matmul(pv, P), np.matmul(pv, x[rows][:, :, None])[:, :, 0]
 
-    return _subject_sums(clusters, weighted, ((p, p), (p,)))
+    return _subject_sums(buckets, weighted, ((p, p), (p,)))
 
 
 def fit_gee(validation, spec, working="exchangeable", transform=None):
@@ -225,8 +213,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     x = validation.x
     n, p = phi.shape
-    clusters = _Clusters(validation.subject_order, validation.subject_sizes,
-                         max(1, _BLOCK_VALUES // (p * p)))
+    buckets = validation.subject_buckets
     gram, L = _check_rank(phi)
     alpha = linalg.cho_solve(L, phi.T @ x)
     psi, vinv = 0.0, None
@@ -235,9 +222,9 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         for _ in range(constants.GEE_MAX_ITER):
             resid = x - phi @ alpha
             sigma2 = float(resid @ resid) / max(n - p, 1)
-            psi = estimate_psi(resid, clusters, sigma2)
-            vinv = _exchangeable_inverses(clusters.sizes, psi)
-            A, rhs = _gee_normal_equations(phi, x, clusters, vinv)
+            psi = estimate_psi(resid, buckets, sigma2)
+            vinv = _exchangeable_inverses(buckets, psi)
+            A, rhs = _gee_normal_equations(phi, x, buckets, vinv)
             L = linalg.cholesky(A)
             new_alpha = linalg.cho_solve(L, rhs)
             last_delta = float(np.max(np.abs(new_alpha - alpha)))
@@ -255,7 +242,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     # The bread depends on psi alone: L factors the Gram matrix, or the last
     # iteration's A.
     bread_inv = linalg.cho_solve(L, np.eye(p))
-    v_alpha = _cluster_sandwich(phi, resid, clusters, bread_inv, vinv=vinv)
+    v_alpha = _cluster_sandwich(phi, resid, buckets, bread_inv, vinv=vinv)
     # QIC: the quasi-likelihood term -2 Q / sigma2 = rss / sigma2, plus twice
     # the trace of the independence information times v_alpha.
     trace = float(np.trace(gram @ v_alpha))

@@ -89,11 +89,14 @@ class SimulationConfig:
     occasions: int = 8
     replicates: int = 1000
     seed: int = 0
-    mem_interactions: bool = True
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise DataError("n1 and n2 must be at least 1")
+        for name in ("n1", "n2", "occasions", "replicates"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # NumPy's seeding takes no negative seed.
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.event_rate < 1.0:
             raise DataError("event_rate must be in (0, 1)")
         if not 0.0 < self.sigma2_v < math.inf:
@@ -236,14 +239,12 @@ def gen_main(cfg, rng, c_max):
     return ds, x
 
 
-def model_specs(cfg):
-    """The two compared measurement error models: M1 standard, M2 PCA-3."""
-    return {
-        "M1": transforms.DesignSpec(variant="standard",
-                                    include_interactions=cfg.mem_interactions),
-        "M2": transforms.DesignSpec(variant="pca", n_components=3,
-                                    include_interactions=cfg.mem_interactions),
-    }
+# The two compared measurement error models, both with interactions.
+MODEL_SPECS = {
+    "M1": transforms.DesignSpec(variant="standard", include_interactions=True),
+    "M2": transforms.DesignSpec(variant="pca", n_components=3,
+                                include_interactions=True),
+}
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def run_replicate(cfg, c_max, rep, cell_index=0):
     main, _ = gen_main(cfg, rng, c_max)
     b1_true, _, b3_true = cfg.beta
     results = []
-    for name, spec in model_specs(cfg).items():
+    for name, spec in MODEL_SPECS.items():
         try:
             fit = mem.fit_gee(validation, spec)
             cox = inference.fit_calibrated_cox(main, fit)
@@ -338,7 +339,7 @@ def summarize(cfg, results):
     """Aggregate replicate results into per-model summary rows."""
     b1_true = cfg.beta[0]
     rows = []
-    for name in model_specs(cfg):
+    for name in MODEL_SPECS:
         sub = [r for r in results if r.model == name]
         ok = [r for r in sub if r.converged]
         n_ok = len(ok)
@@ -371,8 +372,6 @@ def run_cell(cfg, cell_index=0, threads=1):
     results are aggregated in replicate order.  Where the platform has no
     fork start method, threads > 1 raises ValueError.
     """
-    if cfg.replicates < 1:
-        raise DataError("replicates must be >= 1")
     pilot_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cell_index, 0)))
     c_max = calibrate_cmax(cfg, pilot_rng)
@@ -392,7 +391,7 @@ def run_cell(cfg, cell_index=0, threads=1):
     return summarize(cfg, results), results
 
 
-def full_grid(setting=1, replicates=1000, seed=0, mem_interactions=True):
+def full_grid(setting=1, replicates=1000, seed=0):
     """The 24-cell grid: 2 event rates x 2 main sizes x 2 validation sizes x 3 noise levels."""
     cells = []
     for p in (0.035, 0.10):
@@ -401,6 +400,5 @@ def full_grid(setting=1, replicates=1000, seed=0, mem_interactions=True):
                 for s2 in (0.01, 0.05, 0.10):
                     cells.append(cell_config(
                         setting, n1=n1, n2=n2, event_rate=p, sigma2_v=s2,
-                        replicates=replicates, seed=seed,
-                        mem_interactions=mem_interactions))
+                        replicates=replicates, seed=seed))
     return cells

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calibcox import coxph, constants, data_model, inference, mem
+from calibcox import coxph, constants, data_model, inference
 
 
 def make_validation(rng, n_subjects=30, occasions=4, p_z=3, p_w=1,
@@ -35,17 +35,17 @@ def make_validation(rng, n_subjects=30, occasions=4, p_z=3, p_w=1,
         confounder_names=tuple(f"w_{j + 1}" for j in range(p_w))), alpha
 
 
-def residual_clusters(groups, block=mem._BLOCK_VALUES):
+def residual_clusters(groups):
     """Per-subject residuals in the form ``mem.estimate_psi`` takes them.
 
-    Returns the residuals concatenated in subject order and the
-    ``mem._Clusters`` that groups them, with ``block`` subjects to a block.
-    Subjects may have no residuals.
+    Returns the residuals concatenated in subject order and the size
+    buckets that group them, as ``ValidationDataset.subject_buckets`` holds
+    them.  Subjects may have no residuals.
     """
     groups = [np.asarray(g, dtype=float) for g in groups]
     resid = np.concatenate(groups) if groups else np.array([])
     sizes = np.array([len(g) for g in groups], dtype=np.intp)
-    return resid, mem._Clusters(np.arange(resid.size), sizes, block)
+    return resid, data_model._size_buckets(np.arange(resid.size), sizes)
 
 
 def make_survival(rng, n=60, d=2, beta=None, censor_frac=0.3):

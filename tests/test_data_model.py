@@ -310,12 +310,44 @@ class TestDatasetInvariants:
         assert ds.subject_ids.tolist() == ["b", "a", "c"]
         assert ds.subject_codes.tolist() == [0, 1, 0, 2, 1]
         assert row_labels(ds) == ["b", "a", "b", "c", "a"]
-        assert ds.n_subjects == 3 and ds.subject_sizes.tolist() == [2, 2, 1]
-        assert ds.subject_order.tolist() == [0, 2, 1, 4, 3]
+        assert ds.n_subjects == 3
+        assert [(m, subjects.tolist(), rows.tolist())
+                for m, subjects, rows in ds.subject_buckets] == \
+            [(1, [2], [[3]]), (2, [0, 1], [[0, 2], [1, 4]])]
         assert {k: v.tolist() for k, v in ds.subject_groups().items()} == \
             {"b": [0, 2], "a": [1, 4], "c": [3]}
-        for name in ("subject_sizes", "subject_order"):
-            assert not getattr(ds, name).flags.writeable, name
+        for _, subjects, rows in ds.subject_buckets:
+            assert not subjects.flags.writeable and not rows.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12))
+    def test_buckets_group_ragged_codes(self, data, sizes):
+        """``subject_buckets`` lists each subject once under its row count,
+        sizes ascending, each subject's rows in row order, read-only, equal
+        to ``subject_groups()``; a subset derives its own."""
+        labels = np.repeat([f"s{i}" for i in range(len(sizes))], sizes)
+        labels = labels[data.draw(st.permutations(range(len(labels))))]
+        ds = data_model.ValidationDataset(
+            *data_model.number_subjects(labels), occasion=np.arange(len(labels)),
+            x=np.zeros(len(labels)), z=np.zeros((len(labels), 1)),
+            w=np.zeros((len(labels), 1)), radii=np.array([90.0]))
+        rows = np.flatnonzero(data.draw(st.lists(
+            st.booleans(), min_size=len(labels), max_size=len(labels))))
+        for d in (ds, ds.subset(rows)) if rows.size else (ds,):
+            groups = d.subject_groups()
+            assert list(groups) == d.subject_ids.tolist()
+            seen = []
+            for m, subjects, matrix in d.subject_buckets:
+                assert matrix.shape == (len(subjects), m) and len(subjects) > 0
+                assert np.all(np.diff(subjects) > 0)
+                assert not subjects.flags.writeable and not matrix.flags.writeable
+                for s, r in zip(subjects.tolist(), matrix):
+                    assert r.tolist() == np.flatnonzero(d.subject_codes == s).tolist()
+                    assert r.tolist() == groups[d.subject_ids[s]].tolist()
+                seen += subjects.tolist()
+            assert sorted(seen) == list(range(d.n_subjects))
+            bucket_sizes = [m for m, _, _ in d.subject_buckets]
+            assert bucket_sizes == sorted(set(bucket_sizes))
 
     @pytest.mark.parametrize("ids", [
         np.array([1.5, np.nan, 2.0, np.nan]),

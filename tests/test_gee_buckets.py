@@ -115,7 +115,7 @@ def test_cv_folds(block, rng):
             _assert_same_fit(val.subset(rows), SPECS[2])
 
 
-def test_estimate_psi(rng):
+def test_estimate_psi(rng, monkeypatch):
     # The loop version warns when it clamps psi or finds no pair; the
     # bucketed one returns the same value and never warns.  The loop
     # version's default sigma2 is the mean squared residual, passed here
@@ -129,14 +129,51 @@ def test_estimate_psi(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = seed_gee.estimate_psi(groups, sigma2)
+        resid, buckets = residual_clusters(groups)
+        s2 = float(resid @ resid) / resid.size if sigma2 is None else sigma2
         for block in (1, 3, mem._BLOCK_VALUES):
-            resid, clusters = residual_clusters(groups, block)
-            s2 = float(resid @ resid) / resid.size if sigma2 is None else sigma2
+            # A scalar term takes _BLOCK_VALUES subjects to a block.
+            monkeypatch.setattr(mem, "_BLOCK_VALUES", block)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = mem.estimate_psi(resid, clusters, s2)
+                got = mem.estimate_psi(resid, buckets, s2)
             assert caught == []
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), block
+
+
+@pytest.mark.parametrize("values", [1, 24, mem._BLOCK_VALUES])
+def test_block_size_moves_no_bit(values, monkeypatch):
+    # Blocks of one subject, of one subject for p x p terms and 24 for the
+    # psi moment's scalars, and the default, on one ragged rho = 0.4 study.
+    rng = np.random.default_rng(21)
+    val = _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=70))
+    spec = SPECS[1]
+    phi = transforms.build_design_matrix(
+        spec, transforms.fit_transform(spec, val.z, val.radii), val.z, val.w)
+    resid = val.x - phi @ np.linalg.lstsq(phi, val.x, rcond=None)[0]
+    want = mem.estimate_psi(resid, val.subject_buckets, 0.03)
+    monkeypatch.setattr(mem, "_BLOCK_VALUES", values)
+    got = mem.estimate_psi(resid, val.subject_buckets, 0.03)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert 0.0 < _assert_same_fit(val, spec).psi < 1.0
+
+
+def test_cv_evaluate_builds_one_grouping_per_dataset(monkeypatch):
+    # The file's grouping and one per training set; the fits build none.
+    calls = []
+
+    def counted(order, sizes):
+        calls.append(len(sizes))
+        return size_buckets(order, sizes)
+
+    size_buckets = data_model._size_buckets
+    monkeypatch.setattr(data_model, "_size_buckets", counted)
+    val = _cv_dataset("ragged")
+    specs = model_select.candidate_grid(p_z=val.z.shape[1])
+    model_select.cv_evaluate(val, specs, np.random.default_rng(4), k=5)
+    assert len(calls) == 6
+    mem.fit_gee(val, specs[0])
+    assert len(calls) == 6
 
 
 def _cv_dataset(name):

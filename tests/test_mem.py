@@ -182,10 +182,10 @@ class TestFitGee:
 def _psi(groups, sigma2=None):
     """estimate_psi on per-subject residual groups; sigma2 defaults to the
     mean squared residual."""
-    resid, clusters = residual_clusters(groups)
+    resid, buckets = residual_clusters(groups)
     if sigma2 is None:
         sigma2 = float(resid @ resid) / resid.size
-    return mem.estimate_psi(resid, clusters, sigma2)
+    return mem.estimate_psi(resid, buckets, sigma2)
 
 
 class TestEstimatePsi:
@@ -212,9 +212,9 @@ class TestEstimatePsi:
         assert _psi([np.array([1.0]), np.array([2.0])]) == 0.0
 
     def test_no_residuals_rejected(self):
-        resid, clusters = residual_clusters([np.array([]), np.array([])])
+        resid, buckets = residual_clusters([np.array([]), np.array([])])
         with pytest.raises(DataError, match="no residuals"):
-            mem.estimate_psi(resid, clusters, 1.0)
+            mem.estimate_psi(resid, buckets, 1.0)
 
 
 def predict(fit, zmat, wmat):

@@ -38,6 +38,15 @@ class TestConfig:
         with pytest.raises(DataError, match=field):
             simulate.setting1(n1=100, n2=5, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n1", 0), ("occasions", 0), ("occasions", -2), ("seed", -1)],
+        ids=lambda v: v if isinstance(v, str) else str(v))
+    def test_counts_and_seed_checked_at_construction(self, field, value):
+        # The error names the field before anything is drawn; in run_cell,
+        # NumPy or the validation dataset's code check would not name it.
+        with pytest.raises(DataError, match=f"^{field} must"):
+            simulate.setting1(**{"n1": 600, "n2": 20, "event_rate": 0.1, field: value})
+
     def test_grid_has_24_cells(self):
         for setting, alpha, beta in (
                 (1, simulate.SETTING1_ALPHA, simulate.SETTING1_BETA),
@@ -357,7 +366,8 @@ class TestRunCell:
         assert all(s.n_converged == 0 and s.flagged for s in summaries)
 
     def test_replicates_validated(self):
+        # The cell is checked where it is built, so run_cell never gets one
+        # without replicates.
         cfg = simulate.setting1(replicates=1)
-        bad = dataclasses.replace(cfg, replicates=0)
-        with pytest.raises(ValueError):
-            simulate.run_cell(bad)
+        with pytest.raises(DataError, match="replicates must be at least 1"):
+            dataclasses.replace(cfg, replicates=0)
