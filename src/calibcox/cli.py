@@ -16,9 +16,8 @@ The effective configuration is echoed to a provenance file next to the
 outputs.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
 failure, 5 a worker process of ``simulate --threads N`` died, 141 stdout
 was closed before the command's output was written.  An error's
-base class in :mod:`calibcox.errors` alone decides its code: UsageError 2,
-DataError 3, NumericalError 4; an OSError, which only the operating system
-raises (an input file that cannot be opened), exits 3 too.
+base class in :mod:`calibcox.errors` alone decides its code (``_EXITS``); an
+OSError, which only the operating system raises, exits 3 as a DataError does.
 """
 
 import argparse
@@ -43,6 +42,16 @@ EXIT_NUMERIC = 4
 EXIT_WORKER = 5
 # 128 + SIGPIPE: what a shell reports for a process that a closed pipe ended.
 EXIT_BROKEN_PIPE = 141
+# Each error base, with its exit code and the first words of its message.
+_EXITS = {UsageError: (EXIT_USAGE, "usage error"),
+          DataError: (EXIT_DATA, "data error"),
+          OSError: (EXIT_DATA, "data error"),
+          NumericalError: (EXIT_NUMERIC, "numerical failure")}
+
+
+def _exit_of(exc):
+    """The (exit code, prefix) of the error's base; None outside the taxonomy."""
+    return next((v for base, v in _EXITS.items() if isinstance(exc, base)), None)
 
 
 def parse_spec_token(token, radii):
@@ -132,7 +141,7 @@ def _read_validation(path):
     """The validation file, which must hold at least one data row."""
     validation = data_model.read_validation_csv(path)
     if not len(validation):
-        raise data_model.ParseError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return validation
 
 
@@ -296,10 +305,10 @@ def cmd_select(args):
     metrics = model_select.cv_evaluate(validation, specs, k=folds, rng=rng,
                                        working=args.working)
     if all(m.failed for m in metrics):
-        # Nothing fitted: fail as the commonest failure's class does, with
-        # the message of its earliest candidate (which also wins a tie).
-        kinds = [type(m.error) for m in metrics]
-        raise metrics[kinds.index(max(kinds, key=kinds.count))].error
+        # Nothing fitted: exit with the commonest failure's code, with the
+        # message of its earliest candidate (which also wins a tie).
+        exits = [_exit_of(m.error) for m in metrics]
+        raise metrics[exits.index(max(exits, key=exits.count))].error
     rows = []
     for m in metrics:
         rows.append([
@@ -390,12 +399,12 @@ def cmd_report(args):
     with data_model._open_text(summary) as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise data_model.ParseError(f"{summary}: empty file")
+        raise DataError(f"{summary}: empty file")
     header, body = rows[0], rows[1:]
     for line, row in enumerate(body, start=2):
         if len(row) != len(header):
-            raise data_model.ParseError(f"{summary}: row {line} has {len(row)} "
-                                        f"fields where the header has {len(header)}")
+            raise DataError(f"{summary}: row {line} has {len(row)} "
+                            f"fields where the header has {len(header)}")
     widths = [max(len(str(r[k])) for r in rows) for k in range(len(header))]
     def fmt(row):
         return "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
@@ -474,15 +483,10 @@ def main(argv=None):
         # device, so that the interpreter's final flush stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_EXITS) as exc:
+        code, prefix = _exit_of(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     except RuntimeError as exc:
         # A dead worker process breaks the pool (BrokenProcessPool).  The
         # executor module is imported here, where it is already loaded if a

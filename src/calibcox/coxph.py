@@ -38,14 +38,6 @@ from . import constants, linalg
 from .errors import DataError, NumericalError
 
 
-class CoxConvergenceError(NumericalError):
-    """Newton-Raphson hit the iteration cap or a step no halving could make ascend."""
-
-
-class CoxDivergenceError(NumericalError):
-    """Monotone likelihood / separation: estimates ran away."""
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     converged: bool
@@ -228,8 +220,8 @@ def fit(rs, u):
     improvement drop below COX_GRAD_TOL / COX_LOGLIK_TOL, both scaled by the
     magnitude of the corresponding quantity at the starting point.  Any
     coefficient running past COX_DIVERGENCE_BOUND is treated as
-    monotone-likelihood separation; a Newton step that no halving makes
-    ascend raises :class:`CoxConvergenceError`.
+    monotone-likelihood separation.  Separation, a step that no halving
+    makes ascend and the iteration cap all raise :class:`NumericalError`.
 
     Returns (beta, ConvergenceReport, (eta, w, S0, S1), information), with
     the risk-set sums and the information the last step computed at beta, so
@@ -258,20 +250,20 @@ def fit(rs, u):
                 break
             scale *= 0.5
         else:
-            raise CoxConvergenceError(
+            raise NumericalError(
                 f"Newton-Raphson iteration {it}: 40 step-halvings did not "
                 f"raise the log-likelihood (grad norm {np.max(np.abs(sc)):.3e})")
         delta_ll = ll_new - ll
         beta, ll = cand, ll_new
         S1, sc, info = _step_derivatives(rs, u, w, S0)
         if np.max(np.abs(beta)) > constants.COX_DIVERGENCE_BOUND:
-            raise CoxDivergenceError(
+            raise NumericalError(
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "
                 f"likely monotone likelihood (separation)")
         if np.max(np.abs(sc)) < g_tol and abs(delta_ll) < ll_tol:
             report = ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
             return beta, report, (eta, w, S0, S1), info
-    raise CoxConvergenceError(
+    raise NumericalError(
         f"Newton-Raphson did not converge in {constants.COX_MAX_ITER} iterations "
         f"(grad norm {np.max(np.abs(sc)):.3e})")
 

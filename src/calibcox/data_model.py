@@ -21,9 +21,9 @@ integer that int64 holds, x finite).  It parses a file's rows in bulk
 (``np.loadtxt``), streaming the text in chunks of about a mebibyte, and
 reads them one at a time, as ``csv.reader`` and ``float()`` do, only when
 the bulk parse rejects the file or its values break the schema; either way
-a file reads to the same arrays or raises the same :class:`ParseError`,
+a file reads to the same arrays or raises the same :class:`DataError`,
 which names the first bad cell in file order.  A file that is not UTF-8
-text is a :class:`ParseError` too.
+text is a :class:`DataError` too.
 
 A main study keeps no subject labels: its reader parses each id cell and
 drops it, and :func:`write_main_csv` labels the rows ``m1``, ``m2``, ...
@@ -54,10 +54,6 @@ import numpy as np
 from .errors import DataError
 
 
-class ParseError(DataError):
-    """CSV content violates the schema; message carries row/column coordinates."""
-
-
 DEFAULT_RADII = (90.0, 150.0, 270.0, 510.0, 750.0, 990.0, 1230.0, 1500.0, 2100.0)
 
 
@@ -67,9 +63,9 @@ def _format_radius(r):
 
 def _check_radii(dataset):
     if np.any(np.diff(dataset.radii) <= 0):
-        raise ParseError("buffer radii must be strictly increasing")
+        raise DataError("buffer radii must be strictly increasing")
     if dataset.z.shape[1] != len(dataset.radii):
-        raise ParseError("z width does not match radii count")
+        raise DataError("z width does not match radii count")
 
 
 @dataclass(frozen=True)
@@ -130,8 +126,8 @@ class ValidationDataset:
         top = np.maximum.accumulate(np.concatenate(([-1], codes)))
         if np.any(codes < 0) or np.any(np.diff(top) > 1) \
                 or top[-1] + 1 != len(self.subject_ids):
-            raise ParseError("subject codes must number the subject ids "
-                             "0, 1, ... in order of each subject's first row")
+            raise DataError("subject codes must number the subject ids "
+                            "0, 1, ... in order of each subject's first row")
         object.__setattr__(self, "n_subjects", len(self.subject_ids))
         object.__setattr__(self, "subject_buckets", _size_buckets(
             np.argsort(codes, kind="stable"),
@@ -195,46 +191,46 @@ def _read_header(fh, leading, path):
     try:
         header = next(csv.reader(fh))
     except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
+        raise DataError(f"{path}: empty file") from None
     for k, name in enumerate(leading):
         if k >= len(header) or header[k] != name:
-            raise ParseError(f"{path}: expected column {k + 1} to be '{name}'")
+            raise DataError(f"{path}: expected column {k + 1} to be '{name}'")
     radii, z_cols = [], []
     k = len(leading)
     while k < len(header) and header[k].startswith("z_"):
         try:
             radii.append(float(header[k][2:]))
         except ValueError as exc:
-            raise ParseError(f"{path}: bad radius in header '{header[k]}'") from exc
+            raise DataError(f"{path}: bad radius in header '{header[k]}'") from exc
         z_cols.append(k)
         k += 1
     if not z_cols:
-        raise ParseError(f"{path}: no z_<radius> columns found")
+        raise DataError(f"{path}: no z_<radius> columns found")
     w_cols = list(range(k, len(header)))
     if not w_cols:
-        raise ParseError(f"{path}: no confounder columns found")
+        raise DataError(f"{path}: no confounder columns found")
     return header, (np.asarray(radii), z_cols, w_cols, tuple(header[k] for k in w_cols))
 
 
 def _cell(row, col_idx, header, rownum, path, valid=math.isfinite,
           rule="must be finite"):
-    """The cell as a float; a ParseError that names its row and column
+    """The cell as a float; a DataError that names its row and column
     when it is not a number or ``valid`` rejects it (saying ``rule``)."""
     try:
         value = float(row[col_idx])
     except (ValueError, IndexError) as exc:
-        raise ParseError(
+        raise DataError(
             f"{path}: row {rownum}, column '{header[col_idx]}': "
             f"non-numeric or missing cell"
         ) from exc
     if not valid(value):
-        raise ParseError(f"{path}: row {rownum}, column '{header[col_idx]}': {rule}")
+        raise DataError(f"{path}: row {rownum}, column '{header[col_idx]}': {rule}")
     return value
 
 
 @contextlib.contextmanager
 def _open_text(path):
-    """The file as UTF-8 text; a byte that does not decode is a ParseError.
+    """The file as UTF-8 text; a byte that does not decode is a DataError.
 
     A leading byte-order mark, which spreadsheet programs write to
     "CSV UTF-8" files, is dropped, also when the reader seeks back to 0.
@@ -243,8 +239,8 @@ def _open_text(path):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: byte "
-                         f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
+        raise DataError(f"{path}: not UTF-8 text: byte "
+                        f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
 
 
 # Characters of file text the bulk parse holds at a time.
@@ -316,7 +312,7 @@ def _scan_rows(fh, header, rules, path, keep_ids):
     """Ids and numeric cells of the rows after the header, read one at a
     time as ``csv.reader`` and ``float()`` read them, in the form
     :func:`_bulk_rows` returns; the first cell that breaks the schema, in
-    file order, raises a ParseError that names its row and column."""
+    file order, raises a DataError that names its row and column."""
     checks = [*rules,
               *[(math.isfinite, "must be finite")] * (len(header) - 1 - len(rules))]
     reader = csv.reader(fh)
@@ -324,7 +320,7 @@ def _scan_rows(fh, header, rules, path, keep_ids):
     ids, cells = ([] if keep_ids else None), []
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
-            raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
         cells.append([_cell(row, k, header, rownum, path, valid, rule)
                       for k, (valid, rule) in enumerate(checks, start=1)])
         if keep_ids:
@@ -405,7 +401,7 @@ def read_validation_csv(path):
     if again.size:
         row = int(again.min())
         key = (subject_ids[codes[row]], int(occasion[row]))
-        raise ParseError(f"{path}: row {row + 2}: duplicate (id, occasion) pair {key}")
+        raise DataError(f"{path}: row {row + 2}: duplicate (id, occasion) pair {key}")
     return in_file(path, ValidationDataset, subject_ids=subject_ids,
                    subject_codes=codes, occasion=occasion, x=x, z=z, w=w,
                    radii=radii, confounder_names=w_names)

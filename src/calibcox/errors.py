@@ -1,8 +1,8 @@
 """The package's error taxonomy: one base class per CLI exit code.
 
-Every exception class of the package derives from exactly one of these
-bases, and :func:`calibcox.cli.main` maps an error to its exit code by that
-base alone:
+The package raises these bases, and :class:`calibcox.linalg.DecompositionError`,
+a ``NumericalError`` that names its failed pivot; a message, not a class,
+tells two errors of one base apart.  The base alone decides the exit code:
 
 UsageError      2  a command-line argument or config value is wrong
 DataError       3  a documented precondition is broken

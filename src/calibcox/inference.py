@@ -54,16 +54,6 @@ from . import constants, coxph, linalg, transforms
 from .errors import DataError, NumericalError
 
 
-class TooFewSubjectsError(NumericalError):
-    """The validation study cannot give a full-rank V_a.
-
-    The subjects' scores sum to zero at the fitted alpha, so the
-    cluster-robust meat of V_a has rank at most (subjects - 1); with no more
-    subjects than coefficients, V_a is singular and the sandwich SEs are
-    not estimable.
-    """
-
-
 @dataclass(frozen=True)
 class SandwichComponents:
     i_beta: np.ndarray    # empirical information / N
@@ -294,8 +284,8 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
     radii or confounder names are not those of ``memfit``, that has no
     event (by :class:`coxph.RiskSets`), or whose confounder column is
     constant or collinear with the columns before it; then
-    :class:`TooFewSubjectsError` for a validation fit on no more subjects
-    than coefficients, as its V_a is singular.
+    :class:`NumericalError` for a validation fit on no more subjects than
+    coefficients: the scores sum to zero, so the meat of V_a has rank < p.
     With ``check_derivatives`` the analytic alpha-derivative is verified
     against central finite differences, to a relative FD_TOL.
     The main study is put in time order here, once, by a stable sort of its
@@ -312,7 +302,7 @@ def fit_calibrated_cox(main, memfit, check_derivatives=False):
     rs = coxph.RiskSets(main.time[order], main.event[order])
     _check_confounders(main)
     if memfit.n_subjects <= len(memfit.alpha):
-        raise TooFewSubjectsError(
+        raise NumericalError(
             f"{memfit.n_subjects} validation subjects for {len(memfit.alpha)} "
             f"calibration coefficients: V_alpha needs more subjects than "
             f"coefficients")

@@ -26,15 +26,6 @@ import numpy as np
 
 from . import constants, linalg, transforms
 from .errors import DataError, NumericalError
-from .linalg import DecompositionError
-
-
-class SingularDesignError(DecompositionError):
-    """Design matrix is rank deficient."""
-
-
-class ConvergenceError(NumericalError):
-    """Iterative fit hit its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ def _check_rank(phi):
     """The Gram matrix phi' phi and its Cholesky factor, which the OLS solve,
     the independence bread and QIC reuse.
 
-    Raises SingularDesignError when the design is numerically rank deficient.
+    Raises NumericalError when the design is numerically rank deficient.
     """
     gram = phi.T @ phi
     # Relative pivot floor: exact collinearity leaves a tiny positive pivot
@@ -108,8 +99,8 @@ def _check_rank(phi):
     floor = 1e-10 * float(np.max(np.diag(gram)))
     try:
         return gram, linalg.cholesky(gram, min_pivot=floor)
-    except DecompositionError as exc:
-        raise SingularDesignError(
+    except linalg.DecompositionError as exc:
+        raise NumericalError(
             f"design matrix is rank deficient: column {exc.pivot} is collinear "
             f"with the preceding columns"
         ) from exc
@@ -232,7 +223,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
             if last_delta < constants.GEE_PARAM_TOL:
                 break
         else:
-            raise ConvergenceError(
+            raise NumericalError(
                 f"GEE did not converge in {constants.GEE_MAX_ITER} iterations "
                 f"(last max |delta| = {last_delta:.3e})")
 

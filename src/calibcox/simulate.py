@@ -118,6 +118,8 @@ _SETTINGS = {1: (SETTING1_ALPHA, SETTING1_BETA), 2: (SETTING2_ALPHA, SETTING2_BE
 def cell_config(setting, **overrides):
     """Parameter setting 1 or 2 at n1 5000, n2 300, event rate 0.035 and
     noise variance 0.01, with any field replaced by ``overrides``."""
+    if setting not in _SETTINGS:
+        raise DataError(f"setting must be 1 or 2, got {setting}")
     alpha, beta = _SETTINGS[setting]
     base = dict(n1=5000, n2=300, event_rate=0.035, sigma2_v=0.01,
                 alpha0=alpha["a0"], alpha1=alpha["a1"], alpha2=alpha["a2"],

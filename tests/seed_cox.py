@@ -3,14 +3,16 @@
 A verbatim copy of the per-call-sorting evaluators (each call argsorts the
 times and builds the full n x d x d and n x d x d_alpha suffix-sum arrays),
 kept as the reference that ``test_risk_sets`` requires the sorted-once,
-blocked engine to match bit for bit.  Two things differ: the imports, and
+blocked engine to match bit for bit.  Two things differ: the imports (and
+with them the error class raised, the package's ``NumericalError``), and
 ``u_alpha_fd`` calls this module's ``score``, not the ``coxph`` one it called.
 """
 
 import numpy as np
 
 from calibcox import constants, linalg
-from calibcox.coxph import ConvergenceReport, CoxConvergenceError, CoxDivergenceError
+from calibcox.coxph import ConvergenceReport
+from calibcox.errors import NumericalError
 
 
 def _sorted_views(u, time, event):
@@ -114,12 +116,12 @@ def fit(u, time, event, init=None):
         delta_ll = ll_new - ll
         beta, ll, sc, info = cand, ll_new, sc_new, info_new
         if np.max(np.abs(beta)) > constants.COX_DIVERGENCE_BOUND:
-            raise CoxDivergenceError(
+            raise NumericalError(
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "
                 f"likely monotone likelihood (separation)")
         if np.max(np.abs(sc)) < g_tol and abs(delta_ll) < ll_tol:
             return beta, ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
-    raise CoxConvergenceError(
+    raise NumericalError(
         f"Newton-Raphson did not converge in {constants.COX_MAX_ITER} iterations "
         f"(grad norm {np.max(np.abs(sc)):.3e})")
 

@@ -9,9 +9,10 @@ Verbatim copies, kept as references:
 - the two readers, each with its own bulk-then-row-scan flow, which
   ``test_data_model`` requires ``data_model.read_main_csv`` and
   ``read_validation_csv`` to match, in arrays and dtypes or in the
-  ParseError text, on files with at most one defect.
+  DataError text, on files with at most one defect.
 
-Only the imports differ, and the subject labels:
+Only the imports differ, the error class raised (the package's
+``DataError``), and the subject labels:
 
 - the validation readers build the dataset from ``number_subjects`` of
   the ids, as ``ValidationDataset`` takes its subjects as labels and
@@ -25,9 +26,10 @@ import math
 
 import numpy as np
 
-from calibcox.data_model import (MainDataset, ParseError, ValidationDataset,
+from calibcox.data_model import (MainDataset, ValidationDataset,
                                  number_subjects, _bulk_rows, _cell, _columns, _fits_int64,
                                  _format_radius, _open_text, _read_header)
+from calibcox.errors import DataError
 
 
 def write_main_csv(path, dataset):
@@ -92,7 +94,7 @@ def read_main_csv(path):
         ids, times, events, zs, ws = [], [], [], [], []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+                raise DataError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             t = _cell(row, 1, header, rownum, path,
                       lambda t: math.isfinite(t) and t > 0, "must be finite and > 0")
             d = _cell(row, 2, header, rownum, path, (0.0, 1.0).__contains__,
@@ -141,12 +143,12 @@ def read_validation_csv(path):
         seen = set()
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
+                raise DataError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}")
             o = _cell(row, 1, header, rownum, path, _fits_int64,
                       "must be an integer below 2**63 in magnitude")
             key = (row[0], int(o))
             if key in seen:
-                raise ParseError(f"{path}: row {rownum}: duplicate (id, occasion) pair {key}")
+                raise DataError(f"{path}: row {rownum}: duplicate (id, occasion) pair {key}")
             seen.add(key)
             ids.append(row[0])
             occ.append(int(o))

@@ -5,7 +5,8 @@ A verbatim copy of the per-subject loop versions of ``fit_gee``,
 ``_cluster_sandwich`` (one working inverse, one score and one outer product
 per subject, added into a running total), kept as the reference that
 ``test_gee_buckets`` requires the bucketed fits to match bit for bit.  Four
-things differ: the imports; ``_design_and_groups`` builds the subject groups
+things differ: the imports and the error classes raised, now the package's
+``NumericalError``; ``_design_and_groups`` builds the subject groups
 from ``subject_groups()`` here, as the loop versions did; ``fit_ols`` forms
 the Gram matrix itself rather than take it from ``mem._check_rank``; and
 the fits set ``MemFit.qic`` to nan, because QIC came from a separate call.
@@ -25,9 +26,9 @@ import warnings
 import numpy as np
 
 from calibcox import constants, data_model, linalg, mem, transforms
-from calibcox.errors import DataError
+from calibcox.errors import DataError, NumericalError
 from calibcox.linalg import DecompositionError
-from calibcox.mem import ConvergenceError, MemFit, SingularDesignError, _check_rank
+from calibcox.mem import MemFit, _check_rank
 from calibcox.model_select import CvMetrics, kfold_split
 
 
@@ -159,7 +160,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
         if last_delta < constants.GEE_PARAM_TOL:
             break
     else:
-        raise ConvergenceError(
+        raise NumericalError(
             f"GEE did not converge in {constants.GEE_MAX_ITER} iterations "
             f"(last max |delta| = {last_delta:.3e})")
 
@@ -193,7 +194,7 @@ def qic(fit, validation):
     try:
         linalg.cholesky(gram)
     except DecompositionError as exc:
-        raise SingularDesignError("independence information is singular") from exc
+        raise NumericalError("independence information is singular") from exc
     if disp == 0.0:
         quasi_term = 0.0
         trace_term = float(np.trace(gram @ fit.v_alpha))

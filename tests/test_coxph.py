@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calibcox import coxph
-from calibcox.errors import DataError
+from calibcox.errors import DataError, NumericalError
 
 from conftest import information, loglik, make_survival, score, time_ordered
 
@@ -163,7 +163,8 @@ class TestFit:
         time = np.concatenate([np.arange(1, 11), np.arange(11, 21)]).astype(float)
         event = np.concatenate([np.ones(10, dtype=int), np.zeros(10, dtype=int)])
         rs = coxph.RiskSets(time, event)
-        with pytest.raises(coxph.CoxDivergenceError):
+        with pytest.raises(NumericalError, match="likely monotone likelihood "
+                                                 r"\(separation\)$"):
             coxph.fit(rs, u)
 
     def test_failed_step_halving_raises(self, rng, monkeypatch):
@@ -175,7 +176,8 @@ class TestFit:
         rs = coxph.RiskSets(time, event)
         monkeypatch.setattr(coxph.linalg, "solve_spd",
                             lambda a, b: -np.linalg.solve(a, b))
-        with pytest.raises(coxph.CoxConvergenceError, match="iteration 1:"):
+        with pytest.raises(NumericalError,
+                           match="^Newton-Raphson iteration 1: 40 step-halvings"):
             coxph.fit(rs, u)
 
     def test_report_fields(self, rng):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calibcox import data_model
-from calibcox.data_model import ParseError
+from calibcox.errors import DataError
 from conftest import risk_set_indices
 
 import seed_csv
@@ -41,22 +41,22 @@ class TestReadMainCsv:
     def test_non_binary_event_names_row(self, tmp_path):
         rows = [f"s{i},1.{i},{1 if i != 6 else 2},0.1,0.2,1.0" for i in range(8)]
         p = write(tmp_path, "m.csv", MAIN_HEADER + "\n".join(rows) + "\n")
-        with pytest.raises(ParseError, match="row 8"):
+        with pytest.raises(DataError, match="row 8"):
             data_model.read_main_csv(p)
 
     def test_nonpositive_time_rejected(self, tmp_path):
         p = write(tmp_path, "m.csv", MAIN_HEADER + "a,0.0,1,0.1,0.2,1.0\n")
-        with pytest.raises(ParseError, match="time"):
+        with pytest.raises(DataError, match="time"):
             data_model.read_main_csv(p)
 
     def test_non_numeric_cell_coordinates(self, tmp_path):
         p = write(tmp_path, "m.csv", MAIN_HEADER + "a,1.0,1,oops,0.2,1.0\n")
-        with pytest.raises(ParseError, match="row 2.*z_90"):
+        with pytest.raises(DataError, match="row 2.*z_90"):
             data_model.read_main_csv(p)
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path, "m.csv", "id,time,event,w_1\na,1,1,2\n")
-        with pytest.raises(ParseError, match="z_"):
+        with pytest.raises(DataError, match="z_"):
             data_model.read_main_csv(p)
 
     def test_round_trip(self, tmp_path, rng):
@@ -90,7 +90,7 @@ class TestReadValidationCsv:
     def test_duplicate_id_occasion_rejected(self, tmp_path):
         p = write(tmp_path, "v.csv", VAL_HEADER
                   + "a,1,0.5,0.1,0.2,1.0\n" + "a,1,0.6,0.1,0.2,1.0\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             data_model.read_validation_csv(p)
 
     def test_confounders_may_vary_by_occasion(self, tmp_path):
@@ -201,7 +201,7 @@ class TestBulkParse:
     ])
     def test_main_rejections(self, tmp_path, body, error):
         p = write(tmp_path, "m.csv", MAIN_HEADER + body)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             data_model.read_main_csv(p)
         assert str(err.value) == f"{p}: {error}"
 
@@ -221,7 +221,7 @@ class TestBulkParse:
         # The pairs are checked on the parsed arrays, so the bulk parse's
         # rows name the duplicate without a row scan.
         monkeypatch.setattr(data_model, "_scan_rows", no_scan)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             data_model.read_validation_csv(p)
         assert str(err.value) == f"{p}: row 4: duplicate (id, occasion) pair ('a', 1)"
 
@@ -236,7 +236,7 @@ class TestBulkParse:
         if parse == "row scan":
             p = _quote_first_id(p)
         taken = _spy_bulk(monkeypatch)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             data_model.read_validation_csv(p)
         assert taken == [parse == "bulk"]
         assert str(err.value) == f"{p}: row 5: duplicate (id, occasion) pair ('b', 2)"
@@ -295,7 +295,7 @@ class TestDatasetInvariants:
         (["a", "b"], [1, 0, 1]), (["a", "b"], [0, 2, 1]), (["a"], [0, -1]),
         (["a", "b", "c"], [0, 1, 1]), (["a"], [0, 1])])
     def test_codes_must_number_ids_by_first_row(self, subject_ids, codes):
-        with pytest.raises(ParseError, match="in order of each subject's first row"):
+        with pytest.raises(DataError, match="in order of each subject's first row"):
             data_model.ValidationDataset(
                 np.asarray(subject_ids, dtype=object), np.asarray(codes),
                 occasion=np.arange(len(codes)), x=np.zeros(len(codes)),
@@ -360,7 +360,7 @@ class TestDatasetInvariants:
 
     def test_radii_must_increase(self, rng):
         # A dataset built by hand gets the readers' check, with no file named.
-        with pytest.raises(ParseError, match="^buffer radii must be strictly increasing$"):
+        with pytest.raises(DataError, match="^buffer radii must be strictly increasing$"):
             data_model.MainDataset(
                 time=np.array([1.0]),
                 event=np.array([1]), z=np.zeros((1, 2)), w=np.zeros((1, 1)),
@@ -424,11 +424,11 @@ def _write_variant(tmp_path, name, write, ds, variant):
 
 
 def _outcome(read, path):
-    """What reading ``path`` gives: the dataset, or the ParseError text with
+    """What reading ``path`` gives: the dataset, or the DataError text with
     the path left out."""
     try:
         return read(path)
-    except ParseError as exc:
+    except DataError as exc:
         return str(exc).replace(str(path), "<path>")
 
 
@@ -506,7 +506,7 @@ class TestChunkedRead:
             ds = data_model.read_main_csv(p)
             assert len(ds) == self.GOOD + 1 and ds.z[-1].tolist() == [0.4, 0.5]
         else:
-            with pytest.raises(ParseError) as err:
+            with pytest.raises(DataError) as err:
                 data_model.read_main_csv(p)
             assert str(err.value) == f"{p}: {error}"
         assert taken == [False]
@@ -540,7 +540,7 @@ def _main_bodies(draw):
 @given(body=_main_bodies(), chunk=st.integers(1, 80))
 def test_bulk_parse_matches_row_scan(body, chunk):
     """On any body, the chunked bulk parse and the row scan give the same
-    arrays, or the same ParseError."""
+    arrays, or the same DataError."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(data_model, "_CHUNK_CHARS", chunk):
         p = Path(tmp) / "m.csv"
@@ -634,7 +634,7 @@ def _one_defect_files(draw):
 def test_readers_match_seed_readers(study, chunk):
     """On a file with at most one defect, the one reader gives the arrays,
     dtypes and subject labels of the two readers it replaced, or their
-    ParseError."""
+    DataError."""
     kind, data = study
     read = f"read_{kind}_csv"
     fields = (("time", "event") if kind == "main" else ("occasion", "x")) \
@@ -659,7 +659,7 @@ def test_bad_cell_outranks_an_earlier_duplicate(tmp_path):
     defects names the bad cell, wherever the duplicate falls."""
     p = write(tmp_path, "v.csv", VAL_HEADER + "a,1,0.5,0.1,0.2,1.0\n"
               + "a,1,0.6,0.1,0.2,1.0\n" + "b,1,0.5,x,0.2,1.0\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError) as err:
         data_model.read_validation_csv(p)
     assert str(err.value) == (f"{p}: row 4, column 'z_90': "
                               "non-numeric or missing cell")

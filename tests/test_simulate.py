@@ -47,6 +47,13 @@ class TestConfig:
         with pytest.raises(DataError, match=f"^{field} must"):
             simulate.setting1(**{"n1": 600, "n2": 20, "event_rate": 0.1, field: value})
 
+    def test_unknown_setting_is_a_data_error(self):
+        # A package error, not a KeyError from the table of settings.
+        with pytest.raises(DataError, match="^setting must be 1 or 2, got 3$"):
+            simulate.cell_config(3)
+        with pytest.raises(DataError, match="^setting must be 1 or 2, got 0$"):
+            simulate.full_grid(setting=0)
+
     def test_grid_has_24_cells(self):
         for setting, alpha, beta in (
                 (1, simulate.SETTING1_ALPHA, simulate.SETTING1_BETA),
