@@ -33,9 +33,11 @@ numbers the ids once, in order of each subject's first row
 subset of the rows, such as a cross-validation training set, renumbers the
 codes it keeps (:meth:`ValidationDataset.subset`).  The folds read the
 codes, and the GEE reads the size buckets that :class:`ValidationDataset`
-derives from them once, at construction.  The reader rejects a duplicate
-(id, occasion) pair, found on the codes, naming the first row, in file
-order, that repeats an earlier row's pair.
+derives from them once, at construction; a PCA model reads the principal
+axes the dataset solves once, when first asked
+(:attr:`ValidationDataset.pca_axes`).
+The reader rejects a duplicate (id, occasion) pair, found on the codes,
+naming the first row, in file order, that repeats an earlier row's pair.
 
 The writers emit what ``csv.writer``'s ``excel`` dialect would (CRLF line
 endings, a label or header name quoted only when it holds a comma, quote or
@@ -45,12 +47,14 @@ a block of rows at a time.
 
 import contextlib
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import transforms
 from .errors import DataError
 
 
@@ -104,7 +108,8 @@ class ValidationDataset:
     subject, which the GEE sums over.  It holds one ``(m, subjects, rows)``
     entry per cluster size m, in ascending order of m: the subjects with m
     rows, in ascending order, and the read-only (g, m) matrix of their rows,
-    each subject's rows in row order.
+    each subject's rows in row order.  ``pca_axes`` is derived once too, but
+    only when a PCA model first asks for it.
     """
 
     subject_ids: np.ndarray
@@ -135,6 +140,11 @@ class ValidationDataset:
 
     def __len__(self):
         return len(self.x)
+
+    @functools.cached_property
+    def pca_axes(self):
+        """All principal axes of ``z``, solved on first use; a failure is not kept."""
+        return transforms.pca_axes(self.z)
 
     def subset(self, rows):
         """The dataset of the rows ``rows``: its subjects keep their labels

@@ -185,22 +185,22 @@ def _gee_normal_equations(phi, x, buckets, vinv):
     return _subject_sums(buckets, weighted, ((p, p), (p,)))
 
 
-def fit_gee(validation, spec, working="exchangeable", transform=None):
+def fit_gee(validation, spec, working="exchangeable"):
     """GEE fit with identity link and Gaussian variance.
 
-    Both working correlations start from the OLS solution.  Independence
-    stops there: its estimating equation is OLS's and its bread the Gram
-    matrix.  Exchangeable alternates IRLS coefficient updates with moment
-    re-estimation of psi.  The sigma^2 scale of the working covariance
-    cancels in the coefficient update and is folded into the reported
-    dispersion.
+    The spec's transform is fitted on ``validation``
+    (:func:`transforms.fit_transform`).  Both working correlations start
+    from the OLS solution.  Independence stops there: its estimating
+    equation is OLS's and its bread the Gram matrix.  Exchangeable
+    alternates IRLS coefficient updates with moment re-estimation of psi.
+    The sigma^2 scale of the working covariance cancels in the coefficient
+    update and is folded into the reported dispersion.
     """
     if working not in ("independence", "exchangeable"):
         raise DataError(f"unknown working correlation '{working}'")
     if not len(validation):
         raise DataError("no data rows")
-    if transform is None:
-        transform = transforms.fit_transform(spec, validation.z, validation.radii)
+    transform = transforms.fit_transform(spec, validation)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     x = validation.x
     n, p = phi.shape

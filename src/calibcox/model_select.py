@@ -59,50 +59,28 @@ def kfold_split(validation, rng, k=5):
 def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     """Fit every candidate on k-1 folds, score on the held-out fold, rank.
 
-    A transform depends on the data it is fitted on and on the spec's
-    reduction, not on its interactions.  So each training set's (and the
-    full data's) transform is fitted once per reduction, when a candidate
-    first needs it, and handed to the fits of every candidate that differs
-    only in interactions.  Every ``pca<k>`` takes the first k of one set of
-    principal axes per data set.  A candidate whose transform cannot be
-    fitted fails with the message it did when it fitted its own.  Failed
+    Each fit takes its transform from its own data set, which solves its
+    principal axes once (``ValidationDataset.pca_axes``).  Failed
     candidates are kept in the output, marked and sorted last.  A held-out
     fold is scored from its rows of ``validation``.
     """
     folds = kfold_split(validation, rng, k=k)
     all_rows = np.arange(len(validation))
     splits = [(validation.subset(np.setdiff1d(all_rows, f)), f) for f in folds]
-    fitted = {}
-
-    def transform(key, data, spec):
-        if spec.variant == "pca":
-            transforms.check_pca_size(data.z, spec.n_components)
-            if (key, "pca") not in fitted:
-                fitted[key, "pca"] = transforms.pca_axes(data.z)
-            return transforms.leading_axes(fitted[key, "pca"], spec.n_components)
-        reduction = dataclasses.replace(spec, include_interactions=False)
-        if (key, reduction) not in fitted:
-            fitted[key, reduction] = transforms.fit_transform(
-                reduction, data.z, data.radii)
-        return fitted[key, reduction]
-
-    def fit_gee(key, data, spec):
-        return mem.fit_gee(data, spec, working=working,
-                           transform=transform(key, data, spec))
 
     out = []
     for spec in specs:
         abs_errors, sq_errors, fold_maes = [], [], []
         try:
-            for i, (train, f) in enumerate(splits):
-                fit = fit_gee(i, train, spec)
+            for train, f in splits:
+                fit = mem.fit_gee(train, spec, working=working)
                 phi = transforms.build_design_matrix(
                     fit.spec, fit.transform, validation.z[f], validation.w[f])
                 err = validation.x[f] - phi @ fit.alpha
                 abs_errors.append(np.abs(err))
                 sq_errors.append(err ** 2)
                 fold_maes.append(float(np.mean(np.abs(err))))
-            full = fit_gee("full", validation, spec)
+            full = mem.fit_gee(validation, spec, working=working)
         except (ValueError, ArithmeticError) as exc:
             # Keep the error without its tracebacks and the errors chained
             # to it: their frames link back to this call's and would keep

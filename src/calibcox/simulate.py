@@ -30,7 +30,7 @@ workers do not oversubscribe the cores.
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,13 +252,7 @@ MODEL_SPECS = {
 @dataclass(frozen=True)
 class ReplicateResult:
     """One model's outcome on one replicate; NaN marks an estimate a failed
-    fit did not produce.
-
-    Two results are equal when their fields are, with NaN equal to NaN: a
-    result that comes back from a worker process is unpickled, so its NaN
-    fields are new float objects, and the field-tuple comparison a dataclass
-    generates holds NaN equal only to the very same object.
-    """
+    fit did not produce, and writes as ``nan`` in ``replicates.csv``."""
 
     replicate: int
     model: str
@@ -270,18 +264,6 @@ class ReplicateResult:
     se3: float = np.nan
     ci3_covers: bool = False
     error: str = ""
-
-    def _key(self):
-        return tuple(None if isinstance(v, float) and math.isnan(v) else v
-                     for v in (getattr(self, f.name) for f in fields(self)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass(frozen=True)

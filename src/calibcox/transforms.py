@@ -177,12 +177,15 @@ def reduce_z(spec, transform, z):
     return z @ transform.basis  # rcs: B'z per row
 
 
-def fit_transform(spec, zmat, radii):
-    """Fit whatever transform the spec needs (None for the standard variant)."""
+def fit_transform(spec, data):
+    """The transform ``spec`` needs on the validation dataset ``data``, None
+    for the standard variant; a ``pca<k>`` keeps the first k of
+    ``data.pca_axes``, so it is :func:`fit_pca` on ``data.z`` byte for byte."""
     if spec.variant == "pca":
-        return fit_pca(zmat, spec.n_components)
+        check_pca_size(data.z, spec.n_components)
+        return leading_axes(data.pca_axes, spec.n_components)
     if spec.variant == "rcs":
-        return rcs_basis(radii, spec.n_knots)
+        return rcs_basis(data.radii, spec.n_knots)
     return None
 
 

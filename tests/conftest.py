@@ -1,5 +1,7 @@
 """Shared fixtures and small data builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,30 @@ def make_validation(rng, n_subjects=30, occasions=4, p_z=3, p_w=1,
         *data_model.number_subjects(ids), occasion=occ, x=x, z=z, w=w,
         radii=np.asarray(radii, dtype=float),
         confounder_names=tuple(f"w_{j + 1}" for j in range(p_w))), alpha
+
+
+def ragged_validation(rng, sizes, rho=0.4, sigma2=0.04, p_z=3):
+    """Subjects of the given cluster sizes, their rows shuffled together."""
+    n = int(np.sum(sizes))
+    order = rng.permutation(n)
+    ids = np.repeat([f"s{i}" for i in range(len(sizes))], sizes)[order]
+    occasion = np.concatenate([np.arange(1, m + 1) for m in sizes])[order]
+    shared = np.repeat(rng.normal(size=len(sizes)), sizes)[order]
+    z = rng.normal(0.5, 0.1, size=(n, p_z))
+    w = rng.normal(1.0, 1.0, size=(n, 1))
+    x = (0.3 + z @ rng.normal(0.0, 0.5, size=p_z) + 0.2 * w[:, 0]
+         + np.sqrt(sigma2) * (np.sqrt(rho) * shared
+                              + np.sqrt(1.0 - rho) * rng.normal(size=n)))
+    return data_model.ValidationDataset(
+        *data_model.number_subjects(ids), occasion=occasion, x=x, z=z, w=w,
+        radii=100.0 * np.arange(1, p_z + 1), confounder_names=("w_1",))
+
+
+def assert_same_results(got, want):
+    """Two lists of replicate results agree field by field, NaN equal to
+    NaN: a result back from a worker process holds new NaN objects."""
+    np.testing.assert_equal([dataclasses.astuple(r) for r in got],
+                            [dataclasses.astuple(r) for r in want])
 
 
 def residual_clusters(groups):

@@ -18,9 +18,13 @@ cross-validation that scored each held-out fold as a dataset of its own and
 took QIC from that call: ``_subset`` and ``cv_evaluate``, where only
 ``mem.qic`` became ``qic``.  ``test_cv_evaluate_matches_seed`` requires
 ``model_select.cv_evaluate`` to match it.
+
+The package's ``transforms.fit_transform`` and ``mem.fit_gee`` now take the
+dataset and fit the transform themselves, so the calls to them pass a
+dataset, and ``cv_evaluate`` no longer keeps transforms of its own to hand
+to ``mem.fit_gee``; no arithmetic changed.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -34,7 +38,7 @@ from calibcox.model_select import CvMetrics, kfold_split
 
 def _design_and_groups(validation, spec, transform=None):
     if transform is None:
-        transform = transforms.fit_transform(spec, validation.z, validation.radii)
+        transform = transforms.fit_transform(spec, validation)
     phi = transforms.build_design_matrix(spec, transform, validation.z, validation.w)
     groups = list(validation.subject_groups().values())
     return phi, groups, transform
@@ -216,40 +220,26 @@ def _subset(validation, rows):
 def cv_evaluate(validation, specs, rng, k=5, working="exchangeable"):
     """Fit every candidate on k-1 folds, score on the held-out fold, rank.
 
-    A transform depends on the data it is fitted on and on the spec's
-    reduction, not on its interactions.  So each training set's (and the
-    full data's) transform is fitted once per reduction, when a candidate
-    first needs it, and handed to the fits of every candidate that differs
-    only in interactions; a candidate whose transform cannot be fitted
-    fails with the message it did when it fitted its own.  Failed
+    Each fit takes its transform from its own data set.  Failed
     candidates are kept in the output, marked and sorted last.
     """
     folds = kfold_split(validation, rng, k=k)
     all_rows = np.arange(len(validation))
     splits = [(_subset(validation, np.setdiff1d(all_rows, f)), _subset(validation, f))
               for f in folds]
-    fitted = {}
-
-    def fit_gee(key, data, spec):
-        reduction = dataclasses.replace(spec, include_interactions=False)
-        if (key, reduction) not in fitted:
-            fitted[key, reduction] = transforms.fit_transform(
-                reduction, data.z, data.radii)
-        return mem.fit_gee(data, spec, working=working,
-                           transform=fitted[key, reduction])
 
     out = []
     for spec in specs:
         abs_errors, sq_errors, fold_maes = [], [], []
         try:
-            for i, (train, test) in enumerate(splits):
-                fit = fit_gee(i, train, spec)
+            for train, test in splits:
+                fit = mem.fit_gee(train, spec, working=working)
                 err = test.x - transforms.build_design_matrix(
                     fit.spec, fit.transform, test.z, test.w) @ fit.alpha
                 abs_errors.append(np.abs(err))
                 sq_errors.append(err ** 2)
                 fold_maes.append(float(np.mean(np.abs(err))))
-            full = fit_gee("full", validation, spec)
+            full = mem.fit_gee(validation, spec, working=working)
             qic_value = qic(full, validation)
         except (ValueError, ArithmeticError) as exc:
             # Keep the error without its tracebacks and the errors chained

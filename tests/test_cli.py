@@ -19,9 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from calibcox import (cli, data_model, errors, inference, linalg, mem, model_select,
-                      simulate, transforms)
+from calibcox import (cli, constants, data_model, errors, inference, linalg, mem,
+                      model_select, simulate, transforms)
 from calibcox.cli import main
+
+from conftest import ragged_validation
 
 
 @pytest.fixture(scope="module")
@@ -751,6 +753,85 @@ class TestExitCodes:
         assert main(["select", str(study_files[1]), "--seed", "1"]) == code
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize("token, message", [
+        ("pca0", "spec token 'pca0': pca needs at least one component"),
+        ("onlyX", "bad radius in spec token 'onlyX'"),
+    ])
+    def test_spec_token_usage_error_names_the_token(self, token, message, study_files,
+                                                    tmp_path, capsys):
+        main_csv, val_csv = study_files
+        code = main(["fit", str(main_csv), "--validation", str(val_csv),
+                     "--spec", token, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["main", "validation"])
+    @pytest.mark.parametrize("change, message", [
+        (lambda rows: [], "empty file"),
+        (lambda rows: [["subject"] + rows[0][1:]] + rows[1:],
+         "expected column 1 to be 'id'"),
+        (lambda rows: [rows[0][:3] + ["z_abc"] + rows[0][4:]] + rows[1:],
+         "bad radius in header 'z_abc'"),
+        (lambda rows: [row[:-1] for row in rows], "no confounder columns found"),
+    ], ids=["empty", "first column", "radius", "no confounder"])
+    def test_bad_header_is_data_error(self, which, change, message, study_files,
+                                      tmp_path, capsys):
+        main_csv, val_csv = study_files
+        files = {"main": main_csv, "validation": val_csv}
+        bad = tmp_path / f"bad_{which}.csv"
+        _write_rows(bad, change(_rows(files[which])))
+        files[which] = bad
+        calls = [["fit", str(files["main"]), "--validation", str(files["validation"])]]
+        if which == "validation":
+            calls.append(["select", str(bad), "--seed", "1"])
+        for argv in calls:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+            assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_cox_iteration_cap_is_numerical_failure(self, study_files, tmp_path,
+                                                    capsys, monkeypatch):
+        monkeypatch.setattr(constants, "COX_MAX_ITER", 1)
+        main_csv, val_csv = study_files
+        code = main(["fit", str(main_csv), "--validation", str(val_csv),
+                     "--spec", "standard", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Newton-Raphson did not converge "
+                              "in 1 iterations (grad norm ")
+        assert err.count("\n") == 1
+
+    def test_gee_iteration_cap_is_numerical_failure(self, study_files, tmp_path,
+                                                    capsys, monkeypatch):
+        # Ragged clusters with within-subject correlation 0.4: psi-hat > 0,
+        # so the exchangeable IRLS moves off the OLS start.
+        rng = np.random.default_rng(21)
+        val = ragged_validation(rng, rng.choice([1, 2, 3, 8], size=70))
+        assert mem.fit_gee(val, transforms.DesignSpec()).psi > 0.0
+        val_csv = tmp_path / "clustered.csv"
+        data_model.write_validation_csv(val_csv, val)
+        monkeypatch.setattr(constants, "GEE_MAX_ITER", 1)
+        code = main(["fit", str(study_files[0]), "--validation", str(val_csv),
+                     "--spec", "standard", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: GEE did not converge in 1 "
+                              "iterations (last max |delta| = ")
+        assert err.count("\n") == 1
+
+    def test_event_rate_bisection_cap_is_numerical_failure(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Every event rate in (0, 1) brackets, so only the cap can fail it.
+        monkeypatch.setattr(constants, "CMAX_MAX_ITER", 0)
+        code = main(["simulate", "--cell", "0.1,600,60,0.01", "--replicates", "1",
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: event-rate bisection failed: "
+                              "achieved range [")
+        assert err.endswith("] around target 0.1\n") and err.count("\n") == 1
+
 
 def _rows(path):
     """The cells of a CSV file written without quotes, header first."""
@@ -1000,6 +1081,12 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {summary}: row 3 has 2 fields where the header has 3\n")
+
+    def test_empty_summary_data_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("")
+        assert main(["report", str(tmp_path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {summary}: empty file\n"
 
     def test_non_utf8_data_error(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"

@@ -1,5 +1,6 @@
 """CSV schemas, record datasets, and risk-set construction."""
 
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from calibcox import data_model
 from calibcox.errors import DataError
-from conftest import risk_set_indices
+from conftest import make_validation, risk_set_indices
 
 import seed_csv
 
@@ -365,6 +366,17 @@ class TestDatasetInvariants:
                 time=np.array([1.0]),
                 event=np.array([1]), z=np.zeros((1, 2)), w=np.zeros((1, 1)),
                 radii=np.array([150.0, 90.0]))
+
+    def test_z_width_must_match_radii(self, rng):
+        # A reader takes the radii from the z columns; a dataset built by
+        # hand can disagree, and a validation dataset is checked the same way.
+        val, _ = make_validation(rng, p_z=3)
+        with pytest.raises(DataError, match="^z width does not match radii count$"):
+            dataclasses.replace(val, radii=val.radii[:2])
+        with pytest.raises(DataError, match="^z width does not match radii count$"):
+            data_model.MainDataset(
+                time=np.array([1.0]), event=np.array([1]), z=np.zeros((1, 3)),
+                w=np.zeros((1, 1)), radii=np.array([90.0, 150.0]))
 
 
 class TestRiskSets:

@@ -19,7 +19,7 @@ import pytest
 from calibcox import data_model, mem, model_select, simulate, transforms
 from calibcox.transforms import DesignSpec
 import seed_gee
-from conftest import residual_clusters
+from conftest import ragged_validation, residual_clusters
 
 SPECS = [DesignSpec(variant="standard"),
          DesignSpec(variant="standard", include_interactions=True),
@@ -33,23 +33,6 @@ def block(request, monkeypatch):
     if request.param == "tiny":
         monkeypatch.setattr(mem, "_BLOCK_VALUES", 100)
     return request.param
-
-
-def _ragged_validation(rng, sizes, rho=0.4, sigma2=0.04, p_z=3):
-    """Subjects of the given cluster sizes, their rows shuffled together."""
-    n = int(np.sum(sizes))
-    order = rng.permutation(n)
-    ids = np.repeat([f"s{i}" for i in range(len(sizes))], sizes)[order]
-    occasion = np.concatenate([np.arange(1, m + 1) for m in sizes])[order]
-    shared = np.repeat(rng.normal(size=len(sizes)), sizes)[order]
-    z = rng.normal(0.5, 0.1, size=(n, p_z))
-    w = rng.normal(1.0, 1.0, size=(n, 1))
-    x = (0.3 + z @ rng.normal(0.0, 0.5, size=p_z) + 0.2 * w[:, 0]
-         + np.sqrt(sigma2) * (np.sqrt(rho) * shared
-                              + np.sqrt(1.0 - rho) * rng.normal(size=n)))
-    return data_model.ValidationDataset(
-        *data_model.number_subjects(ids), occasion=occasion, x=x, z=z, w=w,
-        radii=100.0 * np.arange(1, p_z + 1), confounder_names=("w_1",))
 
 
 def _assert_same_fit(val, spec, working="exchangeable"):
@@ -77,7 +60,7 @@ def test_equal_clusters(spec, block):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
 def test_ragged_interleaved_clusters(spec, block, rng):
     sizes = rng.choice([1, 2, 3, 8], size=70)
-    val = _ragged_validation(rng, sizes)
+    val = ragged_validation(rng, sizes)
     assert set(sizes) == {1, 2, 3, 8}
     assert any(np.any(np.diff(rows) > 1) for rows in val.subject_groups().values())
     fit = _assert_same_fit(val, spec)
@@ -85,14 +68,14 @@ def test_ragged_interleaved_clusters(spec, block, rng):
 
 
 def test_all_singletons(block, rng):
-    val = _ragged_validation(rng, np.ones(50, dtype=int))
+    val = ragged_validation(rng, np.ones(50, dtype=int))
     fit = _assert_same_fit(val, SPECS[1])
     assert fit.psi == 0.0
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
 def test_independence(spec, block, rng):
-    val = _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
+    val = ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
     _assert_same_fit(val, spec, working="independence")
 
 
@@ -100,14 +83,14 @@ def test_independence(spec, block, rng):
 def test_zero_residuals(working, rng):
     # x = 0 is fitted exactly, so the dispersion is 0 and QIC takes its
     # zero-dispersion branch.
-    val = _ragged_validation(rng, rng.choice([1, 2, 3], size=30))
+    val = ragged_validation(rng, rng.choice([1, 2, 3], size=30))
     val = dataclasses.replace(val, x=np.zeros(len(val)))
     fit = _assert_same_fit(val, SPECS[1], working=working)
     assert fit.sigma2 == 0.0 and fit.qic == 0.0
 
 
 def test_cv_folds(block, rng):
-    val = _ragged_validation(rng, rng.choice([2, 3, 8], size=60))
+    val = ragged_validation(rng, rng.choice([2, 3, 8], size=60))
     folds = model_select.kfold_split(val, k=5, rng=np.random.default_rng(5))
     all_rows = np.arange(len(val))
     for f in folds:
@@ -146,10 +129,10 @@ def test_block_size_moves_no_bit(values, monkeypatch):
     # Blocks of one subject, of one subject for p x p terms and 24 for the
     # psi moment's scalars, and the default, on one ragged rho = 0.4 study.
     rng = np.random.default_rng(21)
-    val = _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=70))
+    val = ragged_validation(rng, rng.choice([1, 2, 3, 8], size=70))
     spec = SPECS[1]
     phi = transforms.build_design_matrix(
-        spec, transforms.fit_transform(spec, val.z, val.radii), val.z, val.w)
+        spec, transforms.fit_transform(spec, val), val.z, val.w)
     resid = val.x - phi @ np.linalg.lstsq(phi, val.x, rcond=None)[0]
     want = mem.estimate_psi(resid, val.subject_buckets, 0.03)
     monkeypatch.setattr(mem, "_BLOCK_VALUES", values)
@@ -183,7 +166,7 @@ def _cv_dataset(name):
         return simulate.gen_validation(simulate.setting1(n2=40, seed=8),
                                        np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    return _ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
+    return ragged_validation(rng, rng.choice([1, 2, 3, 8], size=60))
 
 
 @pytest.mark.parametrize("k", [2, 5])

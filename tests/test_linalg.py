@@ -54,6 +54,17 @@ class TestCholesky:
         with pytest.raises(DataError, match="cholesky input is not symmetric"):
             linalg.cholesky(a)
 
+    @pytest.mark.parametrize("a, message", [
+        (np.ones((2, 3)), r"^cholesky input must be square, got shape \(2, 3\)$"),
+        (np.ones(3), r"^cholesky input must be square, got shape \(3,\)$"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]),
+         "^cholesky input contains non-finite entries$"),
+        (np.diag([1.0, np.inf]), "^cholesky input contains non-finite entries$"),
+    ], ids=["2x3", "vector", "nan", "inf"])
+    def test_malformed_input_rejected(self, a, message):
+        with pytest.raises(DataError, match=message):
+            linalg.cholesky(a)
+
 
 class TestSolveSpd:
     def test_identity(self, rng):

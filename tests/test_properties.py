@@ -94,7 +94,9 @@ def test_transform_json_round_trip_predicts_the_same(token, interactions, seed):
                             np.linalg.cholesky(simulate.default_z_cov(len(radii))),
                             60)
     w = rng.normal(1.0, 3.0, size=(60, 1))
-    fitted = transforms.fit_transform(spec, z, radii)
+    fitted = transforms.fit_transform(spec, data_model.ValidationDataset(
+        *data_model.number_subjects(range(60)), occasion=np.ones(60, dtype=int),
+        x=np.zeros(60), z=z, w=w, radii=radii))
     spec2, restored = transforms.transform_from_json(
         transforms.transform_to_json(spec, fitted))
     assert spec2 == spec

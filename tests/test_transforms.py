@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from calibcox import linalg, transforms
-from calibcox.errors import DataError
+from calibcox.errors import DataError, NumericalError
 from calibcox.transforms import DesignSpec
+
+from conftest import make_validation
 
 RADII = np.array([90.0, 150.0, 270.0, 510.0, 750.0, 990.0, 1230.0, 1500.0, 2100.0])
 
@@ -197,8 +199,9 @@ class TestBuildDesign:
     @pytest.mark.parametrize("interactions", [False, True])
     def test_matches_stacked_parts_bit_for_bit(self, rng, spec, interactions):
         spec = dataclasses.replace(spec, include_interactions=interactions)
-        z, w = rng.normal(0.5, 0.1, size=(40, 9)), rng.normal(1.0, 2.0, size=(40, 2))
-        t = transforms.fit_transform(spec, z, RADII)
+        val, _ = make_validation(rng, n_subjects=10, p_z=9, p_w=2, radii=RADII)
+        z, w = val.z, val.w
+        t = transforms.fit_transform(spec, val)
         s = transforms.reduce_z(spec, t, z)
         parts = [np.ones((40, 1)), s, w]
         if interactions:
@@ -249,6 +252,64 @@ class TestBuildDesign:
         a_std = np.linalg.lstsq(phi_std, x, rcond=None)[0]
         a_pca = np.linalg.lstsq(phi_pca, x, rcond=None)[0]
         assert np.max(np.abs(phi_std @ a_std - phi_pca @ a_pca)) < 1e-8
+
+
+class TestFitTransform:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The matrices ``linalg.sym_eigen`` is asked to solve, in order;
+        the first ``fail[0]`` solves raise."""
+        calls, fail = [], [0]
+        sym_eigen = linalg.sym_eigen
+
+        def counted(a):
+            calls.append(a.shape)
+            if len(calls) <= fail[0]:
+                raise NumericalError("injected")
+            return sym_eigen(a)
+
+        monkeypatch.setattr(linalg, "sym_eigen", counted)
+        return calls, fail
+
+    def test_each_reduction_matches_its_own_fit(self, rng):
+        val, _ = make_validation(rng, p_z=5, radii=RADII[:5])
+        for k in (1, 3, 5):
+            spec = DesignSpec(variant="pca", n_components=k)
+            got, want = transforms.fit_transform(spec, val), transforms.fit_pca(val.z, k)
+            for name in ("center", "loadings", "eigenvalues"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        got = transforms.fit_transform(DesignSpec(variant="rcs", n_knots=4), val)
+        assert got.basis.tobytes() == transforms.rcs_basis(RADII[:5], 4).basis.tobytes()
+        assert transforms.fit_transform(DesignSpec(), val) is None
+
+    def test_a_dataset_solves_its_axes_once_and_only_for_pca(self, rng, solves):
+        calls, _ = solves
+        val, _ = make_validation(rng, p_z=4, radii=RADII[:4])
+        for spec in (DesignSpec(), DesignSpec(variant="rcs", n_knots=3)):
+            transforms.fit_transform(spec, val)
+        assert calls == []
+        for k in (2, 3, 2):
+            transforms.fit_transform(DesignSpec(variant="pca", n_components=k), val)
+        assert calls == [(4, 4)]
+        # A subset, such as a training fold, is a dataset of its own.
+        transforms.fit_transform(DesignSpec(variant="pca", n_components=2),
+                                 val.subset(np.arange(20)))
+        assert calls == [(4, 4)] * 2
+
+    def test_size_checked_per_spec_and_a_failed_solve_not_kept(self, rng, solves):
+        calls, fail = solves
+        val, _ = make_validation(rng, n_subjects=1, occasions=3, p_z=3)
+        with pytest.raises(DataError, match="^need at least 4 rows, got 3$"):
+            transforms.fit_transform(DesignSpec(variant="pca", n_components=3), val)
+        assert calls == []
+        fail[0] = 1
+        spec = DesignSpec(variant="pca", n_components=2)
+        with pytest.raises(NumericalError, match="^injected$"):
+            transforms.fit_transform(spec, val)
+        want = transforms.fit_pca(val.z, 2)
+        assert transforms.fit_transform(spec, val).loadings.tobytes() == \
+            want.loadings.tobytes()
+        assert calls == [(3, 3)] * 3
 
 
 class TestSpecValidation:
