@@ -306,9 +306,14 @@ def cmd_select(args):
                                        working=args.working)
     if all(m.failed for m in metrics):
         # Nothing fitted: exit with the commonest failure's code, with the
-        # message of its earliest candidate (which also wins a tie).
+        # message of its earliest candidate (which also wins a tie); a data
+        # failure names the file, as fit's does.
         exits = [_exit_of(m.error) for m in metrics]
-        raise metrics[exits.index(max(exits, key=exits.count))].error
+        error = metrics[exits.index(max(exits, key=exits.count))].error
+
+        def fail():
+            raise error
+        data_model.in_file(args.validation_csv, fail)
     rows = []
     for m in metrics:
         rows.append([

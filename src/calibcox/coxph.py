@@ -40,7 +40,6 @@ from .errors import DataError, NumericalError
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    converged: bool
     iterations: int
     grad_norm: float
     loglik: float
@@ -223,7 +222,7 @@ def fit(rs, u):
     monotone-likelihood separation.  Separation, a step that no halving
     makes ascend and the iteration cap all raise :class:`NumericalError`.
 
-    Returns (beta, ConvergenceReport, (eta, w, S0, S1), information), with
+    Returns (beta, ConvergenceReport, (w, S0, S1), information), with
     the risk-set sums and the information the last step computed at beta, so
     the variance needs no second evaluation there.
     """
@@ -261,8 +260,8 @@ def fit(rs, u):
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "
                 f"likely monotone likelihood (separation)")
         if np.max(np.abs(sc)) < g_tol and abs(delta_ll) < ll_tol:
-            report = ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
-            return beta, report, (eta, w, S0, S1), info
+            report = ConvergenceReport(it, float(np.max(np.abs(sc))), ll)
+            return beta, report, (w, S0, S1), info
     raise NumericalError(
         f"Newton-Raphson did not converge in {constants.COX_MAX_ITER} iterations "
         f"(grad norm {np.max(np.abs(sc)):.3e})")

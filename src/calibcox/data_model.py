@@ -209,9 +209,12 @@ def _read_header(fh, leading, path):
     k = len(leading)
     while k < len(header) and header[k].startswith("z_"):
         try:
-            radii.append(float(header[k][2:]))
-        except ValueError as exc:
-            raise DataError(f"{path}: bad radius in header '{header[k]}'") from exc
+            radius = float(header[k][2:])
+        except ValueError:
+            radius = math.nan
+        if not math.isfinite(radius):
+            raise DataError(f"{path}: bad radius in header '{header[k]}'")
+        radii.append(radius)
         z_cols.append(k)
         k += 1
     if not z_cols:

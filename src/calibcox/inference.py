@@ -79,7 +79,7 @@ class CoxFit:
 def g_beta_hat(rs, u, sums):
     """Robust score-residual outer-product mean.
 
-    ``sums`` is (eta, w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
+    ``sums`` is (w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
     returns them.  Each subject's residual is its own score contribution
     minus its weighted appearances in every earlier event's risk set:
 
@@ -89,7 +89,7 @@ def g_beta_hat(rs, u, sums):
     and G = (1/N) sum_i W_i W_i'.
     """
     n = len(u)
-    _, w, S0, S1 = sums
+    w, S0, S1 = sums
     ev = rs.events
     ubar_e = S1 / S0[:, None]
     # One prefix over the stacked columns [1/S0, ubar/S0].
@@ -105,7 +105,7 @@ def g_beta_hat(rs, u, sums):
 def u_alpha_hat(rs, u, sums, phi, c, b):
     """Analytic derivative of the Cox score with respect to alpha.
 
-    ``sums`` is (eta, w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
+    ``sums`` is (w, S0, S1) of ``u`` at beta, as :func:`coxph.fit`
     returns them.  The calibrated exposure enters each covariate row as
     mu_i = phi_i' alpha, so d u_i / d alpha = c_i phi_i' and
     d eta_i / d alpha = b_i phi_i', with c_i = d u_i / d mu_i and
@@ -122,7 +122,7 @@ def u_alpha_hat(rs, u, sums, phi, c, b):
     """
     rs.check_rows(u, phi, c, b)
     d, da = u.shape[1], phi.shape[1]
-    _, w, S0, S1 = sums
+    w, S0, S1 = sums
     ev = rs.events
     # Before the sweep, so that phi[ev] is freed before its sums are held.
     out = np.einsum("ij,ik->jk", c[ev], phi[ev])
@@ -173,7 +173,7 @@ def u_alpha_fd(rs, u, sums, phi, c, b, alpha):
     rs.check_rows(u, phi, c, b)
     alpha = np.asarray(alpha, dtype=float)
     n, da = phi.shape
-    w = sums[1]
+    w = sums[0]
     ev = rs.events
     c_ev = c[ev]
     out = np.empty((u.shape[1], da))
@@ -244,7 +244,7 @@ def sandwich_covariance(components, n_main):
     """
     if n_main <= 0:
         raise DataError("main-study size must be positive")
-    i_inv = linalg.inv_spd(components.i_beta)
+    i_inv = linalg.solve_spd(components.i_beta, np.eye(len(components.i_beta)))
     middle = components.g_beta + (
         components.u_alpha @ components.v_alpha @ components.u_alpha.T) / n_main
     cov = i_inv @ middle @ i_inv.T / n_main

@@ -1,8 +1,10 @@
 """Dense symmetric linear-algebra kernels.
 
 Everything downstream (PCA loadings, GEE information matrices, Newton steps,
-multivariate-normal sampling) runs through these three primitives.  Matrices
-here are small (at most a few dozen rows), so the implementations favor
+multivariate-normal sampling) runs through four kernels: :func:`cholesky`,
+:func:`cho_solve` (forward then back substitution on the factor),
+:func:`solve_spd` (the two together) and :func:`sym_eigen`.  Matrices here
+are small (at most a few dozen rows), so the implementations favor
 transparent, well-tested algorithms over BLAS bindings: column-blocked
 Cholesky and a cyclic Jacobi eigensolver.
 
@@ -76,32 +78,20 @@ def cholesky(a, min_pivot=0.0):
     return L
 
 
-def solve_lower(L, b):
-    """Solve L x = b for lower-triangular L (forward substitution)."""
-    b = np.asarray(b, dtype=float)
-    x = b.astype(float, copy=True)
-    n = L.shape[0]
-    for i in range(n):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
-    return x
-
-
-def solve_upper(U, b):
-    """Solve U x = b for upper-triangular U (back substitution)."""
-    b = np.asarray(b, dtype=float)
-    x = b.astype(float, copy=True)
-    n = U.shape[0]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - U[i, i + 1:] @ x[i + 1:]) / U[i, i]
-    return x
-
-
 def cho_solve(L, b):
     """Solve (L L') x = b given the Cholesky factor L of an SPD matrix.
 
-    b may be a vector or a matrix of right-hand sides.
+    b may be a vector or a matrix of right-hand sides.  Forward, then back
+    substitution, in place on one copy of b.
     """
-    return solve_upper(L.T, solve_lower(L, b))
+    x = np.array(b, dtype=float)
+    n = L.shape[0]
+    for i in range(n):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+    U = L.T
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - U[i, i + 1:] @ x[i + 1:]) / U[i, i]
+    return x
 
 
 def solve_spd(a, b):
@@ -110,11 +100,6 @@ def solve_spd(a, b):
     b may be a vector or a matrix of right-hand sides.
     """
     return cho_solve(cholesky(a), b)
-
-
-def inv_spd(a):
-    """Inverse of a symmetric positive-definite matrix."""
-    return solve_spd(a, np.eye(np.asarray(a).shape[0]))
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,10 @@ def loglik(rs, u, beta):
 
 
 def risk_sums(rs, u, beta):
-    """(eta, w, S0, S1) of the time-ordered rows ``u`` at ``beta``: the
+    """(w, S0, S1) of the time-ordered rows ``u`` at ``beta``: the
     risk-set sums ``coxph.fit`` returns, which G and U_alpha take."""
-    eta, w, S0 = rs.weights(u, beta)
-    return eta, w, S0, rs.moments(u, w)[0]
+    _, w, S0 = rs.weights(u, beta)
+    return w, S0, rs.moments(u, w)[0]
 
 
 def information(rs, u, beta):

@@ -3,9 +3,11 @@
 A verbatim copy of the per-call-sorting evaluators (each call argsorts the
 times and builds the full n x d x d and n x d x d_alpha suffix-sum arrays),
 kept as the reference that ``test_risk_sets`` requires the sorted-once,
-blocked engine to match bit for bit.  Two things differ: the imports (and
-with them the error class raised, the package's ``NumericalError``), and
-``u_alpha_fd`` calls this module's ``score``, not the ``coxph`` one it called.
+blocked engine to match bit for bit.  Three things differ: the imports (and
+with them the error class raised, the package's ``NumericalError``),
+``u_alpha_fd`` calls this module's ``score``, not the ``coxph`` one it called,
+and ``fit`` builds the package's ``ConvergenceReport``, which no longer
+carries a ``converged`` flag.
 """
 
 import numpy as np
@@ -120,7 +122,7 @@ def fit(u, time, event, init=None):
                 f"coefficient magnitude exceeded {constants.COX_DIVERGENCE_BOUND}; "
                 f"likely monotone likelihood (separation)")
         if np.max(np.abs(sc)) < g_tol and abs(delta_ll) < ll_tol:
-            return beta, ConvergenceReport(True, it, float(np.max(np.abs(sc))), ll)
+            return beta, ConvergenceReport(it, float(np.max(np.abs(sc))), ll)
     raise NumericalError(
         f"Newton-Raphson did not converge in {constants.COX_MAX_ITER} iterations "
         f"(grad norm {np.max(np.abs(sc)):.3e})")

@@ -22,7 +22,9 @@ took QIC from that call: ``_subset`` and ``cv_evaluate``, where only
 The package's ``transforms.fit_transform`` and ``mem.fit_gee`` now take the
 dataset and fit the transform themselves, so the calls to them pass a
 dataset, and ``cv_evaluate`` no longer keeps transforms of its own to hand
-to ``mem.fit_gee``; no arithmetic changed.
+to ``mem.fit_gee``; no arithmetic changed.  The bread's inverse is
+``linalg.solve_spd`` against the identity, the same arithmetic as the
+inverse helper it used to call.
 """
 
 import warnings
@@ -71,7 +73,7 @@ def fit_ols(validation, spec, transform=None):
     resid = validation.x - phi @ alpha
     n, p = phi.shape
     sigma2 = float(resid @ resid) / max(n - p, 1)
-    bread_inv = linalg.inv_spd(gram)
+    bread_inv = linalg.solve_spd(gram, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv)
     return MemFit(alpha=alpha, psi=0.0, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,
@@ -174,7 +176,7 @@ def fit_gee(validation, spec, working="exchangeable", transform=None):
     A = np.zeros((p, p))
     for g, rows in enumerate(groups):
         A += phi[rows].T @ vinv[g] @ phi[rows]
-    bread_inv = linalg.inv_spd(A)
+    bread_inv = linalg.solve_spd(A, np.eye(p))
     v_alpha = _cluster_sandwich(phi, resid, groups, bread_inv, vinv_blocks=vinv)
     return MemFit(alpha=alpha, psi=psi, sigma2=sigma2,
                   v_alpha=v_alpha, spec=spec, transform=transform,

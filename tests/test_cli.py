@@ -94,6 +94,18 @@ class TestParseSpecToken:
         with pytest.raises(cli.UsageError):
             cli.parse_spec_token("only999", self.RADII)
 
+    @pytest.mark.parametrize("spec", model_select.candidate_grid(p_z=9),
+                             ids=lambda spec: spec.label())
+    def test_select_labels_parse_back(self, spec):
+        # selection.csv labels a single-radius model standard[j], which fit
+        # takes as only<r_j>, with the z_ columns counted from 0.
+        if spec.radius_subset is None:
+            token = spec.label()
+        else:
+            (j,) = spec.radius_subset
+            token = f"only{self.RADII[j]:g}"
+        assert cli.parse_spec_token(token, self.RADII) == spec
+
 
 class TestSimulateCommand:
     def test_single_cell_outputs(self, tmp_path):
@@ -731,11 +743,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    # A data failure names the validation file, as fit's does; {val} is its path.
     @pytest.mark.parametrize("raised, code, message", [
         ([errors.NumericalError("a"), errors.DataError("b"), errors.DataError("c")],
-         cli.EXIT_DATA, "data error: b"),
+         cli.EXIT_DATA, "data error: {val}: b"),
         ([errors.DataError("a"), errors.NumericalError("b"), errors.NumericalError("c"),
-          errors.DataError("d")], cli.EXIT_DATA, "data error: a"),
+          errors.DataError("d")], cli.EXIT_DATA, "data error: {val}: a"),
         ([errors.UsageError("a")], cli.EXIT_USAGE, "usage error: a"),
         # Counted by base, not by class: two of the three are numerical.
         ([errors.DataError("a"), linalg.DecompositionError("b"), errors.NumericalError("c")],
@@ -751,7 +764,23 @@ class TestExitCodes:
 
         monkeypatch.setattr(model_select, "cv_evaluate", all_fail)
         assert main(["select", str(study_files[1]), "--seed", "1"]) == code
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == message.format(val=study_files[1]) + "\n"
+
+    def test_select_names_the_file_when_every_fold_is_too_small(self, study_files,
+                                                                tmp_path, capsys):
+        # Five rows of three subjects (2, 2 and 1 rows): of two folds, one
+        # trains on a single subject, too few rows for pca3's coefficients.
+        rows = _rows(study_files[1])
+        ids = list(dict.fromkeys(row[0] for row in rows[1:]))[:3]
+        kept = [row for i, n in zip(ids, (2, 2, 1))
+                for row in [r for r in rows[1:] if r[0] == i][:n]]
+        small = tmp_path / "v.csv"
+        _write_rows(small, [rows[0]] + kept)
+        assert main(["select", str(small), "--specs", "pca3", "--folds", "2",
+                     "--seed", "1"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {small}: need at least 4 rows, got ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("token, message", [
         ("pca0", "spec token 'pca0': pca needs at least one component"),
@@ -774,7 +803,10 @@ class TestExitCodes:
         (lambda rows: [rows[0][:3] + ["z_abc"] + rows[0][4:]] + rows[1:],
          "bad radius in header 'z_abc'"),
         (lambda rows: [row[:-1] for row in rows], "no confounder columns found"),
-    ], ids=["empty", "first column", "radius", "no confounder"])
+    ] + [(lambda rows, r=r: [rows[0][:3] + [f"z_{r}"] + rows[0][4:]] + rows[1:],
+          f"bad radius in header 'z_{r}'") for r in ("nan", "inf", "-inf", "1e999")],
+        ids=["empty", "first column", "radius", "no confounder",
+             "radius nan", "radius inf", "radius -inf", "radius 1e999"])
     def test_bad_header_is_data_error(self, which, change, message, study_files,
                                       tmp_path, capsys):
         main_csv, val_csv = study_files

@@ -1,5 +1,7 @@
 """Cox partial likelihood: closed forms, oracles, Newton fit, invariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,7 +187,8 @@ class TestFit:
         time, event, u = time_ordered(time, event, u)
         rs = coxph.RiskSets(time, event)
         beta, report, *_ = coxph.fit(rs, u)
-        assert report.converged
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "iterations", "grad_norm", "loglik"]
         assert report.iterations >= 1
         assert np.isfinite(report.loglik)
 

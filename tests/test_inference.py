@@ -112,7 +112,7 @@ class TestGBetaHat:
             beta, *_ = coxph.fit(rs, u)
             i_beta = information(rs, u, beta) / n
             g = inference.g_beta_hat(rs, u, risk_sums(rs, u, beta))
-            i_inv = linalg.inv_spd(i_beta)
+            i_inv = linalg.solve_spd(i_beta, np.eye(len(i_beta)))
             vars_.append(float((i_inv @ g @ i_inv.T)[0, 0] / n))
             betas.append(beta[0])
         emp = np.var(betas, ddof=1)
@@ -192,7 +192,7 @@ class TestSandwichCovariance:
                                    u_alpha=np.zeros((2, 3)),
                                    v_alpha=np.zeros((3, 3)))
         cov = inference.sandwich_covariance(comps, n)
-        i_inv = linalg.inv_spd(i_beta)
+        i_inv = linalg.solve_spd(i_beta, np.eye(len(i_beta)))
         expected = i_inv @ g @ i_inv.T / n
         assert np.max(np.abs(cov - expected)) < 1e-12
 
@@ -265,7 +265,7 @@ class TestFitCalibratedCox:
                                      include_interactions=True)
         memfit = mem.fit_gee(val, spec)
         fit = inference.fit_calibrated_cox(main, memfit, check_derivatives=True)
-        assert fit.report.converged
+        assert fit.report.iterations >= 1
         assert fit.beta.shape == (3,)
         assert np.all(fit.se > 0)
         assert np.all(fit.ci_lower < fit.ci_upper)
@@ -473,7 +473,7 @@ class TestHazardRatio:
         comps = SandwichComponents(np.eye(3), np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
         return inference.CoxFit(beta=beta, covariance=cov, se=se,
                                 ci_lower=lo, ci_upper=hi, components=comps,
-                                report=coxph.ConvergenceReport(True, 1, 0.0, 0.0),
+                                report=coxph.ConvergenceReport(1, 0.0, 0.0),
                                 term_names=("exposure", "w_1", "exposure:w_1"))
 
     def test_point_estimate_arithmetic(self):

@@ -91,7 +91,7 @@ class TestSolveSpd:
 
     def test_inv_spd(self, rng):
         a = random_spd(rng, 7)
-        assert np.max(np.abs(linalg.inv_spd(a) @ a - np.eye(7))) < 1e-9
+        assert np.max(np.abs(linalg.solve_spd(a, np.eye(7)) @ a - np.eye(7))) < 1e-9
 
 
 class TestSymEigen:
